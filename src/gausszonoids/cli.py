@@ -146,19 +146,21 @@ def _floats(text) -> list:
 
 
 def _auto_resolution(field, r_min: float) -> int:
-    """Smallest power-of-two grid satisfying the 8-cells-across-tube rule."""
+    """Smallest power-of-two grid (cells per axis) satisfying the
+    8-cells-across-tube rule; 2-D grids stop at 8192 per axis."""
     from .fields import _grad_max
 
     gmax = _grad_max(field)
+    cap = 1 << 22 if field.dim == 1 else 8192
     n = 4096
     if math.isfinite(r_min) and gmax > 0:
         need = 8.0 * 2.0 * math.pi * gmax / (2.0 * r_min)
         while n < need:
             n *= 2
-            if n > (1 << 22):
+            if n > cap:
                 raise CommandError(
-                    f"tube half-width {r_min:.3g} needs more than 2^22 grid cells; "
-                    "pass a coarser tube or an explicit --resolution"
+                    f"tube half-width {r_min:.3g} needs more than {cap} grid cells "
+                    "per axis; pass a coarser tube or an explicit --resolution"
                 )
     return n
 
@@ -521,7 +523,7 @@ def cmd_grf(args) -> int:
             )
         if action == "integral":
             res = int(p["resolution"]) if p.get("resolution") is not None else (
-                _auto_resolution(field, r) if field.dim == 1 else 512
+                _auto_resolution(field, r)
             )
             row["n_integral"] = expected_zeros_integral(
                 field, tube, GridSpec(res, p.get("rule", "gauss"))

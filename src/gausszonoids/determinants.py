@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import GaussianVector, limit_body_inradius
-from .kernels import axial_stretch, ball_volume
+from .geometry import GaussianVector, limit_body_inradius, volume_asymptote, volume_bounds
+from .kernels import ball_volume
 from .montecarlo import EstimateWithCI, MCConfig, mc_mean
 
 __all__ = [
@@ -232,15 +232,10 @@ def iid_square_bounds(dim: int, matrix, s) -> IIDSquareBounds:
     mat = np.asarray(matrix, dtype=float)
     if mat.shape != (m, m) or not np.all(np.isfinite(mat)):
         raise ValueError("matrix must be a finite m x m map")
-    d = abs(float(np.linalg.det(mat)))
-    lam = float(axial_stretch(s))
-    base = math.factorial(m) * d * lam / (2 * math.pi) ** (m / 2)
-    lower = base * 2.0 * ball_volume(m - 1) / math.sqrt(m)
-    upper = base * ball_volume(m)
-    asym = (
-        math.factorial(m)
-        * d
-        * ball_volume(m - 1)
-        / (math.sqrt(m) * (2 * math.pi) ** ((m - 1) / 2))
+    scale = math.factorial(m) * abs(float(np.linalg.det(mat)))
+    vb = volume_bounds(m, s)
+    return IIDSquareBounds(
+        lower=scale * vb.lower_sharp,
+        upper=scale * vb.upper,
+        asymptote=scale * volume_asymptote(m),
     )
-    return IIDSquareBounds(lower=lower, upper=upper, asymptote=asym)

@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import RevolutionBody, gaussian_support, limit_body_inradius, volume
-from .kernels import SQRT_2PI, axial_stretch, ball_volume
+from .geometry import gaussian_support, gaussian_volume, limit_body_inradius
+from .kernels import SQRT_2PI, axial_stretch, ball_volume, bisect
 from .montecarlo import EstimateWithCI, MCConfig, mc_mean
 
 __all__ = [
@@ -154,42 +154,6 @@ class GridSpec:
             raise ValueError("rule must be 'gauss' or 'midpoint'")
 
 
-# -- vectorized gaussian-body volume ----------------------------------------
-
-_VOL_TABLE: dict = {}
-
-
-def _volume_fn(m: int, s_max: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized s -> vol_m of the Gaussian body.  Exact for m = 1; for
-    m >= 2 a cubic spline of the smooth ratio vol/axial_stretch on a dense
-    grid (relative error ~4e-12 against direct quadrature).  Offsets beyond
-    the table cap are clipped; the ratio is constant there to O(1/s^2)."""
-    if m == 1:
-        return lambda s: 2.0 * axial_stretch(np.asarray(s, dtype=float)) / SQRT_2PI
-    cap = float(max(64.0, 2.0 ** math.ceil(math.log2(max(1.05 * s_max, 1.0)))))
-    key = (m, cap)
-    fn = _VOL_TABLE.get(key)
-    if fn is None:
-        from scipy.interpolate import CubicSpline
-
-        grid = np.concatenate(
-            [
-                np.linspace(0.0, 5.0, 801),
-                np.linspace(5.0, 30.0, 601)[1:],
-                np.linspace(30.0, cap, 501)[1:],
-            ]
-        )
-        vals = np.array([volume(RevolutionBody("gaussian", m, s)) for s in grid])
-        spline = CubicSpline(grid, vals / axial_stretch(grid))
-
-        def fn(s, _sp=spline, _cap=cap):
-            s = np.asarray(s, dtype=float)
-            return _sp(np.clip(s, 0.0, _cap)) * axial_stretch(s)
-
-        _VOL_TABLE[key] = fn
-    return fn
-
-
 # -- pointwise section body --------------------------------------------------
 
 
@@ -210,7 +174,7 @@ def section_volume(field: ScalarFieldSpec, p, tau: float) -> float:
     p = _points(field, p)
     m = field.dim
     s = float(np.linalg.norm(field.grad(p))) / tau
-    base = volume(RevolutionBody("gaussian", m, s))
+    base = float(gaussian_volume(m, s))
     off = math.exp(-m * float(field.phi(p)) ** 2 / (2.0 * tau * tau))
     return (2.0 * math.pi) ** (-m / 2) * off * base
 
@@ -237,7 +201,7 @@ def section_support(field: ScalarFieldSpec, p, tau: float, u) -> float:
 # -- tube integrals ----------------------------------------------------------
 
 
-def _section_volume_vec(field, tau, vol_fn, pts, kind):
+def _section_volume_vec(field, tau, pts, kind):
     """Section volume on a batch of points; kind picks the body (the zonoid
     itself or its outer ellipsoid envelope)."""
     m = field.dim
@@ -246,7 +210,7 @@ def _section_volume_vec(field, tau, vol_fn, pts, kind):
     s = np.linalg.norm(g, axis=-1) / tau
     off = np.exp(-m * phi * phi / (2.0 * tau * tau))
     if kind == "zonoid":
-        return (2.0 * math.pi) ** (-m / 2) * off * vol_fn(s)
+        return (2.0 * math.pi) ** (-m / 2) * off * gaussian_volume(m, s)
     return (2.0 * math.pi) ** (-float(m)) * off * axial_stretch(s) * ball_volume(m)
 
 
@@ -280,20 +244,11 @@ def _intervals_1d(field, r, n):
     edges = np.linspace(0.0, 2.0 * math.pi, n + 1)
     inside = np.abs(np.asarray(field.phi(edges[:, None]), dtype=float)) < r
 
-    def refine(a, b):
-        fa = float(np.abs(field.phi(np.array([[a]])))[0]) - r
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            fm = float(np.abs(field.phi(np.array([[mid]])))[0]) - r
-            if (fm < 0) == (fa < 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        return 0.5 * (a + b)
+    def excess(t):
+        return np.abs(np.asarray(field.phi(t[:, None]), dtype=float)) - r
 
-    cross = sorted(
-        refine(edges[i], edges[i + 1]) for i in range(n) if inside[i] != inside[i + 1]
-    )
+    i = np.nonzero(inside[:-1] != inside[1:])[0]
+    cross = bisect(excess, edges[i], edges[i + 1], excess(edges[i]), 60).tolist()
     if not cross:
         return [(0.0, 2.0 * math.pi)] if inside[0] else []
     ivs = []
@@ -316,7 +271,7 @@ _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 
 
-def _integral_1d(field, tube, grid, vol_fn, kind):
+def _integral_1d(field, tube, grid, kind):
     n = grid.resolution
     h = 2.0 * math.pi / n
     _check_resolution(h, tube, _grad_max(field))
@@ -324,7 +279,7 @@ def _integral_1d(field, tube, grid, vol_fn, kind):
     if grid.rule == "midpoint":
         mid = ((np.arange(n) + 0.5) * h)[:, None]
         keep = np.abs(np.asarray(field.phi(mid), dtype=float)) < r
-        vals = _section_volume_vec(field, tube.tau, vol_fn, mid[keep], kind)
+        vals = _section_volume_vec(field, tube.tau, mid[keep], kind)
         return float(np.sum(vals) * h)
     if math.isfinite(r):
         intervals = _intervals_1d(field, r, n)
@@ -338,7 +293,7 @@ def _integral_1d(field, tube, grid, vol_fn, kind):
         half = 0.5 * (bounds[1:] - bounds[:-1])
         t = (mid[:, None] + half[:, None] * _GL12_X[None, :]).ravel()
         w = (half[:, None] * _GL12_W[None, :]).ravel()
-        vals = _section_volume_vec(field, tube.tau, vol_fn, t[:, None], kind)
+        vals = _section_volume_vec(field, tube.tau, t[:, None], kind)
         total += float(np.sum(w * vals))
     return total
 
@@ -356,7 +311,7 @@ def _corner_mask_2d(field, r, edges):
     return inside
 
 
-def _integral_2d(field, tube, grid, vol_fn, kind):
+def _integral_2d(field, tube, grid, kind):
     n = grid.resolution
     h = 2.0 * math.pi / n
     _check_resolution(h, tube, _grad_max(field))
@@ -374,7 +329,7 @@ def _integral_2d(field, tube, grid, vol_fn, kind):
             if math.isfinite(r):
                 pts = pts[np.abs(np.asarray(field.phi(pts), dtype=float)) < r]
             total += float(
-                np.sum(_section_volume_vec(field, tube.tau, vol_fn, pts, kind))
+                np.sum(_section_volume_vec(field, tube.tau, pts, kind))
             )
         return total * cell
 
@@ -398,7 +353,7 @@ def _integral_2d(field, tube, grid, vol_fn, kind):
         sl = slice(k, k + (1 << 16))
         base = np.stack([x0[ii[sl]], x0[jj[sl]]], axis=-1)
         pts = (base[:, None, :] + offs[None, :, :] * h).reshape(-1, 2)
-        vals = _section_volume_vec(field, tube.tau, vol_fn, pts, kind).reshape(-1, 16)
+        vals = _section_volume_vec(field, tube.tau, pts, kind).reshape(-1, 16)
         total += float(np.sum(vals @ wts))
     total *= cell
 
@@ -415,7 +370,7 @@ def _integral_2d(field, tube, grid, vol_fn, kind):
             pts = (base[:, None, :] + offs[None, :, :] * h).reshape(-1, 2)
             pts = pts[np.abs(np.asarray(field.phi(pts), dtype=float)) < r]
             sub += float(
-                np.sum(_section_volume_vec(field, tube.tau, vol_fn, pts, kind))
+                np.sum(_section_volume_vec(field, tube.tau, pts, kind))
             )
         total += sub * cell / (q * q)
     return total
@@ -423,10 +378,9 @@ def _integral_2d(field, tube, grid, vol_fn, kind):
 
 def _tube_integral(field, tube, grid, kind):
     if field.dim == 1:
-        return _integral_1d(field, tube, grid, _volume_fn(1, 0.0), kind)
+        return _integral_1d(field, tube, grid, kind)
     if field.dim == 2:
-        vol_fn = _volume_fn(2, _grad_max(field) / tube.tau)
-        return _integral_2d(field, tube, grid, vol_fn, kind)
+        return _integral_2d(field, tube, grid, kind)
     raise NotImplementedError("tensor-grid integration is implemented for dim <= 2")
 
 
@@ -463,11 +417,6 @@ def expected_zeros_coarea(field: ScalarFieldSpec, tube: TubeSpec) -> float:
         )
     # the Gaussian weight kills levels beyond ~14 tau/sqrt(m)
     r_eff = min(r, 14.0 * tau / math.sqrt(m))
-    s_probe = max(
-        float(np.max(axis.slopes_at_level(v)))
-        for v in np.linspace(0.0, r_eff * (1.0 - 1e-12), 8)
-    )
-    vol_fn = _volume_fn(m, s_probe / tau)
 
     breaks = [0.0]
     step = 0.5 * tau / math.sqrt(m)
@@ -482,7 +431,7 @@ def expected_zeros_coarea(field: ScalarFieldSpec, tube: TubeSpec) -> float:
         for x, w in zip(_GL24_X, _GL24_W):
             v = mid + half * x
             sig = np.asarray(axis.slopes_at_level(v), dtype=float)
-            term = float(np.sum(vol_fn(sig / tau) / sig))
+            term = float(np.sum(gaussian_volume(m, sig / tau) / sig))
             half_total += half * w * math.exp(-m * v * v / (2.0 * tau * tau)) * term
 
     # the level integrand is even in v
@@ -574,22 +523,15 @@ def mc_zero_count_circle(
             xl = phi_l[None, :] + tau * (x1 * cos_l[None, :] + x2 * sin_l[None, :])
             xr = phi_r[None, :] + tau * (x1 * cos_r[None, :] + x2 * sin_r[None, :])
             ia, ib = np.nonzero(xl * xr < 0.0)
-            a = left[ib]
-            b = a + h
-            fa = xl[ia, ib]
             x1f = xi[r0 + ia, 0]
             x2f = xi[r0 + ia, 1]
-            for _ in range(40):
-                midp = 0.5 * (a + b)
-                fm = (
-                    np.asarray(field.phi(midp[:, None]), dtype=float)
-                    + tau * (x1f * np.cos(midp) + x2f * np.sin(midp))
+
+            def noisy(t):
+                return np.asarray(field.phi(t[:, None]), dtype=float) + tau * (
+                    x1f * np.cos(t) + x2f * np.sin(t)
                 )
-                same = (fm < 0.0) == (fa < 0.0)
-                a = np.where(same, midp, a)
-                fa = np.where(same, fm, fa)
-                b = np.where(same, b, midp)
-            root = 0.5 * (a + b)
+
+            root = bisect(noisy, left[ib], left[ib] + h, xl[ia, ib], 40)
             if math.isfinite(r):
                 qual = np.abs(np.asarray(field.phi(root[:, None]), dtype=float)) < r
                 ia = ia[qual]
@@ -671,14 +613,13 @@ def envelope_sandwich(
     else:
         raise NotImplementedError("the envelope check is implemented for dim <= 2")
 
-    vol_fn = _volume_fn(m, _grad_max(field) / tau)
     bm = limit_body_inradius() ** m
     low_viol, up_viol = -math.inf, -math.inf
     rmin, rmax = math.inf, -math.inf
     for k in range(0, pts.shape[0], 1 << 20):
         chunk = pts[k : k + (1 << 20)]
-        vol_body = _section_volume_vec(field, tau, vol_fn, chunk, "zonoid")
-        vol_ell = _section_volume_vec(field, tau, None, chunk, "ellipsoid")
+        vol_body = _section_volume_vec(field, tau, chunk, "zonoid")
+        vol_ell = _section_volume_vec(field, tau, chunk, "ellipsoid")
         low_viol = max(low_viol, float(np.max(bm * vol_ell - vol_body)))
         up_viol = max(up_viol, float(np.max(vol_body - vol_ell)))
         pos = vol_ell > 1e-300

@@ -5,9 +5,10 @@ Conventions used throughout the package:
 * ``erf(t) = 2/sqrt(pi) * integral_0^t exp(-u^2) du``
 * ``ball_volume(m)`` is the Lebesgue volume of the unit ball in R^m.
 
-Everything here is either elementary or a range-checked wrapper over
-``scipy.special``.  All functions accept scalars or numpy arrays and reject
-NaN/Inf at the API boundary (the documented continuous extensions excepted).
+Everything here is elementary, a range-checked wrapper over
+``scipy.special``, or the one bisection routine the package uses.  The
+scalar functions accept scalars or numpy arrays and reject NaN/Inf at the API
+boundary (the documented continuous extensions excepted).
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ __all__ = [
     "limit_support",
     "erf_log_slope",
     "ball_volume",
+    "bisect",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
@@ -159,3 +161,21 @@ def ball_volume(m: int) -> float:
     for j in range(m, 1, -2):
         val *= 2.0 * math.pi / j
     return val
+
+
+def bisect(f, a, b, fa, steps: int):
+    """Halve the brackets [a, b] of sign changes of f ``steps`` times, all at once.
+
+    ``a``, ``b`` and ``fa = f(a)`` are arrays of equal shape, and ``f`` maps an
+    array of abscissae to values elementwise.  Each step keeps the half whose
+    ends have opposite signs, so the returned midpoints lie within
+    ``(b - a) / 2^(steps + 1)`` of a sign change.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        same = (fm < 0.0) == (fa < 0.0)
+        a = np.where(same, mid, a)
+        fa = np.where(same, fm, fa)
+        b = np.where(same, b, mid)
+    return 0.5 * (a + b)

@@ -48,9 +48,13 @@ def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCCon
     `sample(rng, n)` must return n i.i.d. scalar draws.  Per-chunk sums use
     numpy's pairwise summation; cross-chunk accumulation uses math.fsum, so
     the result does not depend on summation order beyond the fixed chunking.
+    The variance keeps each chunk's squared deviations from its own mean and
+    adds the spread of the chunk means (Chan, Golub & LeVeque), so it does not
+    cancel when the mean is large against the spread.
     """
+    counts: list[int] = []
     sums: list[float] = []
-    sqs: list[float] = []
+    devs: list[float] = []
     done = 0
     index = 0
     while done < cfg.samples:
@@ -58,16 +62,17 @@ def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCCon
         values = np.asarray(sample(stream(cfg.seed, index), n), dtype=float)
         if values.shape != (n,):
             raise ValueError(f"sample() returned shape {values.shape}, expected ({n},)")
-        sums.append(float(np.sum(values)))
-        sqs.append(float(np.sum(values * values)))
+        total = float(np.sum(values))
+        counts.append(n)
+        sums.append(total)
+        devs.append(float(np.sum((values - total / n) ** 2)))
         done += n
         index += 1
-    total = math.fsum(sums)
-    total_sq = math.fsum(sqs)
     n = cfg.samples
-    mean = total / n
+    mean = math.fsum(sums) / n
     if n > 1:
-        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+        spread = math.fsum(k * (t / k - mean) ** 2 for k, t in zip(counts, sums))
+        var = (math.fsum(devs) + spread) / (n - 1)
         se = math.sqrt(var / n)
     else:
         se = float("inf")

@@ -1,10 +1,14 @@
 """Command-line surface: schemas, manifests, exit codes, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gausszonoids
 from gausszonoids.cli import main
 
 
@@ -181,6 +185,36 @@ def test_grid_resolution_error_exits_2(capsys):
     code, out = run(capsys, "grf", "integral", "--taus", "1e-5", "--r", "1e-4",
                     "--resolution", "64")
     assert code == 2
+
+
+def test_integral_sizes_2d_grid(capsys):
+    code, out = run(capsys, "grf", "integral", "--field", "sin2-2d", "--taus", "0.05")
+    assert code == 0
+    n_int = float(out.strip().split("\n")[1].split(",")[2])
+    code, out = run(capsys, "grf", "coarea", "--field", "sin2-2d", "--taus", "0.05")
+    assert code == 0
+    n_coa = float(out.strip().split("\n")[1].split(",")[3])
+    assert n_int == pytest.approx(n_coa, rel=1e-3)
+
+
+def test_integral_2d_tiny_tube_exits_2(capsys):
+    # the tube would need 2^19 cells per axis; refuse before allocating
+    code, _ = run(capsys, "grf", "integral", "--field", "sin2-2d", "--taus", "1e-4")
+    assert code == 2
+
+
+def test_cli_import_skips_quadrature_modules():
+    src = os.path.dirname(os.path.dirname(gausszonoids.__file__))
+    code = (
+        "import sys, gausszonoids.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', "
+        "'scipy.optimize') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_unknown_choice_is_usage_error(capsys):

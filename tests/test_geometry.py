@@ -195,6 +195,8 @@ def test_inradius_grid_scan_agrees():
 def test_inradius_angle():
     t = limit_inradius_angle()
     assert t == pytest.approx(0.61044, abs=1e-4)
+    # root of the ring slope, from mpmath at 30 digits
+    assert t == pytest.approx(0.6104408432345670, abs=1e-9)
     # stationarity: the ring derivative vanishes at the argmin
     h = 1e-5
     ring = lambda a: limit_support(math.cos(a), math.sin(a))
@@ -255,6 +257,32 @@ def test_volume_asymptote_at_s50():
     for m in (2, 3):
         v = volume(RevolutionBody("gaussian", m, 50.0))
         assert v / 50.0 == pytest.approx(volume_asymptote(m), rel=0.01)
+
+
+def test_volume_matches_mpmath():
+    """Closed forms against the meridian integral at 40 digits, written in
+    u = cos t and split 4 and 16 Gaussian widths 1/sqrt(c) from the equator."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        _check_volumes_against(mp)
+
+
+def _check_volumes_against(mp):
+    for m in range(1, 9):
+        e = mp.mpf(m - 1) / 2
+        front = 2 * mp.pi**e / mp.gamma(e + 1) / (2 * mp.pi) ** (mp.mpf(m) / 2)
+        for s in (0.0, 0.3, 1.0, 3.0, 10.0, 50.0, 436.0, 1200.0, 1e4):
+            ss = mp.mpf(s) ** 2
+            c = m * ss / 2
+
+            def f(u):
+                return (1 - u * u) ** e * (1 + ss * (1 - u * u)) * mp.exp(-c * u * u)
+
+            widths = [k / mp.sqrt(c) for k in (4, 16)] if c else []
+            pts = sorted({mp.mpf(0), mp.mpf(1), *(w for w in widths if w < 1)})
+            expect = float(front * mp.quad(f, pts))
+            got = volume(RevolutionBody("gaussian", m, s))
+            assert got == pytest.approx(expect, rel=1e-13), (m, s)
 
 
 def test_volume_ellipsoid():

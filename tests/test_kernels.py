@@ -15,6 +15,7 @@ from gausszonoids import (
     folded_normal_mean,
     limit_support,
 )
+from gausszonoids.kernels import bisect
 
 
 def simpson_erf(t: float, tol: float = 1e-14) -> float:
@@ -171,3 +172,28 @@ def test_kernels_reject_nonfinite():
             fn(math.nan)
     with pytest.raises(ValueError):
         limit_support(math.inf, 1.0)
+
+
+def test_bisect_matches_scalar_loop():
+    # the scalar loop the vectorized routine replaced, step for step
+    def f(t):
+        return np.abs(np.sin(2.0 * t)) - 0.3
+
+    def scalar(a, b, steps):
+        fa = float(f(np.array([a]))[0])
+        for _ in range(steps):
+            mid = 0.5 * (a + b)
+            fm = float(f(np.array([mid]))[0])
+            if (fm < 0) == (fa < 0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    a = np.array([0.1, 1.4, 1.7, 3.2, 4.8])
+    b = a + 0.2
+    for steps in (0, 7, 40, 60):
+        got = bisect(f, a, b, f(a), steps)
+        assert got.tolist() == [scalar(x, y, steps) for x, y in zip(a, b)]
+    roots = bisect(f, a, b, f(a), 60)
+    assert np.all(np.abs(f(roots)) < 1e-15)

@@ -2,7 +2,15 @@
 import numpy as np
 import pytest
 
-from gausszonoids import EstimateWithCI, MCConfig, mc_mean, stream
+from gausszonoids import (
+    EstimateWithCI,
+    FrameSpec,
+    GaussianVector,
+    MCConfig,
+    expected_absdet_mc,
+    mc_mean,
+    stream,
+)
 
 
 def test_stream_is_deterministic():
@@ -46,6 +54,15 @@ def test_mc_mean_constant_has_zero_error():
     est = mc_mean(lambda rng, n: np.full(n, 2.5), cfg)
     assert est.mean == 2.5
     assert est.std_error == 0.0
+
+
+def test_mc_mean_error_survives_a_large_mean():
+    # |det| of a 1x1 frame at s = 1e9 is s + xi: unit variance under a mean
+    # of 1e9, where the one-pass sum(x^2) - n mean^2 cancels to 0
+    n = 200_000
+    frame = FrameSpec(1, [GaussianVector(np.eye(1), np.array([1e9]))])
+    est = expected_absdet_mc(frame, MCConfig(samples=n, seed=0))
+    assert est.std_error == pytest.approx(n**-0.5, rel=0.05)
 
 
 def test_mc_mean_partial_final_chunk():
