@@ -147,12 +147,12 @@ def _floats(text) -> list:
 
 def _auto_resolution(field, r_min: float) -> int:
     """Smallest power-of-two grid (cells per axis) satisfying the
-    8-cells-across-tube rule; 2-D grids stop at 8192 per axis."""
+    8-cells-across-tube rule, at least 4096 in 1-D and 256 in 2-D; 2-D grids
+    stop at 8192 per axis."""
     from .fields import _grad_max
 
     gmax = _grad_max(field)
-    cap = 1 << 22 if field.dim == 1 else 8192
-    n = 4096
+    n, cap = (4096, 1 << 22) if field.dim == 1 else (256, 8192)
     if math.isfinite(r_min) and gmax > 0:
         need = 8.0 * 2.0 * math.pi * gmax / (2.0 * r_min)
         while n < need:
@@ -163,6 +163,16 @@ def _auto_resolution(field, r_min: float) -> int:
                     "per axis; pass a coarser tube or an explicit --resolution"
                 )
     return n
+
+
+def _grid_spec(p, field, r: float) -> GridSpec:
+    """The grid of the resolution and rule parameters; without a resolution,
+    the one _auto_resolution picks for the tube."""
+    if p.get("resolution") is not None:
+        res = int(p["resolution"])
+    else:
+        res = _auto_resolution(field, r)
+    return GridSpec(res, p.get("rule", "gauss"))
 
 
 # -- binfty -------------------------------------------------------------------
@@ -485,17 +495,18 @@ def cmd_grf(args) -> int:
         return 0
 
     field = _field_from_id(str(p.get("field", "sin2")))
+    if p.get("m") is not None and int(p["m"]) != field.dim:
+        raise CommandError(
+            f"--m {p['m']} contradicts the {field.dim}-D field {field.name}"
+        )
 
     if action == "sandwich":
         if p.get("tau") is None:
             raise CommandError("sandwich needs --tau")
         tau = float(p["tau"])
         r = float(p.get("r", math.inf))
-        res = int(p["resolution"]) if p.get("resolution") is not None else (
-            _auto_resolution(field, r) if field.dim == 1 else 256
-        )
         report = envelope_sandwich(
-            field, tau, GridSpec(res, p.get("rule", "gauss")), r=r,
+            field, tau, _grid_spec(p, field, r), r=r,
             slack=float(p.get("slack", 1e-10)),
         )
         obj = report.as_dict()
@@ -522,11 +533,8 @@ def cmd_grf(args) -> int:
                 field.dim, r / tau, field.zero_set_measure
             )
         if action == "integral":
-            res = int(p["resolution"]) if p.get("resolution") is not None else (
-                _auto_resolution(field, r)
-            )
             row["n_integral"] = expected_zeros_integral(
-                field, tube, GridSpec(res, p.get("rule", "gauss"))
+                field, tube, _grid_spec(p, field, r)
             )
             value = row["n_integral"]
         elif action == "coarea":

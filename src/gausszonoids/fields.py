@@ -136,12 +136,15 @@ class TubeSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Tensor quadrature grid: cells per axis and panel rule.
+    """Quadrature grid: cells per axis and the rule on each cell.
 
-    ``rule="gauss"`` integrates smooth cells with fixed-order Gauss-Legendre
-    panels and refines cells straddling the tube boundary (bisected exactly
-    in 1-D, subgridded in 2-D); ``rule="midpoint"`` is the plain
-    midpoint-times-indicator reference rule.
+    Both rules integrate row by row.  The circle is one row; the torus T^2
+    has n rows at x2 = (j + 1/2) h, each of weight h = 2 pi / n (the periodic
+    midpoint rule).  Each row is cut into n cells of width h along x1.
+    ``rule="gauss"`` clips every cell to the tube, bisecting the crossing in
+    a cell whose edges disagree, and applies 12-point Gauss-Legendre to the
+    clipped cell; ``rule="midpoint"`` is the plain midpoint-times-indicator
+    reference rule.
     """
 
     resolution: int = 4096
@@ -238,142 +241,103 @@ def _check_resolution(h: float, tube: TubeSpec, gmax: float):
         )
 
 
-def _intervals_1d(field, r, n):
-    """Maximal sub-arcs of {|phi| < r} on the circle, boundaries bisected so
-    the tube cutoff contributes no first-order quadrature error."""
+# scan points per block of rows, and nodes per volume evaluation: bounds memory
+_BLOCK = 1 << 19
+# one panel rule per GridSpec.rule: the midpoint rule is the 1-point Gauss rule
+_PANEL_RULES = {
+    "gauss": np.polynomial.legendre.leggauss(12),
+    "midpoint": np.polynomial.legendre.leggauss(1),
+}
+
+
+def _at(t, y):
+    """Points with first coordinate t and the others y, broadcast to t's shape."""
+    if y.shape[-1] == 0:  # the circle: a view, not a copy of a long row
+        return t[..., None]
+    y = np.broadcast_to(y, t.shape + y.shape[-1:])
+    return np.concatenate([t[..., None], y], axis=-1)
+
+
+def _grid(t, y):
+    """The (rows, t.size, dim) points pairing every abscissa t with every row y."""
+    return _at(np.broadcast_to(t, (y.shape[0], t.size)), y[:, None])
+
+
+def _row_blocks(rows, n):
+    """Blocks of rows, about _BLOCK points each at n points per row."""
+    step = max(1, _BLOCK // n)
+    return (rows[j : j + step] for j in range(0, rows.shape[0], step))
+
+
+def _abs_phi(field, pts):
+    return np.abs(np.asarray(field.phi(pts), dtype=float))
+
+
+def _row_panels(field, r, edges, y, rule):
+    """Panels [lo, hi], and the row of each, covering {|phi| < r} on the
+    cells of a block of rows y.
+
+    The midpoint rule keeps the cells whose midpoint is inside.  The gauss
+    rule keeps the cells with an edge inside and clips each cell whose edges
+    disagree at its crossing, found by bisection, so the tube cutoff adds no
+    first-order error."""
+    if rule == "midpoint":
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        ri, ci = np.nonzero(_abs_phi(field, _grid(mid, y)) < r)
+        return edges[ci], edges[ci + 1], ri
+    excess = _abs_phi(field, _grid(edges, y)) - r
+    inside = excess < 0.0
+    ri, ci = np.nonzero(inside[:, :-1] | inside[:, 1:])
+    lo, hi = edges[ci], edges[ci + 1]
+    left_in = inside[ri, ci]
+    cut = np.nonzero(left_in != inside[ri, ci + 1])[0]
+    yc = y[ri[cut]]
+    c = bisect(
+        lambda t: _abs_phi(field, _at(t, yc)) - r,
+        lo[cut], hi[cut], excess[ri[cut], ci[cut]], 60,
+    )
+    lo[cut] = np.where(left_in[cut], lo[cut], c)
+    hi[cut] = np.where(left_in[cut], c, hi[cut])
+    return lo, hi, ri
+
+
+def _tube_rows(field, tube, grid, kind, rows, row_weight):
+    """Row quadrature of the section volume over the tube {|phi| < r}.
+
+    Each row (fixed trailing coordinates ``rows[j]``) is integrated over the
+    first coordinate on n cells, with panels from :func:`_row_panels` and the
+    GL12 (or midpoint) rule on each; the row sums are weighted by
+    ``row_weight``.  Blocks of rows are scanned, bisected and evaluated
+    together."""
+    n = grid.resolution
+    _check_resolution(2.0 * math.pi / n, tube, _grad_max(field))
     edges = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    inside = np.abs(np.asarray(field.phi(edges[:, None]), dtype=float)) < r
-
-    def excess(t):
-        return np.abs(np.asarray(field.phi(t[:, None]), dtype=float)) - r
-
-    i = np.nonzero(inside[:-1] != inside[1:])[0]
-    cross = bisect(excess, edges[i], edges[i + 1], excess(edges[i]), 60).tolist()
-    if not cross:
-        return [(0.0, 2.0 * math.pi)] if inside[0] else []
-    ivs = []
-    cur, state = 0.0, bool(inside[0])
-    for c in cross:
-        if state:
-            ivs.append((cur, c))
-        cur, state = c, not state
-    if state:
-        # the final arc wraps through 2*pi; glue it onto the first one
-        if ivs and ivs[0][0] == 0.0:
-            first = ivs.pop(0)
-            ivs.append((cur, 2.0 * math.pi + first[1]))
-        else:
-            ivs.append((cur, 2.0 * math.pi))
-    return ivs
-
-
-_GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
-_GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
+    x, w = _PANEL_RULES[grid.rule]
+    step = _BLOCK // x.size
+    total = 0.0
+    for y in _row_blocks(rows, n):
+        lo, hi, ri = _row_panels(field, tube.r, edges, y, grid.rule)
+        for k in range(0, lo.size, step):
+            a, b = lo[k : k + step, None], hi[k : k + step, None]
+            half = 0.5 * (b - a)
+            pts = _at(0.5 * (a + b) + half * x, y[ri[k : k + step], None])
+            vals = _section_volume_vec(field, tube.tau, pts, kind)
+            total += float(np.sum(half * w * vals))
+    return total * row_weight
 
 
 def _integral_1d(field, tube, grid, kind):
-    n = grid.resolution
-    h = 2.0 * math.pi / n
-    _check_resolution(h, tube, _grad_max(field))
-    r = tube.r
-    if grid.rule == "midpoint":
-        mid = ((np.arange(n) + 0.5) * h)[:, None]
-        keep = np.abs(np.asarray(field.phi(mid), dtype=float)) < r
-        vals = _section_volume_vec(field, tube.tau, mid[keep], kind)
-        return float(np.sum(vals) * h)
-    if math.isfinite(r):
-        intervals = _intervals_1d(field, r, n)
-    else:
-        intervals = [(0.0, 2.0 * math.pi)]
-    total = 0.0
-    for a, b in intervals:
-        panels = max(1, int(math.ceil((b - a) / h)))
-        bounds = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (bounds[:-1] + bounds[1:])
-        half = 0.5 * (bounds[1:] - bounds[:-1])
-        t = (mid[:, None] + half[:, None] * _GL12_X[None, :]).ravel()
-        w = (half[:, None] * _GL12_W[None, :]).ravel()
-        vals = _section_volume_vec(field, tube.tau, t[:, None], kind)
-        total += float(np.sum(w * vals))
-    return total
-
-
-def _corner_mask_2d(field, r, edges):
-    """Boolean (n+1, n+1) mask of |phi| < r on the corner lattice, filled in
-    row blocks to bound memory at high resolution."""
-    n1 = edges.size
-    inside = np.empty((n1, n1), dtype=bool)
-    block = max(1, (1 << 21) // n1)
-    for i0 in range(0, n1, block):
-        ex, ey = np.meshgrid(edges[i0 : i0 + block], edges, indexing="ij")
-        vals = np.asarray(field.phi(np.stack([ex, ey], axis=-1)), dtype=float)
-        inside[i0 : i0 + block] = np.abs(vals) < r
-    return inside
+    """The tube integral on the circle: a single row."""
+    return _tube_rows(field, tube, grid, kind, np.zeros((1, 0)), 1.0)
 
 
 def _integral_2d(field, tube, grid, kind):
-    n = grid.resolution
-    h = 2.0 * math.pi / n
-    _check_resolution(h, tube, _grad_max(field))
-    r = tube.r
-    cell = h * h
-    x0 = h * np.arange(n)
-
-    if grid.rule == "midpoint":
-        mid = (np.arange(n) + 0.5) * h
-        total = 0.0
-        block = max(1, (1 << 21) // n)
-        for i0 in range(0, n, block):
-            px, py = np.meshgrid(mid[i0 : i0 + block], mid, indexing="ij")
-            pts = np.stack([px.ravel(), py.ravel()], axis=-1)
-            if math.isfinite(r):
-                pts = pts[np.abs(np.asarray(field.phi(pts), dtype=float)) < r]
-            total += float(
-                np.sum(_section_volume_vec(field, tube.tau, pts, kind))
-            )
-        return total * cell
-
-    if math.isfinite(r):
-        corner = _corner_mask_2d(field, r, np.linspace(0.0, 2.0 * math.pi, n + 1))
-        c_in = corner[:-1, :-1] & corner[1:, :-1] & corner[:-1, 1:] & corner[1:, 1:]
-        c_any = corner[:-1, :-1] | corner[1:, :-1] | corner[:-1, 1:] | corner[1:, 1:]
-        straddle = c_any & ~c_in
-    else:
-        c_in = np.ones((n, n), dtype=bool)
-        straddle = np.zeros((n, n), dtype=bool)
-
-    total = 0.0
-    # interior cells: 4x4 tensor Gauss-Legendre panels
-    u4 = 0.5 + 0.5 * _GL4_X
-    w4 = 0.5 * _GL4_W
-    offs = np.stack(np.meshgrid(u4, u4, indexing="ij"), axis=-1).reshape(-1, 2)
-    wts = np.outer(w4, w4).ravel()
-    ii, jj = np.nonzero(c_in)
-    for k in range(0, ii.size, 1 << 16):
-        sl = slice(k, k + (1 << 16))
-        base = np.stack([x0[ii[sl]], x0[jj[sl]]], axis=-1)
-        pts = (base[:, None, :] + offs[None, :, :] * h).reshape(-1, 2)
-        vals = _section_volume_vec(field, tube.tau, pts, kind).reshape(-1, 16)
-        total += float(np.sum(vals @ wts))
-    total *= cell
-
-    # boundary cells: 16x16 midpoint subgrid against the exact indicator
-    ii, jj = np.nonzero(straddle)
-    if ii.size:
-        q = 16
-        uq = (np.arange(q) + 0.5) / q
-        offs = np.stack(np.meshgrid(uq, uq, indexing="ij"), axis=-1).reshape(-1, 2)
-        sub = 0.0
-        for k in range(0, ii.size, 1 << 12):
-            sl = slice(k, k + (1 << 12))
-            base = np.stack([x0[ii[sl]], x0[jj[sl]]], axis=-1)
-            pts = (base[:, None, :] + offs[None, :, :] * h).reshape(-1, 2)
-            pts = pts[np.abs(np.asarray(field.phi(pts), dtype=float)) < r]
-            sub += float(
-                np.sum(_section_volume_vec(field, tube.tau, pts, kind))
-            )
-        total += sub * cell / (q * q)
-    return total
+    """The tube integral on T^2: n rows at x2 = (j + 1/2) h of weight h, the
+    periodic midpoint rule, which converges exponentially in x2 for smooth
+    periodic row integrals."""
+    h = 2.0 * math.pi / grid.resolution
+    rows = ((np.arange(grid.resolution) + 0.5) * h)[:, None]
+    return _tube_rows(field, tube, grid, kind, rows, h)
 
 
 def _tube_integral(field, tube, grid, kind):
@@ -603,30 +567,28 @@ def envelope_sandwich(
         raise ValueError("tau must be positive and finite")
     tube = TubeSpec(tau, r)
     m = field.dim
-    n = grid.resolution
-    if m == 1:
-        pts = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[:, None]
-    elif m == 2:
-        t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        a, b = np.meshgrid(t, t, indexing="ij")
-        pts = np.stack([a.ravel(), b.ravel()], axis=-1)
-    else:
+    if m > 2:
         raise NotImplementedError("the envelope check is implemented for dim <= 2")
+    n = grid.resolution
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
 
     bm = limit_body_inradius() ** m
     low_viol, up_viol = -math.inf, -math.inf
     rmin, rmax = math.inf, -math.inf
-    for k in range(0, pts.shape[0], 1 << 20):
-        chunk = pts[k : k + (1 << 20)]
-        vol_body = _section_volume_vec(field, tau, chunk, "zonoid")
-        vol_ell = _section_volume_vec(field, tau, chunk, "ellipsoid")
-        low_viol = max(low_viol, float(np.max(bm * vol_ell - vol_body)))
-        up_viol = max(up_viol, float(np.max(vol_body - vol_ell)))
-        pos = vol_ell > 1e-300
-        if np.any(pos):
-            ratio = vol_body[pos] / vol_ell[pos]
-            rmin = min(rmin, float(np.min(ratio)))
-            rmax = max(rmax, float(np.max(ratio)))
+    # the grid t^m, built a block of rows at a time
+    for y in _row_blocks(t[:, None] if m == 2 else np.zeros((1, 0)), n):
+        pts = _grid(t, y).reshape(-1, m)
+        for k in range(0, pts.shape[0], _BLOCK):
+            chunk = pts[k : k + _BLOCK]
+            vol_body = _section_volume_vec(field, tau, chunk, "zonoid")
+            vol_ell = _section_volume_vec(field, tau, chunk, "ellipsoid")
+            low_viol = max(low_viol, float(np.max(bm * vol_ell - vol_body)))
+            up_viol = max(up_viol, float(np.max(vol_body - vol_ell)))
+            pos = vol_ell > 1e-300
+            if np.any(pos):
+                ratio = vol_body[pos] / vol_ell[pos]
+                rmin = min(rmin, float(np.min(ratio)))
+                rmax = max(rmax, float(np.max(ratio)))
     pointwise = low_viol <= slack and up_viol <= slack
 
     count = math.factorial(m) * _tube_integral(field, tube, grid, "zonoid")
@@ -638,7 +600,7 @@ def envelope_sandwich(
         dim=m,
         tau=tau,
         r=r,
-        n_points=pts.shape[0],
+        n_points=n**m,
         slack=slack,
         limit_inradius=limit_body_inradius(),
         max_lower_violation=low_viol,

@@ -203,6 +203,26 @@ def test_integral_2d_tiny_tube_exits_2(capsys):
     assert code == 2
 
 
+def test_sandwich_sizes_2d_grid(capsys):
+    sw = run_json(capsys, "grf", "sandwich", "--field", "sin2-2d", "--tau", "0.05",
+                  "--r", "0.05")
+    assert sw["n_points"] == 1024**2
+    coarea = run_json(capsys, "grf", "coarea", "--field", "sin2-2d", "--taus", "0.05",
+                      "--r", "0.05", "--format", "json")
+    assert sw["count"] == pytest.approx(coarea["rows"][0]["n_coarea"], rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sandwich", "--m", "2", "--tau", "0.05"),
+    ("integral", "--field", "sin2-2d", "--m", "1", "--taus", "0.05"),
+    ("coarea", "--m", "2", "--taus", "0.05"),
+    ("mc", "--m", "2", "--taus", "0.5", "--samples", "10"),
+])
+def test_grf_m_contradicting_the_field_exits_2(capsys, argv):
+    code, _ = run(capsys, "grf", *argv)
+    assert code == 2
+
+
 def test_cli_import_skips_quadrature_modules():
     src = os.path.dirname(os.path.dirname(gausszonoids.__file__))
     code = (

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 import gausszonoids as gz
 from gausszonoids import (
@@ -126,6 +126,75 @@ def test_integral_matches_coarea_dim2():
     n_int = expected_zeros_integral(SIN2_2D, tube, GridSpec(512))
     n_coa = expected_zeros_coarea(SIN2_2D, tube)
     assert n_int == pytest.approx(n_coa, rel=5e-3)
+
+
+def test_rows_match_coarea_dim2():
+    # the rows bisect every tube crossing, so the sin2-2d count meets the
+    # coarea value to rounding, and refining the grid changes nothing
+    tube = TubeSpec(5e-2, 5e-2)
+    n_coa = expected_zeros_coarea(SIN2_2D, tube)
+    n_1024 = expected_zeros_integral(SIN2_2D, tube, GridSpec(1024))
+    n_2048 = expected_zeros_integral(SIN2_2D, tube, GridSpec(2048))
+    assert n_1024 == pytest.approx(n_coa, rel=1e-9)
+    assert abs(n_2048 - n_1024) <= 1e-8
+
+
+def _mixed_field():
+    # depends on both coordinates, so neither the coarea route nor a
+    # constant row integral applies
+    def phi(p):
+        p = np.asarray(p, dtype=float)
+        return np.sin(p[..., 0]) + 0.5 * np.sin(2 * p[..., 1]) + 0.3
+
+    def grad(p):
+        p = np.asarray(p, dtype=float)
+        return np.stack([np.cos(p[..., 0]), np.cos(2 * p[..., 1])], axis=-1)
+
+    return gz.ScalarFieldSpec(2, phi, grad, name="mixed")
+
+
+def test_rows_converge_on_a_genuinely_2d_field():
+    field, tube = _mixed_field(), TubeSpec(0.1, 0.2)
+    coarse = expected_zeros_integral(field, tube, GridSpec(512))
+    fine = expected_zeros_integral(field, tube, GridSpec(2048))
+    mid = expected_zeros_integral(field, tube, GridSpec(2048, rule="midpoint"))
+    assert coarse == pytest.approx(fine, rel=1e-7)
+    # the midpoint reference rule cuts the tube first order in the cell size
+    assert mid == pytest.approx(fine, rel=5e-5)
+
+
+def test_whole_torus_matches_scalar_quadrature():
+    # r = inf: every cell is whole; sin2-2d is constant along x2, so the
+    # torus integral is 2 pi times a circle integral done here by adaptive
+    # quadrature of the scalar section volume
+    tau = 0.5
+    circle, _ = integrate.quad(
+        lambda x: section_volume(SIN2_2D, np.array([x, 0.0]), tau),
+        0.0, 2 * math.pi, epsabs=0.0, epsrel=1e-13, limit=200,
+    )
+    got = expected_zeros_integral(SIN2_2D, TubeSpec(tau, math.inf), GridSpec(256))
+    assert got == pytest.approx(2 * 2 * math.pi * circle, rel=1e-11)
+
+
+# 1-D values of the earlier arc-by-arc quadrature, which the cell-by-cell
+# row rule must keep to 1e-13: grf integral --taus 0.1,0.03,0.01,0.003
+# --alpha 1 (grids of 4096, 4096, 8192 and 32768 cells) and the sandwich
+# counts at tau=0.05 on 4096 cells
+FROZEN_1D = (
+    (0.1, 4096, 2.730757968548338),
+    (0.03, 4096, 2.7307579685483434),
+    (0.01, 8192, 2.7307579685484193),
+    (0.003, 32768, 2.730757968548213),
+)
+
+
+def test_1d_values_frozen():
+    for tau, n, value in FROZEN_1D:
+        got = expected_zeros_integral(SIN2, TubeSpec(tau, tau), GridSpec(n))
+        assert got == pytest.approx(value, rel=1e-13)
+    rep = envelope_sandwich(SIN2, 0.05, GridSpec(4096))
+    assert rep.count == pytest.approx(3.999999999999996, rel=1e-13)
+    assert rep.count_upper == pytest.approx(3.9999999999999956, rel=1e-13)
 
 
 def test_coarea_needs_axis_and_room():
