@@ -71,9 +71,10 @@ def mixed_volume_coeff(m: int, k: int) -> float:
 def expected_absdet_mc(frame: FrameSpec, cfg: MCConfig) -> EstimateWithCI:
     """Monte Carlo estimate of E sqrt(det(Gamma^T Gamma)).
 
-    Each sample builds the m x k matrix and takes the product of |R_ii| from
-    a QR factorization, which is the k-volume of the column parallelotope and
-    avoids forming the (condition-squared) Gram matrix.
+    Each sample is |det Gamma| from an LU factorization for a square frame,
+    and otherwise the product of |R_ii| from a QR factorization: the k-volume
+    of the column parallelotope, without forming the (condition-squared)
+    Gram matrix.
     """
     m, k = frame.dim, frame.k
     mats = np.stack([col.matrix.T for col in frame.columns])  # (k, m, m)
@@ -81,10 +82,13 @@ def expected_absdet_mc(frame: FrameSpec, cfg: MCConfig) -> EstimateWithCI:
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         xi = rng.standard_normal((n, k, m)) + means  # (n, k, m)
-        cols = np.einsum("nkm,kmj->njk", xi, mats)  # (n, m, k)
-        r = np.linalg.qr(cols, mode="r")
-        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-        return np.prod(diag, axis=-1)
+        rows = np.matmul(xi.transpose(1, 0, 2), mats)  # (k, n, m): Gamma^T
+        if m == 1:
+            return np.abs(rows[0, :, 0])
+        if k == m:
+            return np.abs(np.linalg.det(rows.transpose(1, 0, 2)))
+        r = np.linalg.qr(rows.transpose(1, 2, 0), mode="r")
+        return np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
 
     return mc_mean(sample, cfg)
 

@@ -17,7 +17,7 @@ count concentrates on the zero set of phi with the closed-form limit of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -204,17 +204,21 @@ def section_support(field: ScalarFieldSpec, p, tau: float, u) -> float:
 # -- tube integrals ----------------------------------------------------------
 
 
-def _section_volume_vec(field, tau, pts, kind):
-    """Section volume on a batch of points; kind picks the body (the zonoid
-    itself or its outer ellipsoid envelope)."""
+def _section_volume_vec(field, tau, pts, kinds):
+    """Section volumes on a batch of points, one array per entry of kinds:
+    "zonoid" for the zonoid itself, "ellipsoid" for its outer ellipsoid
+    envelope.  The field and its gradient are evaluated once for all."""
     m = field.dim
     phi = np.asarray(field.phi(pts), dtype=float)
     g = np.asarray(field.grad(pts), dtype=float)
     s = np.linalg.norm(g, axis=-1) / tau
     off = np.exp(-m * phi * phi / (2.0 * tau * tau))
-    if kind == "zonoid":
-        return (2.0 * math.pi) ** (-m / 2) * off * gaussian_volume(m, s)
-    return (2.0 * math.pi) ** (-float(m)) * off * axial_stretch(s) * ball_volume(m)
+    return [
+        (2.0 * math.pi) ** (-m / 2) * off * gaussian_volume(m, s)
+        if kind == "zonoid"
+        else (2.0 * math.pi) ** (-float(m)) * off * axial_stretch(s) * ball_volume(m)
+        for kind in kinds
+    ]
 
 
 def _grad_max(field: ScalarFieldSpec, n: int = 8192) -> float:
@@ -270,7 +274,9 @@ def _row_blocks(rows, n):
 
 
 def _abs_phi(field, pts):
-    return np.abs(np.asarray(field.phi(pts), dtype=float))
+    """|phi| at points of any leading shape, passed to phi as one (N, dim) array."""
+    vals = field.phi(pts.reshape(-1, pts.shape[-1]))
+    return np.abs(np.asarray(vals, dtype=float)).reshape(pts.shape[:-1])
 
 
 def _row_panels(field, r, edges, y, rule):
@@ -301,8 +307,9 @@ def _row_panels(field, r, edges, y, rule):
     return lo, hi, ri
 
 
-def _tube_rows(field, tube, grid, kind, rows, row_weight):
-    """Row quadrature of the section volume over the tube {|phi| < r}.
+def _tube_rows(field, tube, grid, kinds, rows, row_weight):
+    """Row quadrature of the section volumes over the tube {|phi| < r}, one
+    total per entry of kinds.
 
     Each row (fixed trailing coordinates ``rows[j]``) is integrated over the
     first coordinate on n cells, with panels from :func:`_row_panels` and the
@@ -314,37 +321,38 @@ def _tube_rows(field, tube, grid, kind, rows, row_weight):
     edges = np.linspace(0.0, 2.0 * math.pi, n + 1)
     x, w = _PANEL_RULES[grid.rule]
     step = _BLOCK // x.size
-    total = 0.0
+    totals = [0.0] * len(kinds)
     for y in _row_blocks(rows, n):
         lo, hi, ri = _row_panels(field, tube.r, edges, y, grid.rule)
         for k in range(0, lo.size, step):
             a, b = lo[k : k + step, None], hi[k : k + step, None]
             half = 0.5 * (b - a)
             pts = _at(0.5 * (a + b) + half * x, y[ri[k : k + step], None])
-            vals = _section_volume_vec(field, tube.tau, pts, kind)
-            total += float(np.sum(half * w * vals))
-    return total * row_weight
+            vols = _section_volume_vec(field, tube.tau, pts, kinds)
+            for i, vals in enumerate(vols):
+                totals[i] += float(np.sum(half * w * vals))
+    return [total * row_weight for total in totals]
 
 
-def _integral_1d(field, tube, grid, kind):
-    """The tube integral on the circle: a single row."""
-    return _tube_rows(field, tube, grid, kind, np.zeros((1, 0)), 1.0)
+def _integral_1d(field, tube, grid, kinds):
+    """The tube integrals on the circle: a single row."""
+    return _tube_rows(field, tube, grid, kinds, np.zeros((1, 0)), 1.0)
 
 
-def _integral_2d(field, tube, grid, kind):
-    """The tube integral on T^2: n rows at x2 = (j + 1/2) h of weight h, the
+def _integral_2d(field, tube, grid, kinds):
+    """The tube integrals on T^2: n rows at x2 = (j + 1/2) h of weight h, the
     periodic midpoint rule, which converges exponentially in x2 for smooth
     periodic row integrals."""
     h = 2.0 * math.pi / grid.resolution
     rows = ((np.arange(grid.resolution) + 0.5) * h)[:, None]
-    return _tube_rows(field, tube, grid, kind, rows, h)
+    return _tube_rows(field, tube, grid, kinds, rows, h)
 
 
-def _tube_integral(field, tube, grid, kind):
+def _tube_integral(field, tube, grid, kinds):
     if field.dim == 1:
-        return _integral_1d(field, tube, grid, kind)
+        return _integral_1d(field, tube, grid, kinds)
     if field.dim == 2:
-        return _integral_2d(field, tube, grid, kind)
+        return _integral_2d(field, tube, grid, kinds)
     raise NotImplementedError("tensor-grid integration is implemented for dim <= 2")
 
 
@@ -353,7 +361,8 @@ def expected_zeros_integral(
 ) -> float:
     """Expected zero count in the tube {|phi| < r}, by direct quadrature of
     the section-body volume: m! * integral vol_m(zeta(p)) dp."""
-    return math.factorial(field.dim) * _tube_integral(field, tube, grid, "zonoid")
+    (total,) = _tube_integral(field, tube, grid, ("zonoid",))
+    return math.factorial(field.dim) * total
 
 
 _GL24_X, _GL24_W = np.polynomial.legendre.leggauss(24)
@@ -431,6 +440,78 @@ def concentration_limit(dim: int, alpha: float, vol_zero_set: float) -> float:
     return front * math.erf(math.sqrt(m / 2.0) * alpha) * vol_zero_set
 
 
+# noisy-field values per block of the zero-count scan, sized to stay in cache
+_SCAN_BLOCK = 1 << 15
+
+
+def _scan_cells(field: ScalarFieldSpec, tube: TubeSpec, spacing: float | None) -> int:
+    """Cells of the zero-count scan: fine enough that X cannot oscillate
+    within one cell (spacing <= tau / (10 max|phi'| + 10)); by default the
+    spacing is also at most min(tau, r) / 20."""
+    tau, r = tube.tau, tube.r
+    cap = tau / (10.0 * _grad_max(field) + 10.0)
+    if spacing is None:
+        base = min(tau, r) if math.isfinite(r) else tau
+        spacing = min(base / 20.0, cap)
+    elif spacing > cap:
+        raise GridResolutionError(
+            f"spacing {spacing:.3g} cannot resolve noise scale tau={tau:.3g} "
+            f"(need <= {cap:.3g})"
+        )
+    return int(math.ceil(2.0 * math.pi / spacing))
+
+
+def _tube_turns(field: ScalarFieldSpec, r: float, edges: np.ndarray) -> np.ndarray:
+    """The turns of |phi| at which a cell of the scan crosses the level r twice.
+
+    A cell whose edges lie on one side of r reaches the other side only
+    around a turn of |phi| (a sign change of phi*phi'), e.g. a zero of phi
+    in a tube narrower than the cell.  With at most one turn per cell, each
+    such turn, found by bisection, splits its cell into two that cross r
+    once."""
+
+    def slope(t):  # phi*phi' has the sign of d|phi|/dt
+        p = t[:, None]
+        return np.asarray(field.phi(p), dtype=float) * np.asarray(field.grad(p), dtype=float)[:, 0]
+
+    s = slope(edges)
+    ci = np.nonzero((s[:-1] < 0.0) != (s[1:] < 0.0))[0]
+    turn = bisect(slope, edges[ci], edges[ci + 1], s[ci], 60)
+    out = _abs_phi(field, edges[:, None]) >= r
+    crosses = (out[ci] == out[ci + 1]) & ((_abs_phi(field, turn[:, None]) >= r) != out[ci])
+    return turn[crosses]
+
+
+def _zero_counter(field: ScalarFieldSpec, tube: TubeSpec, n: int):
+    """Per-sample zero counts in the tube, on the n-cell scan of the circle.
+
+    The cells are split at the turns of |phi| that cross r twice and clipped
+    to the tube by :func:`_row_panels`.  With at most one root of X per
+    cell, X changes sign on a panel exactly when it has a root inside the
+    tube.  The deterministic parts of X are evaluated once per panel end, and
+    each block of samples gets X at all ends from one matrix product."""
+    tau = tube.tau
+    edges = np.linspace(0.0, 2.0 * math.pi, n + 1)
+    if math.isfinite(tube.r):
+        edges = np.sort(np.concatenate([edges, _tube_turns(field, tube.r, edges)]))
+    lo, hi, _ = _row_panels(field, tube.r, edges, np.zeros((1, 0)), "gauss")
+    ends = np.concatenate([lo, hi])
+    phi = np.asarray(field.phi(ends[:, None]), dtype=float)
+    noise = tau * np.stack([np.cos(ends), np.sin(ends)])
+    rows = max(1, _SCAN_BLOCK // max(1, ends.size))
+
+    def sample(rng, n_draw):
+        xi = rng.standard_normal((n_draw, 2))
+        counts = np.zeros(n_draw, dtype=np.int64)
+        for r0 in range(0, n_draw, rows):
+            x = xi[r0 : r0 + rows] @ noise + phi
+            change = x[:, : lo.size] * x[:, lo.size :] < 0.0
+            counts[r0 : r0 + rows] = np.count_nonzero(change, axis=1)
+        return counts
+
+    return sample
+
+
 def mc_zero_count_circle(
     field: ScalarFieldSpec,
     tube: TubeSpec,
@@ -440,70 +521,17 @@ def mc_zero_count_circle(
     """Monte Carlo count of zeros of X = phi + tau*(xi1 cos + xi2 sin) on the
     circle that land inside {|phi| < r}.
 
-    Roots are bracketed by a sign scan over a grid fine enough that X cannot
-    oscillate within one cell (spacing <= tau / (10 max|phi'| + 10)) and then
-    pinned by bisection.  The scan is restricted to cells meeting the
-    inflated tube, since roots outside {|phi| < r} never count.
+    The scan grid is fine enough that X cannot oscillate within one cell
+    (spacing <= tau / (10 max|phi'| + 10)).  Cells that cross the tube
+    boundary twice (a tube narrower than a cell, a dip of |phi| below r) are
+    split at the turn of |phi|; the cells are then clipped to the tube
+    exactly as in the tube integral, and a sample counts the clipped panels
+    on which X changes sign; no root of X is bisected.
     """
     if field.dim != 1:
         raise ValueError("the root-counting model is one-dimensional")
-    tau, r = tube.tau, tube.r
-    gmax = _grad_max(field)
-    cap = tau / (10.0 * gmax + 10.0)
-    if spacing is None:
-        base = min(tau, r) if math.isfinite(r) else tau
-        spacing = min(base / 20.0, cap)
-    elif spacing > cap:
-        raise GridResolutionError(
-            f"spacing {spacing:.3g} cannot resolve noise scale tau={tau:.3g} "
-            f"(need <= {cap:.3g})"
-        )
-    n = int(math.ceil(2.0 * math.pi / spacing))
-    h = 2.0 * math.pi / n
-    t = h * np.arange(n)
-    phig = np.asarray(field.phi(t[:, None]), dtype=float)
-    if math.isfinite(r):
-        near = np.abs(phig) < r + 2.0 * gmax * h
-        keep = near | np.roll(near, -1)
-    else:
-        keep = np.ones(n, dtype=bool)
-    left = t[keep]
-    right = left + h
-    cos_l, sin_l = np.cos(left), np.sin(left)
-    cos_r, sin_r = np.cos(right), np.sin(right)
-    phi_l = phig[keep]
-    phi_r = np.asarray(field.phi(right[:, None]), dtype=float)
-    n_cells = left.size
-
-    def sample(rng, n_draw):
-        xi = rng.standard_normal((n_draw, 2))
-        counts = np.zeros(n_draw)
-        if n_cells == 0:
-            return counts
-        rows = max(1, (1 << 22) // n_cells)
-        for r0 in range(0, n_draw, rows):
-            x1 = xi[r0 : r0 + rows, 0:1]
-            x2 = xi[r0 : r0 + rows, 1:2]
-            xl = phi_l[None, :] + tau * (x1 * cos_l[None, :] + x2 * sin_l[None, :])
-            xr = phi_r[None, :] + tau * (x1 * cos_r[None, :] + x2 * sin_r[None, :])
-            ia, ib = np.nonzero(xl * xr < 0.0)
-            x1f = xi[r0 + ia, 0]
-            x2f = xi[r0 + ia, 1]
-
-            def noisy(t):
-                return np.asarray(field.phi(t[:, None]), dtype=float) + tau * (
-                    x1f * np.cos(t) + x2f * np.sin(t)
-                )
-
-            root = bisect(noisy, left[ib], left[ib] + h, xl[ia, ib], 40)
-            if math.isfinite(r):
-                qual = np.abs(np.asarray(field.phi(root[:, None]), dtype=float)) < r
-                ia = ia[qual]
-            block = min(rows, n_draw - r0)
-            counts[r0 : r0 + block] = np.bincount(ia, minlength=block)
-        return counts
-
-    return mc_mean(sample, cfg)
+    n = _scan_cells(field, tube, spacing)
+    return mc_mean(_zero_counter(field, tube, n), cfg)
 
 
 # -- the pointwise two-sided envelope ----------------------------------------
@@ -532,24 +560,11 @@ class SandwichReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "tau": self.tau,
-            "r": self.r,
-            "n_points": self.n_points,
-            "slack": self.slack,
-            "limit_inradius": self.limit_inradius,
-            "max_lower_violation": self.max_lower_violation,
-            "max_upper_violation": self.max_upper_violation,
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-            "count": self.count,
-            "count_upper": self.count_upper,
-            "count_lower": self.count_lower,
-            "passed_pointwise": self.passed_pointwise,
-            "passed_counts": self.passed_counts,
-            "passed": self.passed,
-        }
+        return asdict(self)
+
+
+# the section body and its outer-ellipsoid envelope
+_BODIES = ("zonoid", "ellipsoid")
 
 
 def envelope_sandwich(
@@ -580,8 +595,7 @@ def envelope_sandwich(
         pts = _grid(t, y).reshape(-1, m)
         for k in range(0, pts.shape[0], _BLOCK):
             chunk = pts[k : k + _BLOCK]
-            vol_body = _section_volume_vec(field, tau, chunk, "zonoid")
-            vol_ell = _section_volume_vec(field, tau, chunk, "ellipsoid")
+            vol_body, vol_ell = _section_volume_vec(field, tau, chunk, _BODIES)
             low_viol = max(low_viol, float(np.max(bm * vol_ell - vol_body)))
             up_viol = max(up_viol, float(np.max(vol_body - vol_ell)))
             pos = vol_ell > 1e-300
@@ -591,8 +605,9 @@ def envelope_sandwich(
                 rmax = max(rmax, float(np.max(ratio)))
     pointwise = low_viol <= slack and up_viol <= slack
 
-    count = math.factorial(m) * _tube_integral(field, tube, grid, "zonoid")
-    count_up = math.factorial(m) * _tube_integral(field, tube, grid, "ellipsoid")
+    count, count_up = (
+        math.factorial(m) * total for total in _tube_integral(field, tube, grid, _BODIES)
+    )
     tol = slack * max(1.0, count_up)
     counts_ok = bm * count_up - tol <= count <= count_up + tol
 

@@ -169,9 +169,9 @@ def bisect(f, a, b, fa, steps: int):
     ``a``, ``b`` and ``fa = f(a)`` are arrays of equal shape, and ``f`` maps an
     array of abscissae to values elementwise.  Each step keeps the half whose
     ends have opposite signs, so the returned midpoints lie within
-    ``(b - a) / 2^(steps + 1)`` of a sign change.
+    ``(b - a) / 2^(steps + 1)`` of a sign change.  Without brackets, f is never called.
     """
-    for _ in range(steps):
+    for _ in range(steps if np.size(a) else 0):
         mid = 0.5 * (a + b)
         fm = f(mid)
         same = (fm < 0.0) == (fa < 0.0)

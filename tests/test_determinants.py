@@ -20,6 +20,7 @@ from gausszonoids import (
     mixed_area,
     mixed_volume_coeff,
     mixed_volume_ellipsoids_mc,
+    stream,
     volume,
 )
 
@@ -148,6 +149,76 @@ def test_estimator_reproducible():
     cfg = MCConfig(samples=50_000, seed=21)
     frame = iid_frame(3, 2, s=0.5)
     assert expected_absdet_mc(frame, cfg) == expected_absdet_mc(frame, cfg)
+
+
+def _per_sample(frame, monkeypatch):
+    """The per-sample |det| callback of expected_absdet_mc."""
+    from gausszonoids import determinants
+
+    monkeypatch.setattr(determinants, "mc_mean", lambda sample, cfg: sample)
+    return expected_absdet_mc(frame, MCConfig(samples=1))
+
+
+def _frames(frame, xi):
+    """Each sample's m x k frame, shape (n, m, k)."""
+    cols = [col.matrix @ (col.mean + xi[:, j]).T for j, col in enumerate(frame.columns)]
+    return np.stack(cols, axis=-1).transpose(1, 0, 2)
+
+
+def _qr_volumes(gamma):
+    """prod |R_ii| of the QR factorization of each frame."""
+    r = np.linalg.qr(gamma, mode="r")
+    return np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
+
+
+def _mixed_frame(m, k, seed):
+    """k columns with distinct matrices (a random rotation times the same
+    scaling, condition number 4) and distinct random means."""
+    rng = np.random.default_rng(seed)
+    scale = np.diag(np.linspace(0.5, 2.0, m))
+    cols = []
+    for _ in range(k):
+        rotation = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        cols.append(GaussianVector(rotation @ scale, rng.standard_normal(m)))
+    return FrameSpec(m, cols)
+
+
+def _assert_agree(got, gamma):
+    # both factorizations are backward stable, so a sample's two values
+    # differ by about cond * eps: 1e-12 on a well-conditioned frame, more on
+    # the near-singular draws among thousands (cond up to about 1e5)
+    expect = _qr_volumes(gamma)
+    rel = np.abs(got - expect) / expect
+    cond = np.linalg.cond(gamma)
+    assert np.all(rel <= 10.0 * np.finfo(float).eps * cond)
+    assert np.all(rel[cond < 1e3] < 1e-12)
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("m", [2, 5, 10])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_square_frame_lu_matches_qr(m, distinct, monkeypatch):
+    frame = _mixed_frame(m, m, seed=m) if distinct else iid_frame(m, m, s=0.7)
+    sample = _per_sample(frame, monkeypatch)
+    qr_calls = _spy(monkeypatch, "qr")
+    got = sample(stream(9, 0), 2000)
+    assert qr_calls == []
+    _assert_agree(got, _frames(frame, stream(9, 0).standard_normal((2000, m, m))))
+
+
+def test_thin_frame_takes_qr(monkeypatch):
+    frame = _mixed_frame(5, 3, seed=3)
+    sample = _per_sample(frame, monkeypatch)
+    det_calls, qr_calls = _spy(monkeypatch, "det"), _spy(monkeypatch, "qr")
+    got = sample(stream(9, 0), 500)
+    assert det_calls == [] and qr_calls == ["qr"]
+    _assert_agree(got, _frames(frame, stream(9, 0).standard_normal((500, 3, 5))))
 
 
 def test_frame_validation():

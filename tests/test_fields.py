@@ -229,6 +229,86 @@ def test_mc_null_field_counts_its_own_zeros():
     assert est.std_error == 0.0
 
 
+def _scan_and_bisect_counts(field, tube, n, xi):
+    """Reference zero counts: a sign scan of X over the cells that meet the
+    inflated tube, a 40-step bisection of every root, and the test
+    |phi(root)| < r."""
+    tau, r = tube.tau, tube.r
+    gmax = gz.fields._grad_max(field)
+    h = 2.0 * math.pi / n
+    t = h * np.arange(n)
+    phig = field.phi(t[:, None])
+    if math.isfinite(r):
+        near = np.abs(phig) < r + 2.0 * gmax * h
+        keep = near | np.roll(near, -1)
+    else:
+        keep = np.ones(n, dtype=bool)
+    left = t[keep]
+    right = left + h
+
+    def noisy(x1, x2):
+        return lambda u: field.phi(u[:, None]) + tau * (x1 * np.cos(u) + x2 * np.sin(u))
+
+    x1, x2 = xi[:, 0:1], xi[:, 1:2]
+    xl = noisy(x1, x2)(left)
+    xr = noisy(x1, x2)(right)
+    ia, ib = np.nonzero(xl * xr < 0.0)
+    root = gz.kernels.bisect(noisy(xi[ia, 0], xi[ia, 1]), left[ib], right[ib], xl[ia, ib], 40)
+    if math.isfinite(r):
+        ia = ia[np.abs(field.phi(root[:, None])) < r]
+    return np.bincount(ia, minlength=xi.shape[0])
+
+
+def _shifted_sine():
+    return gz.ScalarFieldSpec(
+        1,
+        lambda p: np.sin(2.0 * p[..., 0]) + 0.3,
+        lambda p: 2.0 * np.cos(2.0 * p[..., :1]),
+        name="sin2+0.3",
+    )
+
+
+# the middle of a scan cell at spacing 0.024 (262 cells)
+_T0 = 2.0 * math.pi * 54.5 / 262
+
+
+def _cosine_cap(top):
+    """phi = top - 1 + cos(t - _T0): one turn of |phi|, to |top|, inside a cell."""
+    return gz.ScalarFieldSpec(
+        1,
+        lambda p: top - 1.0 + np.cos(p[..., 0] - _T0),
+        lambda p: -np.sin(p[..., :1] - _T0),
+        name=f"cap{top:g}",
+    )
+
+
+@pytest.mark.parametrize(
+    "field, tau, r, spacing, samples",
+    [
+        (SIN2, 0.1, 0.1, None, 4000),
+        (SIN2, 0.003, 0.003, None, 1000),
+        (sine_field(6), 0.05, 0.5, None, 1000),
+        (SIN2, 0.6, math.inf, None, 4000),
+        (_shifted_sine(), 0.2, 0.25, None, 4000),
+        # a tube 0.001 wide around each zero of phi, inside one 0.003 cell
+        (SIN2, 0.1, 0.001, 0.003, 20000),
+        # |phi| dips below r inside a cell whose edges lie outside the tube,
+        # and rises above r inside a cell whose edges lie inside it
+        (_cosine_cap(-2e-3), 0.5, 2e-3 + 1e-5, 0.024, 20000),
+        (_cosine_cap(0.01 + 1e-5), 0.5, 0.01, 0.024, 20000),
+    ],
+)
+def test_panel_counts_match_scan_and_bisection(field, tau, r, spacing, samples):
+    # the sign change of X on a clipped panel is exactly a root in the tube
+    tube = TubeSpec(tau, r)
+    n = gz.fields._scan_cells(field, tube, spacing)
+    counts = gz.fields._zero_counter(field, tube, n)(gz.stream(5, 0), samples)
+    xi = gz.stream(5, 0).standard_normal((samples, 2))
+    expect = _scan_and_bisect_counts(field, tube, n, xi)
+    assert np.array_equal(counts, expect)
+    assert counts.sum() > 0
+
+
 def test_mc_spacing_guard():
     with pytest.raises(GridResolutionError):
         mc_zero_count_circle(SIN2, TubeSpec(1e-3, 0.1), MCConfig(samples=8, seed=1), spacing=0.3)

@@ -197,3 +197,11 @@ def test_bisect_matches_scalar_loop():
         assert got.tolist() == [scalar(x, y, steps) for x, y in zip(a, b)]
     roots = bisect(f, a, b, f(a), 60)
     assert np.all(np.abs(f(roots)) < 1e-15)
+
+
+def test_bisect_without_brackets_never_calls_f():
+    def f(t):
+        raise AssertionError("f called without brackets")
+
+    empty = np.zeros(0)
+    assert bisect(f, empty, empty, empty, 60).shape == (0,)
