@@ -68,27 +68,45 @@ def mixed_volume_coeff(m: int, k: int) -> float:
     )
 
 
+# samples per sub-block of a Monte Carlo chunk: bounds each thread's memory
+_SUB_BLOCK = 1 << 14
+
+
 def expected_absdet_mc(frame: FrameSpec, cfg: MCConfig) -> EstimateWithCI:
     """Monte Carlo estimate of E sqrt(det(Gamma^T Gamma)).
 
-    Each sample is |det Gamma| from an LU factorization for a square frame,
-    and otherwise the product of |R_ii| from a QR factorization: the k-volume
-    of the column parallelotope, without forming the (condition-squared)
-    Gram matrix.
+    Each sample is |det Gamma| for a square frame: the closed form for
+    m <= 2 and an LU factorization otherwise.  For k < m it is the product
+    of |R_ii| from a QR factorization: the k-volume of the column
+    parallelotope, without forming the (condition-squared) Gram matrix.
+    A chunk is drawn and factorized in sub-blocks of _SUB_BLOCK samples, in
+    order from the chunk's stream, so the draws do not depend on the
+    sub-block size.
     """
     m, k = frame.dim, frame.k
     mats = np.stack([col.matrix.T for col in frame.columns])  # (k, m, m)
     means = np.stack([col.mean for col in frame.columns])  # (k, m)
+    # multiplying by the identity is exact, so identity columns skip it
+    identity = all(np.array_equal(col.matrix, np.eye(m)) for col in frame.columns)
+
+    def volumes(xi: np.ndarray) -> np.ndarray:
+        xi += means  # (n, k, m)
+        g = xi if identity else np.matmul(xi.transpose(1, 0, 2), mats).transpose(1, 0, 2)
+        if m == 1:
+            return np.abs(g[:, 0, 0])
+        if m == k == 2:
+            return np.abs(g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0])
+        if k == m:
+            return np.abs(np.linalg.det(g))
+        r = np.linalg.qr(g.transpose(0, 2, 1), mode="r")
+        return np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        xi = rng.standard_normal((n, k, m)) + means  # (n, k, m)
-        rows = np.matmul(xi.transpose(1, 0, 2), mats)  # (k, n, m): Gamma^T
-        if m == 1:
-            return np.abs(rows[0, :, 0])
-        if k == m:
-            return np.abs(np.linalg.det(rows.transpose(1, 0, 2)))
-        r = np.linalg.qr(rows.transpose(1, 2, 0), mode="r")
-        return np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
+        out = np.empty(n)
+        for a in range(0, n, _SUB_BLOCK):
+            b = min(n, a + _SUB_BLOCK)
+            out[a:b] = volumes(rng.standard_normal((b - a, k, m)))
+        return out
 
     return mc_mean(sample, cfg)
 

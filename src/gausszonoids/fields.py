@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import gaussian_support, gaussian_volume, limit_body_inradius
 from .kernels import SQRT_2PI, axial_stretch, ball_volume, bisect
-from .montecarlo import EstimateWithCI, MCConfig, mc_mean
+from .montecarlo import EstimateWithCI, MCConfig, mc_mean, parallel_map
 
 __all__ = [
     "AxisProfile",
@@ -245,8 +245,9 @@ def _check_resolution(h: float, tube: TubeSpec, gmax: float):
         )
 
 
-# scan points per block of rows, and nodes per volume evaluation: bounds memory
-_BLOCK = 1 << 19
+# scan points per block of rows, and nodes per volume evaluation: bounds the
+# memory of each thread
+_BLOCK = 1 << 18
 # one panel rule per GridSpec.rule: the midpoint rule is the 1-point Gauss rule
 _PANEL_RULES = {
     "gauss": np.polynomial.legendre.leggauss(12),
@@ -307,45 +308,87 @@ def _row_panels(field, r, edges, y, rule):
     return lo, hi, ri
 
 
-def _tube_rows(field, tube, grid, kinds, rows, row_weight):
+def _tube_turns(field: ScalarFieldSpec, r: float, edges: np.ndarray) -> np.ndarray:
+    """The turns of |phi| at which a cell of the scan crosses the level r twice.
+
+    A cell whose edges lie on one side of r reaches the other side only
+    around a turn of |phi| (a sign change of phi*phi'), e.g. a zero of phi
+    in a tube narrower than the cell.  With at most one turn per cell, each
+    such turn, found by bisection, splits its cell into two that cross r
+    once."""
+
+    def slope(t):  # phi*phi' has the sign of d|phi|/dt
+        p = t[:, None]
+        return np.asarray(field.phi(p), dtype=float) * np.asarray(field.grad(p), dtype=float)[:, 0]
+
+    s = slope(edges)
+    out = _abs_phi(field, edges[:, None]) >= r
+    falls = s < 0.0
+    # only a minimum of |phi| between edges outside the tube, or a maximum
+    # between edges inside it, can cross r
+    ci = np.nonzero((falls[:-1] != falls[1:]) & (out[:-1] == out[1:]) & (falls[:-1] == out[:-1]))[0]
+    turn = bisect(slope, edges[ci], edges[ci + 1], s[ci], 60)
+    return turn[(_abs_phi(field, turn[:, None]) >= r) != out[ci]]
+
+
+def _circle_edges(field: ScalarFieldSpec, r: float, n: int) -> np.ndarray:
+    """Edges of the n-cell grid of the circle, with every cell that crosses
+    the level r twice split at its turn of |phi| (:func:`_tube_turns`)."""
+    edges = np.linspace(0.0, 2.0 * math.pi, n + 1)
+    if math.isfinite(r):
+        edges = np.sort(np.concatenate([edges, _tube_turns(field, r, edges)]))
+    return edges
+
+
+def _tube_rows(field, tube, grid, kinds, rows, row_weight, edges):
     """Row quadrature of the section volumes over the tube {|phi| < r}, one
     total per entry of kinds.
 
     Each row (fixed trailing coordinates ``rows[j]``) is integrated over the
-    first coordinate on n cells, with panels from :func:`_row_panels` and the
-    GL12 (or midpoint) rule on each; the row sums are weighted by
-    ``row_weight``.  Blocks of rows are scanned, bisected and evaluated
-    together."""
-    n = grid.resolution
-    _check_resolution(2.0 * math.pi / n, tube, _grad_max(field))
-    edges = np.linspace(0.0, 2.0 * math.pi, n + 1)
+    first coordinate on the cells between ``edges``, with panels from
+    :func:`_row_panels` and the GL12 (or midpoint) rule on each; the row sums
+    are weighted by ``row_weight``.  Blocks of rows are scanned, bisected and
+    evaluated together, one block per task of :func:`parallel_map`, and the
+    partial sums are added in block order."""
+    _check_resolution(2.0 * math.pi / grid.resolution, tube, _grad_max(field))
     x, w = _PANEL_RULES[grid.rule]
     step = _BLOCK // x.size
-    totals = [0.0] * len(kinds)
-    for y in _row_blocks(rows, n):
+
+    def block_sums(y):
         lo, hi, ri = _row_panels(field, tube.r, edges, y, grid.rule)
+        sums = []
         for k in range(0, lo.size, step):
             a, b = lo[k : k + step, None], hi[k : k + step, None]
             half = 0.5 * (b - a)
             pts = _at(0.5 * (a + b) + half * x, y[ri[k : k + step], None])
             vols = _section_volume_vec(field, tube.tau, pts, kinds)
-            for i, vals in enumerate(vols):
-                totals[i] += float(np.sum(half * w * vals))
+            sums.append([float(np.sum(half * w * vals)) for vals in vols])
+        return sums
+
+    totals = [0.0] * len(kinds)
+    for sums in parallel_map(block_sums, list(_row_blocks(rows, grid.resolution))):
+        for part in sums:
+            for i, value in enumerate(part):
+                totals[i] += value
     return [total * row_weight for total in totals]
 
 
 def _integral_1d(field, tube, grid, kinds):
-    """The tube integrals on the circle: a single row."""
-    return _tube_rows(field, tube, grid, kinds, np.zeros((1, 0)), 1.0)
+    """The tube integrals on the circle: a single row, on the n-cell grid
+    split at the turns of |phi| that cross r twice inside one cell."""
+    edges = _circle_edges(field, tube.r, grid.resolution)
+    return _tube_rows(field, tube, grid, kinds, np.zeros((1, 0)), 1.0, edges)
 
 
 def _integral_2d(field, tube, grid, kinds):
     """The tube integrals on T^2: n rows at x2 = (j + 1/2) h of weight h, the
     periodic midpoint rule, which converges exponentially in x2 for smooth
     periodic row integrals."""
-    h = 2.0 * math.pi / grid.resolution
-    rows = ((np.arange(grid.resolution) + 0.5) * h)[:, None]
-    return _tube_rows(field, tube, grid, kinds, rows, h)
+    n = grid.resolution
+    h = 2.0 * math.pi / n
+    rows = ((np.arange(n) + 0.5) * h)[:, None]
+    edges = np.linspace(0.0, 2.0 * math.pi, n + 1)
+    return _tube_rows(field, tube, grid, kinds, rows, h, edges)
 
 
 def _tube_integral(field, tube, grid, kinds):
@@ -461,27 +504,6 @@ def _scan_cells(field: ScalarFieldSpec, tube: TubeSpec, spacing: float | None) -
     return int(math.ceil(2.0 * math.pi / spacing))
 
 
-def _tube_turns(field: ScalarFieldSpec, r: float, edges: np.ndarray) -> np.ndarray:
-    """The turns of |phi| at which a cell of the scan crosses the level r twice.
-
-    A cell whose edges lie on one side of r reaches the other side only
-    around a turn of |phi| (a sign change of phi*phi'), e.g. a zero of phi
-    in a tube narrower than the cell.  With at most one turn per cell, each
-    such turn, found by bisection, splits its cell into two that cross r
-    once."""
-
-    def slope(t):  # phi*phi' has the sign of d|phi|/dt
-        p = t[:, None]
-        return np.asarray(field.phi(p), dtype=float) * np.asarray(field.grad(p), dtype=float)[:, 0]
-
-    s = slope(edges)
-    ci = np.nonzero((s[:-1] < 0.0) != (s[1:] < 0.0))[0]
-    turn = bisect(slope, edges[ci], edges[ci + 1], s[ci], 60)
-    out = _abs_phi(field, edges[:, None]) >= r
-    crosses = (out[ci] == out[ci + 1]) & ((_abs_phi(field, turn[:, None]) >= r) != out[ci])
-    return turn[crosses]
-
-
 def _zero_counter(field: ScalarFieldSpec, tube: TubeSpec, n: int):
     """Per-sample zero counts in the tube, on the n-cell scan of the circle.
 
@@ -491,9 +513,7 @@ def _zero_counter(field: ScalarFieldSpec, tube: TubeSpec, n: int):
     tube.  The deterministic parts of X are evaluated once per panel end, and
     each block of samples gets X at all ends from one matrix product."""
     tau = tube.tau
-    edges = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    if math.isfinite(tube.r):
-        edges = np.sort(np.concatenate([edges, _tube_turns(field, tube.r, edges)]))
+    edges = _circle_edges(field, tube.r, n)
     lo, hi, _ = _row_panels(field, tube.r, edges, np.zeros((1, 0)), "gauss")
     ends = np.concatenate([lo, hi])
     phi = np.asarray(field.phi(ends[:, None]), dtype=float)
@@ -588,21 +608,26 @@ def envelope_sandwich(
     t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
 
     bm = limit_body_inradius() ** m
-    low_viol, up_viol = -math.inf, -math.inf
-    rmin, rmax = math.inf, -math.inf
-    # the grid t^m, built a block of rows at a time
-    for y in _row_blocks(t[:, None] if m == 2 else np.zeros((1, 0)), n):
-        pts = _grid(t, y).reshape(-1, m)
-        for k in range(0, pts.shape[0], _BLOCK):
-            chunk = pts[k : k + _BLOCK]
-            vol_body, vol_ell = _section_volume_vec(field, tau, chunk, _BODIES)
-            low_viol = max(low_viol, float(np.max(bm * vol_ell - vol_body)))
-            up_viol = max(up_viol, float(np.max(vol_body - vol_ell)))
-            pos = vol_ell > 1e-300
-            if np.any(pos):
-                ratio = vol_body[pos] / vol_ell[pos]
-                rmin = min(rmin, float(np.min(ratio)))
-                rmax = max(rmax, float(np.max(ratio)))
+
+    def extremes(item):
+        y, k = item
+        chunk = _grid(t, y).reshape(-1, m)[k : k + _BLOCK]
+        vol_body, vol_ell = _section_volume_vec(field, tau, chunk, _BODIES)
+        pos = vol_ell > 1e-300
+        ratio = vol_body[pos] / vol_ell[pos]
+        return (
+            float(np.max(bm * vol_ell - vol_body)),
+            float(np.max(vol_body - vol_ell)),
+            float(np.min(ratio)) if ratio.size else math.inf,
+            float(np.max(ratio)) if ratio.size else -math.inf,
+        )
+
+    # the grid t^m, a block of rows (and a chunk of _BLOCK points) at a time;
+    # max and min do not depend on the order of the chunks
+    blocks = _row_blocks(t[:, None] if m == 2 else np.zeros((1, 0)), n)
+    items = [(y, k) for y in blocks for k in range(0, y.shape[0] * n, _BLOCK)]
+    low, up, lows, highs = zip(*parallel_map(extremes, items))
+    low_viol, up_viol, rmin, rmax = max(low), max(up), min(lows), max(highs)
     pointwise = low_viol <= slack and up_viol <= slack
 
     count, count_up = (

@@ -40,7 +40,7 @@ from .kernels import (
     bisect,
     limit_support,
 )
-from .montecarlo import stream
+from .montecarlo import parallel_map, stream
 
 __all__ = [
     "Direction",
@@ -409,11 +409,20 @@ def limit_inradius_angle(tol: float = 1e-10) -> float:
 compute_b_infinity = limit_body_inradius
 
 
+# grid points per slice of limit_inradius_grid: bounds the memory of each thread
+_GRID_SLICE = 1 << 17
+
+
 def limit_inradius_grid(n: int = 1_000_000) -> float:
     """Independent check of :func:`limit_body_inradius`: plain minimum of the
-    limit support over an n-point first-quadrant grid."""
+    limit support over an n-point first-quadrant grid, taken slice by slice."""
     t = np.linspace(0.0, math.pi / 2, n)
-    return float(np.min(limit_support(np.cos(t), np.sin(t))))
+
+    def slice_min(k: int) -> float:
+        part = t[k : k + _GRID_SLICE]
+        return float(np.min(limit_support(np.cos(part), np.sin(part))))
+
+    return min(parallel_map(slice_min, range(0, n, _GRID_SLICE)))
 
 
 def mean_stretch_matrix(c: np.ndarray) -> np.ndarray:
@@ -532,17 +541,13 @@ def check_inclusion(
         raise ValueError("dim must be >= 1")
     if n_dirs < 1:
         raise ValueError("n_dirs must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     b = limit_body_inradius()
-    min_ratio = np.inf
-    max_ratio = -np.inf
-    worst = Direction(1.0, 0.0)
-    worst_margin = np.inf
-    done = 0
-    index = 0
-    while done < n_dirs:
-        n = min(chunk, n_dirs - done)
-        rng = stream(seed, index)
-        u = rng.standard_normal((n, dim))
+
+    def extremes(start: int):
+        n = min(chunk, n_dirs - start)
+        u = stream(seed, start // chunk).standard_normal((n, dim))
         norms = np.linalg.norm(u, axis=1)
         ok = norms > 0  # zero-norm draws have probability 0; drop defensively
         u = u[ok] / norms[ok, None]
@@ -553,18 +558,25 @@ def check_inclusion(
         )
         lo = int(np.argmin(ratio))
         hi = int(np.argmax(ratio))
-        min_ratio = min(min_ratio, float(ratio[lo]))
-        max_ratio = max(max_ratio, float(ratio[hi]))
-        margin_lo = float(ratio[lo]) - b
-        margin_hi = 1.0 - float(ratio[hi])
-        if margin_lo < worst_margin:
-            worst_margin = margin_lo
-            worst = Direction(float(x[lo]), float(yr[lo]))
-        if margin_hi < worst_margin:
-            worst_margin = margin_hi
-            worst = Direction(float(x[hi]), float(yr[hi]))
-        done += n
-        index += 1
+        return (
+            (float(ratio[lo]), Direction(float(x[lo]), float(yr[lo]))),
+            (float(ratio[hi]), Direction(float(x[hi]), float(yr[hi]))),
+        )
+
+    min_ratio = np.inf
+    max_ratio = -np.inf
+    worst = Direction(1.0, 0.0)
+    worst_margin = np.inf
+    # the chunks' extremes, reduced in chunk order
+    for (rlo, dlo), (rhi, dhi) in parallel_map(extremes, range(0, n_dirs, chunk)):
+        min_ratio = min(min_ratio, rlo)
+        max_ratio = max(max_ratio, rhi)
+        if rlo - b < worst_margin:
+            worst_margin = rlo - b
+            worst = dlo
+        if 1.0 - rhi < worst_margin:
+            worst_margin = 1.0 - rhi
+            worst = dhi
     passed = (min_ratio >= b - slack) and (max_ratio <= 1.0 + slack)
     return InclusionReport(
         dim=int(dim),

@@ -1,18 +1,52 @@
-"""Chunked, reproducible Monte Carlo driver.
+"""Chunked, reproducible Monte Carlo driver, and the parallel map that runs
+the package's chunked loops.
 
 Streams are counter-based: chunk ``i`` of a run draws from a Philox generator
 keyed by ``(seed, i)``, so estimates are bitwise reproducible for a fixed
 (samples, seed, chunk) triple and chunks are independent by construction.
+
+Chunked loops (Monte Carlo chunks, tube row blocks, inclusion direction
+chunks, grid slices) run through :func:`parallel_map` on one thread per core
+in the process's affinity mask; ``taskset`` restricts them.  Each loop
+reduces its per-chunk results in chunk order, so no result depends on how
+many cores there are.
 """
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["MCConfig", "EstimateWithCI", "stream", "mc_mean"]
+__all__ = ["MCConfig", "EstimateWithCI", "stream", "mc_mean", "parallel_map"]
+
+
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+# worker threads of parallel_map: the cores this process may run on
+WORKERS = _cores()
+
+
+def parallel_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]``, run on up to WORKERS threads.
+
+    The results come back in input order, and the first exception raised by
+    ``fn`` (in input order) reaches the caller.  numpy releases the
+    interpreter lock inside its array loops, so chunks of array work overlap.
+    """
+    workers = min(WORKERS, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -47,27 +81,22 @@ def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCCon
 
     `sample(rng, n)` must return n i.i.d. scalar draws.  Per-chunk sums use
     numpy's pairwise summation; cross-chunk accumulation uses math.fsum, so
-    the result does not depend on summation order beyond the fixed chunking.
-    The variance keeps each chunk's squared deviations from its own mean and
+    the result does not depend on summation order beyond the fixed chunking,
+    nor on how many threads :func:`parallel_map` runs the chunks on.  The
+    variance keeps each chunk's squared deviations from its own mean and
     adds the spread of the chunk means (Chan, Golub & LeVeque), so it does not
     cancel when the mean is large against the spread.
     """
-    counts: list[int] = []
-    sums: list[float] = []
-    devs: list[float] = []
-    done = 0
-    index = 0
-    while done < cfg.samples:
-        n = min(cfg.chunk, cfg.samples - done)
-        values = np.asarray(sample(stream(cfg.seed, index), n), dtype=float)
+
+    def moments(start: int) -> tuple[int, float, float]:
+        n = min(cfg.chunk, cfg.samples - start)
+        values = np.asarray(sample(stream(cfg.seed, start // cfg.chunk), n), dtype=float)
         if values.shape != (n,):
             raise ValueError(f"sample() returned shape {values.shape}, expected ({n},)")
         total = float(np.sum(values))
-        counts.append(n)
-        sums.append(total)
-        devs.append(float(np.sum((values - total / n) ** 2)))
-        done += n
-        index += 1
+        return n, total, float(np.sum((values - total / n) ** 2))
+
+    counts, sums, devs = zip(*parallel_map(moments, range(0, cfg.samples, cfg.chunk)))
     n = cfg.samples
     mean = math.fsum(sums) / n
     if n > 1:

@@ -319,6 +319,24 @@ def test_integral_resolution_guard():
         expected_zeros_integral(SIN2, TubeSpec(1e-4, 1e-3), GridSpec(16, rule="midpoint"))
 
 
+def test_integral_catches_a_dip_inside_one_cell():
+    # |phi| dips below r = 0.01 only around t0, the middle of cell 1000 of
+    # the 4096-cell grid, whose edges lie outside the tube; at 8192 cells t0
+    # is an edge, and 65536 cells resolve the dip outright
+    t0 = 2.0 * math.pi * 1000.5 / 4096
+    dip = gz.ScalarFieldSpec(
+        1,
+        lambda p: np.cos(p[..., 0] - t0) - 1.01 + 5e-8,
+        lambda p: -np.sin(p[..., :1] - t0),
+        name="dip",
+    )
+    tube = TubeSpec(0.5, 0.01)
+    fine = expected_zeros_integral(dip, tube, GridSpec(65536))
+    assert fine == pytest.approx(2.0128e-4, rel=1e-4)
+    for n in (4096, 8192):
+        assert expected_zeros_integral(dip, tube, GridSpec(n)) == pytest.approx(fine, rel=1e-12)
+
+
 # --- concentration -------------------------------------------------------
 
 def test_concentration_limit_values():
