@@ -15,10 +15,10 @@ from gausszonoids import (
     GaussianVector,
     MCConfig,
     check_determinant_bounds,
-    compute_b_infinity,
     expected_absdet_mc,
-    folded_abs_moment,
+    folded_normal_mean,
     iid_square_bounds,
+    limit_body_inradius,
 )
 
 cfg = MCConfig(samples=300_000, seed=17)
@@ -27,7 +27,7 @@ cfg = MCConfig(samples=300_000, seed=17)
 one = FrameSpec(1, [GaussianVector(np.eye(1), np.array([2.0]))])
 est = expected_absdet_mc(one, cfg)
 print(f"scalar case  mc {est.mean:.5f} +- {est.std_error:.5f}   "
-      f"closed form {folded_abs_moment(2.0, 1.0):.5f}\n")
+      f"closed form {folded_normal_mean(2.0, 1.0):.5f}\n")
 
 # centered columns: the ellipsoid bounds collapse onto the exact identity
 cols = [
@@ -40,7 +40,7 @@ print(f"  estimate     {rep.estimate.mean:.5f} +- {rep.estimate.std_error:.5f}")
 print(f"  coeff * MV   {rep.upper:.5f}  (exact planar mixed area)\n")
 
 # shifted columns: the estimate slides from the upper bound toward b^2 * upper
-b = compute_b_infinity(1e-10)
+b = limit_body_inradius(1e-10)
 print("iid columns with mean s*e1, m = k = 2")
 print("  s      estimate/upper   floor b^2")
 for i, s in enumerate((0.5, 2.0, 10.0)):

@@ -15,13 +15,13 @@ import numpy as np
 from gausszonoids import (
     RevolutionBody,
     check_inclusion,
-    compute_b_infinity,
+    limit_body_inradius,
     limit_inradius_angle,
     volume,
     volume_bounds,
 )
 
-b = compute_b_infinity(1e-10)
+b = limit_body_inradius(1e-10)
 print(f"universal ratio b = {b:.12f}")
 print(f"attained at angle  {limit_inradius_angle():.6f} rad on the profile circle\n")
 

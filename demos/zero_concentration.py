@@ -14,11 +14,11 @@ from gausszonoids import (
     GridSpec,
     MCConfig,
     TubeSpec,
-    comparison_field_sandwich,
     concentration_limit,
+    envelope_sandwich,
+    expected_zeros_coarea,
+    expected_zeros_integral,
     mc_zero_count_circle,
-    n_r_tau_coarea,
-    n_r_tau_integral,
     sine_field,
 )
 
@@ -31,8 +31,8 @@ print("tau sweep at r = alpha * tau")
 print("  tau      quadrature        level integral    rel err vs limit")
 for tau in (1e-1, 3e-2, 1e-2, 3e-3):
     tube = TubeSpec(tau, alpha * tau)
-    n_int = n_r_tau_integral(field, tube, GridSpec(32768))
-    n_coa = n_r_tau_coarea(field, tube)
+    n_int = expected_zeros_integral(field, tube, GridSpec(32768))
+    n_coa = expected_zeros_coarea(field, tube)
     print(f"  {tau:<7}  {n_int:.12f}    {n_coa:.12f}    {abs(n_int / limit - 1):.1e}")
 print("(the finite-tau deviation decays like exp(-c/tau^2): already below"
       "\n quadrature noise at tau = 0.1)\n")
@@ -45,14 +45,14 @@ print(f"simulated count  {est.mean:.4f} +- {est.std_error:.4f}  "
 
 # widening or narrowing the tube against tau flips the regime
 tau = 1e-3
-wide = n_r_tau_coarea(field, TubeSpec(tau, math.sqrt(tau)))
-narrow = n_r_tau_coarea(field, TubeSpec(tau, tau * tau))
+wide = expected_zeros_coarea(field, TubeSpec(tau, math.sqrt(tau)))
+narrow = expected_zeros_coarea(field, TubeSpec(tau, tau * tau))
 print(f"r = sqrt(tau):  {wide:.6f}  (alpha -> inf, every zero is caught)")
 print(f"r = tau^2:      {narrow:.6f}  (alpha -> 0, the tube outruns the zeros)\n")
 
 # the count formula integrates local section volumes; replacing each section
 # by its enclosing ellipsoid bounds the count within the universal factor
-rep = comparison_field_sandwich(sine_field(2, dim=2), 0.05, GridSpec(96))
+rep = envelope_sandwich(sine_field(2, dim=2), 0.05, GridSpec(96))
 print("ellipsoid comparison field on the 2-torus, tau = 0.05")
 print(f"  section/ellipsoid volume ratio in [{rep.min_ratio:.6f}, {rep.max_ratio:.6f}]")
 print(f"  floor b^2 = {rep.limit_inradius**2:.6f}; "

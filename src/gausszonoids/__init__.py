@@ -3,9 +3,11 @@ determinants, and zero-set concentration for Gaussian-perturbed fields."""
 
 from .determinants import (
     DeterminantBoundsReport,
+    DeterminantBracket,
     FrameSpec,
     IIDSquareBounds,
     check_determinant_bounds,
+    determinant_bracket,
     ellipse_support_fn,
     expected_absdet_mc,
     iid_square_bounds,
@@ -21,12 +23,10 @@ from .fields import (
     ScalarFieldSpec,
     TubeSpec,
     concentration_limit,
-    comparison_field_sandwich,
     envelope_sandwich,
     expected_zeros_coarea,
     expected_zeros_integral,
-    n_r_tau_coarea,
-    n_r_tau_integral,
+    grid_for_tube,
     mc_zero_count_circle,
     section_support,
     section_volume,
@@ -44,7 +44,6 @@ from .geometry import (
     ellipsoid_support,
     gaussian_gradient,
     gaussian_support,
-    compute_b_infinity,
     limit_body_inradius,
     limit_boundary_radius,
     limit_inradius_angle,
@@ -62,11 +61,20 @@ from .kernels import (
     erf,
     erf_inv,
     erf_log_slope,
-    folded_abs_moment,
     folded_normal_mean,
     limit_support,
 )
 from .montecarlo import EstimateWithCI, MCConfig, mc_mean, stream
+
+# The names the paper's statements use, bound to the same objects: b-infinity
+# is the limit-body inradius, n_{r,tau} the expected zero count in the r-tube
+# at noise scale tau, and the comparison field replaces each section body by
+# its outer ellipsoid.
+compute_b_infinity = limit_body_inradius
+folded_abs_moment = folded_normal_mean
+n_r_tau_integral = expected_zeros_integral
+n_r_tau_coarea = expected_zeros_coarea
+comparison_field_sandwich = envelope_sandwich
 
 __version__ = "0.1.0"
 
@@ -75,7 +83,6 @@ __all__ = [
     # scalar kernels
     "erf",
     "erf_inv",
-    "folded_abs_moment",
     "folded_normal_mean",
     "axial_stretch",
     "axial_stretch_deriv",
@@ -101,7 +108,6 @@ __all__ = [
     "volume_bounds",
     "volume_asymptote",
     "limit_boundary_radius",
-    "compute_b_infinity",
     "limit_body_inradius",
     "limit_inradius_angle",
     "limit_inradius_grid",
@@ -116,6 +122,8 @@ __all__ = [
     "mixed_area",
     "ellipse_support_fn",
     "mixed_volume_ellipsoids_mc",
+    "DeterminantBracket",
+    "determinant_bracket",
     "DeterminantBoundsReport",
     "check_determinant_bounds",
     "IIDSquareBounds",
@@ -131,11 +139,9 @@ __all__ = [
     "section_support",
     "expected_zeros_integral",
     "expected_zeros_coarea",
-    "n_r_tau_integral",
-    "n_r_tau_coarea",
+    "grid_for_tube",
     "concentration_limit",
     "mc_zero_count_circle",
     "SandwichReport",
     "envelope_sandwich",
-    "comparison_field_sandwich",
 ]

@@ -5,6 +5,11 @@ flags or a JSON manifest (flags override manifest fields), emitting a single
 JSON object or a CSV table.  Output carries no timestamps, so identical
 manifest + seed reruns are byte-identical.
 
+Each command is one entry of :data:`COMMANDS`: a parameter schema and a
+handler.  The flags, the allowed manifest keys and the coercion of every
+value are generated from the schema; the handler calls the library and
+returns the report to emit and whether its check passed.
+
 Exit codes: 0 success / verdict PASS, 1 verdict FAIL, 2 usage or manifest
 error.
 """
@@ -15,83 +20,55 @@ import json
 import math
 import re
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .determinants import (
-    FrameSpec,
-    check_determinant_bounds,
-    expected_absdet_mc,
-    iid_square_bounds,
-    mixed_volume_coeff,
-    mixed_volume_ellipsoids_mc,
+    FrameSpec, check_determinant_bounds, determinant_bracket, expected_absdet_mc, iid_square_bounds,
 )
 from .fields import (
-    GridResolutionError,
-    GridSpec,
-    TubeSpec,
-    concentration_limit,
-    envelope_sandwich,
-    expected_zeros_coarea,
-    expected_zeros_integral,
-    mc_zero_count_circle,
-    sine_field,
+    GridSpec, TubeSpec, concentration_limit, envelope_sandwich, expected_zeros_coarea,
+    expected_zeros_integral, grid_for_tube, mc_zero_count_circle, sine_field,
 )
 from .geometry import (
-    KINDS,
-    GaussianVector,
-    RevolutionBody,
-    boundary_profile,
-    check_inclusion,
-    limit_body_inradius,
-    limit_inradius_angle,
-    limit_inradius_grid,
-    volume,
-    volume_asymptote,
-    volume_bounds,
+    KINDS, GaussianVector, RevolutionBody, boundary_profile, check_inclusion, limit_body_inradius,
+    limit_inradius_angle, limit_inradius_grid, volume, volume_asymptote, volume_bounds,
 )
 from .montecarlo import MCConfig
 
 SWEEP_COLUMNS = ("tau", "r", "n_integral", "n_coarea", "n_mc", "se", "limit", "rel_err")
 
 
-# -- emission ----------------------------------------------------------------
+class CommandError(Exception):
+    """Usage-class failure carrying the exit message."""
 
 
 def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        v = v.item()
+    if isinstance(v, (np.generic, np.ndarray)):
+        v = v.tolist()
     if isinstance(v, float) and not math.isfinite(v):
         return repr(v)
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
     return v
 
 
 def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+    return "" if v is None else repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
-def _emit_json(obj: dict, out: str | None):
-    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
-    _write(text, out)
-
-
-def _emit_csv(header, rows, out: str | None):
-    lines = [",".join(header)]
-    lines += [",".join(_cell(v) for v in row) for row in rows]
-    _write("\n".join(lines) + "\n", out)
-
-
-def _write(text: str, out: str | None):
+def _emit(report, out: str | None):
+    """Write a report: a dict as one JSON object, a (header, rows) pair as CSV."""
+    if isinstance(report, dict):
+        text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    else:
+        header, rows = report
+        lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w", newline="") as fh:
             fh.write(text)
@@ -99,44 +76,29 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-class CommandError(Exception):
-    """Usage-class failure carrying the exit message."""
+def _verdict(obj: dict, passed: bool):
+    obj["verdict"] = "PASS" if passed else "FAIL"
+    return obj, passed
 
 
-# -- manifest plumbing -------------------------------------------------------
+class Param(NamedTuple):
+    """One parameter: ``cast`` turns a flag string or a manifest value into
+    the value the handler reads (it also casts the default).  A default of
+    ``...`` marks a parameter every run must set; a parameter without
+    ``help`` is a manifest key only, with no flag."""
+
+    cast: Callable
+    default: object = None
+    help: str | None = None
 
 
-def _merge_params(args, command: str, allowed: tuple, flags: dict) -> dict:
-    """Manifest fields overridden by explicitly given flags; unknown manifest
-    keys are rejected."""
-    params: dict = {}
-    if getattr(args, "manifest", None):
-        try:
-            with open(args.manifest) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise CommandError(f"cannot read manifest: {e}")
-        if not isinstance(raw, dict):
-            raise CommandError("manifest must be a JSON object")
-        unknown = set(raw) - set(allowed) - {"command"}
-        if unknown:
-            raise CommandError(f"unknown manifest key(s): {', '.join(sorted(unknown))}")
-        if "command" in raw and raw["command"] != command:
-            raise CommandError(
-                f"manifest command {raw['command']!r} does not match {command!r}"
-            )
-        params.update({k: v for k, v in raw.items() if k != "command"})
-    for key, value in flags.items():
-        if value is not None:
-            params[key] = value
-    return params
+def _choice(*options):
+    def cast(value):
+        if value not in options:
+            raise ValueError(f"{value!r} is not one of {', '.join(options)}")
+        return value
 
-
-def _field_from_id(fid: str):
-    m = re.fullmatch(r"sin(\d+)(-2d)?", fid)
-    if not m:
-        raise CommandError(f"unknown field id {fid!r} (expected sinK or sinK-2d)")
-    return sine_field(int(m.group(1)), dim=2 if m.group(2) else 1)
+    return cast
 
 
 def _floats(text) -> list:
@@ -145,490 +107,339 @@ def _floats(text) -> list:
     return [float(tok) for tok in str(text).split(",") if tok != ""]
 
 
-def _auto_resolution(field, r_min: float) -> int:
-    """Smallest power-of-two grid (cells per axis) satisfying the
-    8-cells-across-tube rule, at least 4096 in 1-D and 256 in 2-D; 2-D grids
-    stop at 8192 per axis."""
-    from .fields import _grad_max
-
-    gmax = _grad_max(field)
-    n, cap = (4096, 1 << 22) if field.dim == 1 else (256, 8192)
-    if math.isfinite(r_min) and gmax > 0:
-        need = 8.0 * 2.0 * math.pi * gmax / (2.0 * r_min)
-        while n < need:
-            n *= 2
-            if n > cap:
-                raise CommandError(
-                    f"tube half-width {r_min:.3g} needs more than {cap} grid cells "
-                    "per axis; pass a coarser tube or an explicit --resolution"
-                )
-    return n
+def _field_from_id(fid):
+    m = re.fullmatch(r"sin(\d+)(-2d)?", str(fid))
+    if not m:
+        raise CommandError(f"unknown field id {fid!r} (expected sinK or sinK-2d)")
+    return sine_field(int(m.group(1)), dim=2 if m.group(2) else 1)
 
 
-def _grid_spec(p, field, r: float) -> GridSpec:
-    """The grid of the resolution and rule parameters; without a resolution,
-    the one _auto_resolution picks for the tube."""
-    if p.get("resolution") is not None:
-        res = int(p["resolution"])
-    else:
-        res = _auto_resolution(field, r)
-    return GridSpec(res, p.get("rule", "gauss"))
+def _command(run, **schema) -> tuple:
+    """A table entry: the handler's schema, plus the output parameters of
+    every command, and the handler."""
+    schema["out"] = Param(str, None, "write the output to this file")
+    schema["format"] = Param(_choice("json", "csv"), None, "table format of profile and sweeps")
+    return schema, run
 
 
-# -- binfty -------------------------------------------------------------------
+def _params(args, name: str, schema: dict) -> dict:
+    """Manifest fields overridden by explicitly given flags, each cast by its
+    schema entry; unknown manifest keys and uncastable values are rejected."""
+    raw: dict = {}
+    if args.manifest:
+        try:
+            with open(args.manifest) as fh:
+                raw = json.load(fh)
+        except (OSError, json.JSONDecodeError) as e:
+            raise CommandError(f"cannot read manifest: {e}")
+        if not isinstance(raw, dict):
+            raise CommandError("manifest must be a JSON object")
+        unknown = set(raw) - set(schema) - {"command"}
+        if unknown:
+            raise CommandError(f"unknown manifest key(s): {', '.join(sorted(unknown))}")
+        command = raw.pop("command", name)
+        if command != name:
+            raise CommandError(f"manifest command {command!r} does not match {name!r}")
+    flags = vars(args)
+    raw.update({k: flags[k] for k in schema if flags.get(k) is not None})
+    params = {}
+    for key, prm in schema.items():
+        value = raw.get(key)
+        if value is None and prm.default is ...:
+            raise CommandError(f"{name} needs {key}")
+        value = prm.default if value is None else value
+        try:
+            params[key] = None if value is None else prm.cast(value)
+        except (TypeError, ValueError) as e:
+            raise CommandError(f"parameter {key}: {e}") from None
+    return params
 
 
-def cmd_binfty(args) -> int:
-    p = _merge_params(args, "binfty", ("tol", "check", "out", "format"), {
-        "tol": args.tol,
-        "check": args.check or None,
-    })
-    tol = float(p.get("tol", 1e-10))
+def _binfty(p):
+    tol = p["tol"]
     if not tol > 0:
         raise CommandError("tol must be positive")
     value = limit_body_inradius(tol)
-    obj = {
-        "b_infinity": value,
-        "t_star": limit_inradius_angle(tol),
-        "tol": tol,
-    }
-    code = 0
-    if p.get("check"):
+    obj = {"b_infinity": value, "t_star": limit_inradius_angle(tol), "tol": tol}
+    if p["check"]:
         grid_value = limit_inradius_grid()
-        agrees = abs(grid_value - value) <= tol
-        obj["check"] = {"grid_value": grid_value, "agrees": agrees}
-        if not agrees:
-            code = 1
-    _emit_json(obj, p.get("out", args.out))
-    return code
+        obj["check"] = {"grid_value": grid_value, "agrees": abs(grid_value - value) <= tol}
+    return obj, obj.get("check", {}).get("agrees", True)
 
 
-# -- zonoid -------------------------------------------------------------------
+def _body(p, dim: int, s) -> RevolutionBody:
+    return RevolutionBody(p["kind"], dim, None if p["kind"] == "limit" else s)
 
 
-def _body(kind: str, dim: int, s) -> RevolutionBody:
-    if kind == "limit":
-        return RevolutionBody("limit", dim)
-    return RevolutionBody(kind, dim, float(s))
+def _with_s(obj: dict, body: RevolutionBody):
+    return (obj if body.s is None else dict(obj, s=body.s)), True
 
 
-def cmd_zonoid(args) -> int:
-    action = args.action
-    command = f"zonoid {action}"
-    if action == "support":
-        p = _merge_params(args, command, ("s", "kind", "x", "yr", "out", "format"), {
-            "s": args.s, "kind": args.kind, "x": args.x, "yr": args.yr,
-        })
-        kind = p.get("kind", "gaussian")
-        if kind not in KINDS:
-            raise CommandError(f"kind must be one of {', '.join(KINDS)}")
-        s = p.get("s")
-        if kind != "limit" and s is None:
-            raise CommandError("support needs --s (except for kind=limit)")
-        body = _body(kind, 2, s)
-        x = float(p.get("x", 1.0))
-        yr = float(p.get("yr", 0.0))
-        obj = {"kind": kind, "x": x, "yr": yr, "support": body.support(x, yr)}
-        if kind != "limit":
-            obj["s"] = float(s)
-        _emit_json(obj, p.get("out", args.out))
-        return 0
+def _support(p):
+    body = _body(p, 2, p["s"])
+    support = body.support(p["x"], p["yr"])
+    return _with_s({"kind": body.kind, "x": p["x"], "yr": p["yr"], "support": support}, body)
 
-    if action == "profile":
-        p = _merge_params(args, command, ("s", "kind", "n", "out", "format"), {
-            "s": args.s, "kind": args.kind, "n": args.n,
-        })
-        kind = p.get("kind", "gaussian")
-        if kind not in KINDS:
-            raise CommandError(f"kind must be one of {', '.join(KINDS)}")
-        n = int(p.get("n", 181))
-        svals = [None] if kind == "limit" else _floats(p.get("s", "0,1,2,3"))
-        if not svals:
-            raise CommandError("profile needs at least one s value")
-        curves = []
-        for s in svals:
-            prof = boundary_profile(_body(kind, 2, s), n)
-            curves.append((s, prof))
-        fmt = p.get("format", args.format) or "csv"
-        out = p.get("out", args.out)
-        if fmt == "json":
-            obj = {
-                "kind": kind,
-                "curves": [
-                    {
-                        "s": s,
-                        "theta": prof[:, 0],
-                        "axial": prof[:, 1],
-                        "radial": prof[:, 2],
-                    }
-                    for s, prof in curves
-                ],
-            }
-            _emit_json(obj, out)
-        else:
-            if len(curves) == 1:
-                header = ("theta", "axial", "radial")
-                rows = [tuple(r) for r in curves[0][1]]
-            else:
-                header = ("s", "theta", "axial", "radial")
-                rows = [(s, *r) for s, prof in curves for r in prof]
-            _emit_csv(header, rows, out)
-        return 0
 
-    if action == "volume":
-        p = _merge_params(args, command, ("m", "s", "kind", "out", "format"), {
-            "m": args.m, "s": args.s, "kind": args.kind,
-        })
-        kind = p.get("kind", "gaussian")
-        if kind not in KINDS:
-            raise CommandError(f"kind must be one of {', '.join(KINDS)}")
-        if p.get("m") is None:
-            raise CommandError("volume needs --m")
-        m = int(p["m"])
-        s = p.get("s")
-        if kind != "limit" and s is None:
-            raise CommandError("volume needs --s (except for kind=limit)")
-        body = _body(kind, m, s)
-        obj = {"kind": kind, "dim": m, "volume": volume(body)}
-        if kind != "limit":
-            obj["s"] = float(s)
-        if kind == "gaussian":
-            vb = volume_bounds(m, float(s))
-            obj["bounds"] = {
-                "lower": vb.lower,
-                "lower_sharp": vb.lower_sharp,
-                "upper": vb.upper,
-            }
-            obj["asymptote_slope"] = volume_asymptote(m)
-        _emit_json(obj, p.get("out", args.out))
-        return 0
+def _profile(p):
+    svals = [None] if p["kind"] == "limit" else p["s"]
+    if not svals:
+        raise CommandError("profile needs at least one s value")
+    curves = [(s, boundary_profile(_body(p, 2, s), p["n"])) for s in svals]
+    header = ("s", "theta", "axial", "radial")
+    if p["format"] == "json":
+        curves = [dict(zip(header, (s, *prof.T))) for s, prof in curves]
+        return {"kind": p["kind"], "curves": curves}, True
+    rows = [(s, *r) for s, prof in curves for r in prof]
+    if len(curves) == 1:  # one curve: no s column
+        header, rows = header[1:], [r[1:] for r in rows]
+    return (header, rows), True
 
-    # inclusion
-    p = _merge_params(
-        args, command, ("m", "s", "n", "seed", "slack", "chunk", "out", "format"), {
-            "m": args.m, "s": args.s, "n": args.n, "seed": args.seed,
-        },
-    )
-    if p.get("m") is None or p.get("s") is None:
-        raise CommandError("inclusion needs --m and --s")
+
+def _volume(p):
+    m, body = p["m"], _body(p, p["m"], p["s"])
+    obj = {"kind": body.kind, "dim": m, "volume": volume(body)}
+    if body.kind == "gaussian":
+        obj["bounds"] = volume_bounds(m, body.s)._asdict()
+        obj["asymptote_slope"] = volume_asymptote(m)
+    return _with_s(obj, body)
+
+
+def _inclusion(p):
     report = check_inclusion(
-        int(p["m"]),
-        float(p["s"]),
-        n_dirs=int(p.get("n", 10_000)),
-        seed=int(p.get("seed", 0)),
-        chunk=int(p.get("chunk", 1 << 17)),
-        slack=float(p.get("slack", 1e-12)),
+        p["m"], p["s"], n_dirs=p["n"], seed=p["seed"], chunk=p["chunk"], slack=p["slack"]
     )
-    obj = report.as_dict()
-    obj["verdict"] = "PASS" if report.passed else "FAIL"
-    _emit_json(obj, p.get("out", args.out))
-    return 0 if report.passed else 1
+    return _verdict(report.as_dict(), report.passed)
 
 
-# -- det ----------------------------------------------------------------------
-
-_DET_KEYS = ("m", "k", "s", "columns", "samples", "seed", "chunk", "out", "format")
-
-
-def _det_frame(p) -> FrameSpec:
-    if p.get("columns") is not None:
-        if p.get("m") is None:
-            raise CommandError("manifest with columns needs m")
-        m = int(p["m"])
-        cols = []
-        for i, spec in enumerate(p["columns"]):
-            if not isinstance(spec, dict) or set(spec) - {"M", "c"}:
-                raise CommandError(f"column {i} must be an object with keys M, c")
-            mat = np.asarray(spec.get("M", np.eye(m)), dtype=float)
-            c = np.asarray(spec.get("c", np.zeros(m)), dtype=float)
-            cols.append(GaussianVector(mat, c))
-        if p.get("k") is not None and int(p["k"]) != len(cols):
-            raise CommandError("manifest k does not match the number of columns")
-        return FrameSpec(m, cols)
-    if p.get("m") is None:
-        raise CommandError("needs --m (with optional --k, --s) or manifest columns")
-    m = int(p["m"])
-    k = int(p.get("k", m))
-    s = float(p.get("s", 0.0))
-    c = np.zeros(m)
-    if m >= 1:
-        c[0] = s
-    cols = [GaussianVector(np.eye(m), c) for _ in range(k)]
-    return FrameSpec(m, cols)
+def _frame(p) -> FrameSpec:
+    """The frame of the manifest's columns, or k iid columns with mean s*e1."""
+    m, cols = p["m"], p["columns"]
+    if cols is None:
+        c = np.zeros(m)
+        c[:1] = p["s"]
+        cols = [{"c": c}] * (m if p["k"] is None else p["k"])
+    elif p["k"] is not None and p["k"] != len(cols):
+        raise CommandError("manifest k does not match the number of columns")
+    vectors = []
+    for i, spec in enumerate(cols):
+        if not isinstance(spec, dict) or set(spec) - {"M", "c"}:
+            raise CommandError(f"column {i} must be an object with keys M, c")
+        vectors.append(GaussianVector(spec.get("M", np.eye(m)), spec.get("c", np.zeros(m))))
+    return FrameSpec(m, vectors)
 
 
-def _det_cfg(p) -> MCConfig:
-    return MCConfig(
-        samples=int(p.get("samples", 1_000_000)),
-        seed=int(p.get("seed", 0)),
-        chunk=int(p.get("chunk", 1 << 16)),
-    )
+def _cfg(p) -> MCConfig:
+    return MCConfig(samples=p["samples"], seed=p["seed"], chunk=p["chunk"])
 
 
-def cmd_det(args) -> int:
-    action = args.action
-    p = _merge_params(args, f"det {action}", _DET_KEYS, {
-        "m": args.m, "k": args.k, "s": args.s,
-        "samples": args.samples, "seed": args.seed,
-    })
-    frame = _det_frame(p)
-    out = p.get("out", args.out)
+def _det_mc(p):
+    frame = _frame(p)
+    return {"m": frame.dim, "k": frame.k, **expected_absdet_mc(frame, _cfg(p)).as_dict()}, True
 
-    if action == "mc":
-        est = expected_absdet_mc(frame, _det_cfg(p))
-        _emit_json(
-            {
-                "m": frame.dim,
-                "k": frame.k,
-                "mean": est.mean,
-                "std_error": est.std_error,
-                "n": est.n_samples,
-            },
-            out,
-        )
-        return 0
 
-    if action == "bounds":
-        shapes = [col.ellipsoid_matrix() for col in frame.columns]
-        mv = mixed_volume_ellipsoids_mc(shapes, frame.dim, _det_cfg(p))
-        alpha = mixed_volume_coeff(frame.dim, frame.k)
-        b = limit_body_inradius()
-        obj = {
-            "m": frame.dim,
-            "k": frame.k,
-            "coeff": alpha,
-            "mixed_volume": {"mean": mv.mean, "std_error": mv.std_error, "n": mv.n_samples},
-            "bounds": {"lower": b**frame.k * alpha * mv.mean, "upper": alpha * mv.mean},
-        }
-        if frame.k == frame.dim and all(col.mean_norm == 0.0 for col in frame.columns):
-            sq = iid_square_bounds(frame.dim, frame.columns[0].matrix, 0.0)
-            obj["iid_square"] = {
-                "lower": sq.lower, "upper": sq.upper, "asymptote_slope": sq.asymptote,
-            }
-        _emit_json(obj, out)
-        return 0
+def _det_bounds(p):
+    frame = _frame(p)
+    obj = determinant_bracket(frame, _cfg(p)).as_dict()
+    cols = frame.columns
+    iid = all(c.mean_norm == 0.0 and np.array_equal(c.matrix, cols[0].matrix) for c in cols)
+    if frame.k == frame.dim and iid:
+        sq = iid_square_bounds(frame.dim, cols[0].matrix, 0.0)
+        obj["iid_square"] = dict(zip(("lower", "upper", "asymptote_slope"), sq))
+    return obj, True
 
-    # check
-    report = check_determinant_bounds(frame, _det_cfg(p))
-    passed = report.passed
-    obj = {
-        "m": report.dim,
-        "k": report.k,
-        "mean": report.estimate.mean,
-        "std_error": report.estimate.std_error,
-        "n": report.estimate.n_samples,
-        "coeff": report.coeff,
-        "mixed_volume": {
-            "mean": report.mixed_volume.mean,
-            "std_error": report.mixed_volume.std_error,
-            "n": report.mixed_volume.n_samples,
-        },
-        "bounds": {
-            "lower": report.lower,
-            "upper": report.upper,
-            "se_lower": report.se_lower,
-            "se_upper": report.se_upper,
-        },
-    }
-    if args.self_test:
+
+def _det_check(p):
+    report = check_determinant_bounds(_frame(p), _cfg(p))
+    obj, passed = report.as_dict(), report.passed
+    if p["self_test"]:
         # negative control: shrink the bracket until it must fail
-        corrupted_upper = report.estimate.mean * 0.5
-        corrupted_lower = report.estimate.mean * 1.5
-        passed = corrupted_lower - 4 * report.se_lower <= report.estimate.mean <= (
-            corrupted_upper + 4 * report.se_upper
-        )
+        mean = report.estimate.mean
+        lower, upper = mean * 1.5, mean * 0.5
+        passed = lower - 4 * report.se_lower <= mean <= upper + 4 * report.se_upper
         obj["self_test"] = True
-        obj["bounds"]["lower"] = corrupted_lower
-        obj["bounds"]["upper"] = corrupted_upper
-    obj["verdict"] = "PASS" if passed else "FAIL"
-    _emit_json(obj, out)
-    return 0 if passed else 1
+        obj["bounds"].update(lower=lower, upper=upper)
+    return _verdict(obj, passed)
 
 
-# -- grf ----------------------------------------------------------------------
-
-_GRF_KEYS = (
-    "field", "taus", "tau", "alpha", "r", "r_coef", "r_power",
-    "resolution", "rule", "samples", "seed", "chunk", "spacing",
-    "slack", "out", "format", "m", "volz0",
-)
+def _field(p):
+    field = p["field"]
+    if p["m"] is not None and p["m"] != field.dim:
+        raise CommandError(f"--m {p['m']} contradicts the {field.dim}-D field {field.name}")
+    return field
 
 
-def _r_rule(p):
-    if p.get("r") is not None:
-        rv = float(p["r"])
-        return lambda tau: rv
-    if p.get("r_coef") is not None or p.get("r_power") is not None:
-        coef = float(p.get("r_coef", 1.0))
-        power = float(p.get("r_power", 1.0))
-        return lambda tau: coef * tau**power
-    alpha = float(p.get("alpha", 1.0))
-    return lambda tau: alpha * tau
+def _grid(p, field, r: float) -> GridSpec:
+    if p["resolution"] is not None:
+        return GridSpec(p["resolution"])
+    return grid_for_tube(field, r)
 
 
-def cmd_grf(args) -> int:
-    action = args.action
-    p = _merge_params(args, f"grf {action}", _GRF_KEYS, {
-        "field": args.field, "taus": args.taus, "tau": args.tau,
-        "alpha": args.alpha, "r": args.r,
-        "r_coef": args.r_coef, "r_power": args.r_power,
-        "resolution": args.resolution, "samples": args.samples,
-        "seed": args.seed, "m": args.m, "volz0": args.volz0,
-    })
-    out = p.get("out", args.out)
+def _limit(p):
+    limit = concentration_limit(p["m"], p["alpha"], p["volz0"])
+    return {"dim": p["m"], "alpha": p["alpha"], "vol_zero_set": p["volz0"], "limit": limit}, True
 
-    if action == "limit":
-        if p.get("alpha") is None or p.get("volz0") is None:
-            raise CommandError("limit needs --alpha and --volz0")
-        m = int(p.get("m", 1))
-        alpha = float(p["alpha"])
-        volz0 = float(p["volz0"])
-        _emit_json(
-            {
-                "dim": m,
-                "alpha": alpha,
-                "vol_zero_set": volz0,
-                "limit": concentration_limit(m, alpha, volz0),
-            },
-            out,
-        )
-        return 0
 
-    field = _field_from_id(str(p.get("field", "sin2")))
-    if p.get("m") is not None and int(p["m"]) != field.dim:
-        raise CommandError(
-            f"--m {p['m']} contradicts the {field.dim}-D field {field.name}"
-        )
+def _sandwich(p):
+    field = _field(p)
+    grid = _grid(p, field, p["r"])
+    report = envelope_sandwich(field, p["tau"], grid, r=p["r"], slack=p["slack"])
+    return _verdict(dict(report.as_dict(), field=field.name), report.passed)
 
-    if action == "sandwich":
-        if p.get("tau") is None:
-            raise CommandError("sandwich needs --tau")
-        tau = float(p["tau"])
-        r = float(p.get("r", math.inf))
-        report = envelope_sandwich(
-            field, tau, _grid_spec(p, field, r), r=r,
-            slack=float(p.get("slack", 1e-10)),
-        )
-        obj = report.as_dict()
-        obj["field"] = field.name
-        obj["verdict"] = "PASS" if report.passed else "FAIL"
-        _emit_json(obj, out)
-        return 0 if report.passed else 1
 
-    # sweep table: integral | coarea | mc
-    taus = _floats(p["taus"]) if p.get("taus") is not None else (
-        [float(p["tau"])] if p.get("tau") is not None else None
-    )
+def _tube_r(p, tau: float) -> float:
+    """Tube half-width at noise scale tau: --r, else r_coef * tau**r_power,
+    else alpha * tau."""
+    if p["r"] is not None:
+        return p["r"]
+    if p["r_coef"] is None and p["r_power"] is None:
+        return p["alpha"] * tau
+    coef = 1.0 if p["r_coef"] is None else p["r_coef"]
+    return coef * tau ** (1.0 if p["r_power"] is None else p["r_power"])
+
+
+def _sweep(route, p):
+    """Handler of a sweep: one row per tau, holding the columns that
+    ``route(p, field, tube)`` returns, its first column against the limit."""
+    field = _field(p)
+    taus = p["tau"] if p["taus"] is None else p["taus"]
     if not taus:
-        raise CommandError(f"{action} needs --taus (or --tau)")
-    rule = _r_rule(p)
+        raise CommandError("needs --taus (or --tau)")
     rows = []
     for tau in taus:
-        r = rule(tau)
-        tube = TubeSpec(tau, r)
-        row = dict.fromkeys(SWEEP_COLUMNS)
-        row["tau"], row["r"] = tau, r
+        tube = TubeSpec(tau, _tube_r(p, tau))
+        row = dict(dict.fromkeys(SWEEP_COLUMNS), tau=tau, r=tube.r)
         if field.zero_set_measure is not None:
-            row["limit"] = concentration_limit(
-                field.dim, r / tau, field.zero_set_measure
-            )
-        if action == "integral":
-            row["n_integral"] = expected_zeros_integral(
-                field, tube, _grid_spec(p, field, r)
-            )
-            value = row["n_integral"]
-        elif action == "coarea":
-            row["n_coarea"] = expected_zeros_coarea(field, tube)
-            value = row["n_coarea"]
-        else:
-            cfg = MCConfig(
-                samples=int(p.get("samples", 100_000)),
-                seed=int(p.get("seed", 0)),
-                chunk=int(p.get("chunk", 1 << 16)),
-            )
-            spacing = float(p["spacing"]) if p.get("spacing") is not None else None
-            est = mc_zero_count_circle(field, tube, cfg, spacing=spacing)
-            row["n_mc"], row["se"] = est.mean, est.std_error
-            value = est.mean
+            row["limit"] = concentration_limit(field.dim, tube.r / tau, field.zero_set_measure)
+        values = route(p, field, tube)
+        row.update(values)
         if row["limit"] is not None and row["limit"] != 0.0:
+            value = next(iter(values.values()))
             row["rel_err"] = abs(value - row["limit"]) / row["limit"]
         rows.append(row)
-    fmt = p.get("format", args.format) or "csv"
-    if fmt == "json":
-        _emit_json({"field": field.name, "rows": rows}, out)
-    else:
-        _emit_csv(SWEEP_COLUMNS, [[row[c] for c in SWEEP_COLUMNS] for row in rows], out)
-    return 0
+    if p["format"] == "json":
+        return {"field": field.name, "rows": rows}, True
+    return (SWEEP_COLUMNS, [[row[c] for c in SWEEP_COLUMNS] for row in rows]), True
 
 
-# -- parser -------------------------------------------------------------------
+def _integral(p, field, tube):
+    return {"n_integral": expected_zeros_integral(field, tube, _grid(p, field, tube.r))}
+
+
+def _coarea(p, field, tube):
+    return {"n_coarea": expected_zeros_coarea(field, tube)}
+
+
+def _mc(p, field, tube):
+    est = mc_zero_count_circle(field, tube, _cfg(p), spacing=p["spacing"])
+    return {"n_mc": est.mean, "se": est.std_error}
+
+
+# -- the command table ---------------------------------------------------------
+
+_KIND = Param(_choice(*KINDS), "gaussian", "body kind")
+_S = Param(float, None, "mean offset s (a comma-separated list for profile)")
+_M = Param(int, ..., "dimension")
+_SEED = Param(int, 0, "random seed")
+_FRAME = {
+    "m": _M,
+    "k": Param(int, None, "columns of the frame (default m)"),
+    "s": Param(float, 0.0, "mean offset s*e1 of every column"),
+    "columns": Param(list),  # [{"M": matrix, "c": mean}, ...]
+    "samples": Param(int, 1_000_000, "Monte Carlo samples"),
+    "seed": _SEED,
+    "chunk": Param(int, 1 << 16),
+}
+_FIELD = {
+    "field": Param(_field_from_id, "sin2", "sinK or sinK-2d"),
+    "m": Param(int, None, "dimension of grf limit; the other actions check the field's"),
+}
+_SWEEP = {
+    **_FIELD,
+    "taus": Param(_floats, None, "comma-separated noise scales"),
+    "tau": Param(lambda v: [float(v)], None, "noise scale"),
+    "alpha": Param(float, 1.0, "tube rule r = alpha*tau"),
+    "r": Param(float, None, "fixed tube half-width"),
+    "r_coef": Param(float, None, "tube rule r = r_coef * tau**r_power"),
+    "r_power": Param(float, None, "tube rule r = r_coef * tau**r_power"),
+}
+_RESOLUTION = Param(int, None, "grid cells per axis (default: sized to the tube)")
+
+COMMANDS = {
+    "binfty": _command(
+        _binfty, tol=Param(float, 1e-10, "width of the final bisection bracket"),
+        check=Param(bool, False, "cross-check by grid scan"),
+    ),
+    "zonoid support": _command(
+        _support, s=_S, kind=_KIND, x=Param(float, 1.0, "axial part of the direction"),
+        yr=Param(float, 0.0, "radial part of the direction"),
+    ),
+    "zonoid profile": _command(
+        _profile, s=Param(_floats, "0,1,2,3", _S.help), kind=_KIND,
+        n=Param(int, 181, "boundary points; random directions for inclusion"),
+    ),
+    "zonoid volume": _command(_volume, m=_M, s=_S, kind=_KIND),
+    "zonoid inclusion": _command(
+        _inclusion, m=_M, s=Param(float, ..., _S.help), n=Param(int, 10_000, "random directions"),
+        seed=_SEED, slack=Param(float, 1e-12), chunk=Param(int, 1 << 17),
+    ),
+    "det mc": _command(_det_mc, **_FRAME),
+    "det bounds": _command(_det_bounds, **_FRAME),
+    "det check": _command(
+        _det_check, **_FRAME, self_test=Param(bool, False, "corrupt the bounds; must FAIL")
+    ),
+    "grf integral": _command(partial(_sweep, _integral), **_SWEEP, resolution=_RESOLUTION),
+    "grf coarea": _command(partial(_sweep, _coarea), **_SWEEP),
+    "grf mc": _command(
+        partial(_sweep, _mc), **_SWEEP, samples=Param(int, 100_000, "Monte Carlo samples"),
+        seed=_SEED, chunk=Param(int, 1 << 16), spacing=Param(float),
+    ),
+    "grf limit": _command(
+        _limit, m=Param(int, 1, _FIELD["m"].help), alpha=Param(float, ..., _SWEEP["alpha"].help),
+        volz0=Param(float, ..., "vol_{m-1} of the zero set"),
+    ),
+    "grf sandwich": _command(
+        _sandwich, **_FIELD, tau=Param(float, ..., "noise scale"), resolution=_RESOLUTION,
+        r=Param(float, math.inf, "tube half-width"), slack=Param(float, 1e-10),
+    ),
+}
+
+_GROUPS = {"binfty": "universal inradius constant", "zonoid": "bodies of revolution",
+           "det": "random determinants", "grf": "perturbed-field zero sets"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--samples", type=int, default=None)
-    common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--manifest", default=None)
-
+    """One subcommand per group of COMMANDS, taking an action when the group
+    has several, and a flag for every parameter with help in any of them."""
     parser = argparse.ArgumentParser(
         prog="gausszonoids",
         description="Gaussian zonoids: supports, volumes, determinants, zero sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("binfty", parents=[common], help="universal inradius constant")
-    b.add_argument("--tol", type=float, default=None)
-    b.add_argument("--check", action="store_true", help="cross-check by grid scan")
-    b.set_defaults(fn=cmd_binfty)
-
-    z = sub.add_parser("zonoid", parents=[common], help="bodies of revolution")
-    z.add_argument("action", choices=("support", "profile", "volume", "inclusion"))
-    z.add_argument("--m", type=int, default=None)
-    z.add_argument("--s", default=None)
-    z.add_argument("--n", type=int, default=None)
-    z.add_argument("--kind", choices=KINDS, default=None)
-    z.add_argument("--x", type=float, default=None)
-    z.add_argument("--yr", type=float, default=None)
-    z.set_defaults(fn=cmd_zonoid)
-
-    d = sub.add_parser("det", parents=[common], help="random determinants")
-    d.add_argument("action", choices=("mc", "bounds", "check"))
-    d.add_argument("--m", type=int, default=None)
-    d.add_argument("--k", type=int, default=None)
-    d.add_argument("--s", type=float, default=None)
-    d.add_argument("--self-test", action="store_true", dest="self_test")
-    d.set_defaults(fn=cmd_det)
-
-    g = sub.add_parser("grf", parents=[common], help="perturbed-field zero sets")
-    g.add_argument("action", choices=("integral", "coarea", "mc", "limit", "sandwich"))
-    g.add_argument("--field", default=None, help="sinK or sinK-2d")
-    g.add_argument("--taus", default=None, help="comma-separated noise scales")
-    g.add_argument("--tau", type=float, default=None)
-    g.add_argument("--alpha", type=float, default=None, help="tube rule r = alpha*tau")
-    g.add_argument("--r", type=float, default=None, help="fixed tube half-width")
-    g.add_argument("--r-coef", type=float, default=None, dest="r_coef")
-    g.add_argument("--r-power", type=float, default=None, dest="r_power")
-    g.add_argument("--resolution", type=int, default=None)
-    g.add_argument("--m", type=int, default=None)
-    g.add_argument("--volz0", type=float, default=None, help="vol_{m-1} of the zero set")
-    g.set_defaults(fn=cmd_grf)
+    for group, help_text in _GROUPS.items():
+        names = [n for n in COMMANDS if n.split()[0] == group]
+        g = sub.add_parser(group, help=help_text)
+        if names != [group]:
+            g.add_argument("action", choices=[n.split()[1] for n in names])
+        g.add_argument("--manifest", default=None, help="JSON object of parameters")
+        flags = {k: prm for n in names for k, prm in COMMANDS[n][0].items() if prm.help}
+        for key, prm in flags.items():
+            opt = "--" + key.replace("_", "-")
+            store = {"action": "store_true"} if prm.cast is bool else {}
+            g.add_argument(opt, dest=key, default=None, help=prm.help, **store)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    name = " ".join(filter(None, (args.command, getattr(args, "action", None))))
     try:
-        return args.fn(args)
-    except CommandError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except GridResolutionError as e:
-        print(f"resolution error: {e} (increase --resolution)", file=sys.stderr)
-        return 2
-    except (ValueError, NotImplementedError) as e:
+        schema, run = COMMANDS[name]
+        p = _params(args, name, schema)
+        report, passed = run(p)
+        _emit(report, p["out"])
+        return 0 if passed else 1
+    except (CommandError, ValueError, NotImplementedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

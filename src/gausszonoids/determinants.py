@@ -29,6 +29,8 @@ __all__ = [
     "mixed_area",
     "ellipse_support_fn",
     "mixed_volume_ellipsoids_mc",
+    "DeterminantBracket",
+    "determinant_bracket",
     "DeterminantBoundsReport",
     "check_determinant_bounds",
     "IIDSquareBounds",
@@ -173,34 +175,36 @@ def mixed_volume_ellipsoids_mc(
 
 
 @dataclass(frozen=True)
-class DeterminantBoundsReport:
+class DeterminantBracket:
+    """lower <= E sqrt(det(Gamma^T Gamma)) <= upper for an m x k frame:
+    upper = coeff * MV of the outer ellipsoids, lower = b^k * upper."""
+
     dim: int
     k: int
-    estimate: EstimateWithCI
-    mixed_volume: EstimateWithCI
     coeff: float
+    mixed_volume: EstimateWithCI
     lower: float
     upper: float
-    se_lower: float
-    se_upper: float
-    passed: bool
 
     def as_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["estimate"] = self.estimate._asdict()
-        d["mixed_volume"] = self.mixed_volume._asdict()
-        return d
+        return {
+            "m": self.dim,
+            "k": self.k,
+            "coeff": self.coeff,
+            "mixed_volume": self.mixed_volume.as_dict(),
+            "bounds": {"lower": self.lower, "upper": self.upper},
+        }
 
 
-def check_determinant_bounds(
+def determinant_bracket(
     frame: FrameSpec, cfg: MCConfig, n_nodes: int = 4096
-) -> DeterminantBoundsReport:
-    """Check the two-sided mixed-volume bracket on E sqrt(det(Gamma^T Gamma)).
+) -> DeterminantBracket:
+    """The two-sided mixed-volume bracket on E sqrt(det(Gamma^T Gamma)).
 
     The outer-ellipsoid mixed volume is computed exactly by
-    :func:`mixed_area` when the frame is planar with k = 2, and by
-    :func:`mixed_volume_ellipsoids_mc` (independent seed) otherwise.  The
-    verdict allows 4 pooled standard errors on each side.
+    :func:`mixed_area` when the frame is planar with k = 2, and otherwise by
+    :func:`mixed_volume_ellipsoids_mc` on the seed after ``cfg.seed``, so it
+    is independent of a determinant estimate drawn with ``cfg``.
     """
     m, k = frame.dim, frame.k
     shapes = [col.ellipsoid_matrix() for col in frame.columns]
@@ -213,25 +217,45 @@ def check_determinant_bounds(
     else:
         mv_cfg = MCConfig(samples=cfg.samples, seed=cfg.seed + 1, chunk=cfg.chunk)
         mv = mixed_volume_ellipsoids_mc(shapes, m, mv_cfg)
-    est = expected_absdet_mc(frame, cfg)
     alpha = mixed_volume_coeff(m, k)
     b = limit_body_inradius()
-    lower = b**k * alpha * mv.mean
-    upper = alpha * mv.mean
-    se_lower = math.hypot(est.std_error, b**k * alpha * mv.std_error)
-    se_upper = math.hypot(est.std_error, alpha * mv.std_error)
-    passed = (est.mean >= lower - 4 * se_lower) and (est.mean <= upper + 4 * se_upper)
+    return DeterminantBracket(m, k, alpha, mv, b**k * alpha * mv.mean, alpha * mv.mean)
+
+
+@dataclass(frozen=True)
+class DeterminantBoundsReport(DeterminantBracket):
+    """The bracket against a Monte Carlo estimate, with the pooled standard
+    errors of each side."""
+
+    estimate: EstimateWithCI
+    se_lower: float
+    se_upper: float
+    passed: bool
+
+    def as_dict(self) -> dict:
+        d = super().as_dict()
+        d.update(self.estimate.as_dict())
+        d["bounds"].update(se_lower=self.se_lower, se_upper=self.se_upper)
+        return d
+
+
+def check_determinant_bounds(
+    frame: FrameSpec, cfg: MCConfig, n_nodes: int = 4096
+) -> DeterminantBoundsReport:
+    """Check the bracket of :func:`determinant_bracket` against
+    :func:`expected_absdet_mc` drawn with ``cfg``.  The verdict allows 4
+    pooled standard errors on each side.
+    """
+    bracket = determinant_bracket(frame, cfg, n_nodes)
+    est = expected_absdet_mc(frame, cfg)
+    alpha, mv_se = bracket.coeff, bracket.mixed_volume.std_error
+    se_lower = math.hypot(est.std_error, limit_body_inradius() ** bracket.k * alpha * mv_se)
+    se_upper = math.hypot(est.std_error, alpha * mv_se)
+    passed = (est.mean >= bracket.lower - 4 * se_lower) and (
+        est.mean <= bracket.upper + 4 * se_upper
+    )
     return DeterminantBoundsReport(
-        dim=m,
-        k=k,
-        estimate=est,
-        mixed_volume=mv,
-        coeff=alpha,
-        lower=lower,
-        upper=upper,
-        se_lower=se_lower,
-        se_upper=se_upper,
-        passed=passed,
+        **vars(bracket), estimate=est, se_lower=se_lower, se_upper=se_upper, passed=passed
     )
 
 

@@ -37,13 +37,11 @@ __all__ = [
     "section_support",
     "expected_zeros_integral",
     "expected_zeros_coarea",
-    "n_r_tau_integral",
-    "n_r_tau_coarea",
+    "grid_for_tube",
     "concentration_limit",
     "mc_zero_count_circle",
     "SandwichReport",
     "envelope_sandwich",
-    "comparison_field_sandwich",
 ]
 
 
@@ -136,25 +134,20 @@ class TubeSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Quadrature grid: cells per axis and the rule on each cell.
+    """Quadrature grid: cells per axis.
 
-    Both rules integrate row by row.  The circle is one row; the torus T^2
+    The tube integral runs row by row.  The circle is one row; the torus T^2
     has n rows at x2 = (j + 1/2) h, each of weight h = 2 pi / n (the periodic
-    midpoint rule).  Each row is cut into n cells of width h along x1.
-    ``rule="gauss"`` clips every cell to the tube, bisecting the crossing in
-    a cell whose edges disagree, and applies 12-point Gauss-Legendre to the
-    clipped cell; ``rule="midpoint"`` is the plain midpoint-times-indicator
-    reference rule.
+    midpoint rule).  Each row is cut into n cells of width h along x1; every
+    cell is clipped to the tube, bisecting the crossing in a cell whose edges
+    disagree, and the clipped cell gets 12-point Gauss-Legendre.
     """
 
     resolution: int = 4096
-    rule: str = "gauss"
 
     def __post_init__(self):
         if self.resolution < 16:
             raise ValueError("resolution must be >= 16")
-        if self.rule not in ("gauss", "midpoint"):
-            raise ValueError("rule must be 'gauss' or 'midpoint'")
 
 
 # -- pointwise section body --------------------------------------------------
@@ -234,25 +227,46 @@ def _grad_max(field: ScalarFieldSpec, n: int = 8192) -> float:
     return float(np.max(np.linalg.norm(field.grad(pts), axis=-1)))
 
 
+# the resolution rule: a grid has at least this many cells across the tube
+_CELLS_ACROSS = 8
+
+
+def _max_spacing(r: float, gmax: float) -> float:
+    """The widest cell the resolution rule allows for the tube {|phi| < r}:
+    1/_CELLS_ACROSS of its narrowest width 2 r / max|grad phi|."""
+    if not math.isfinite(r) or gmax <= 0:
+        return math.inf
+    return 2.0 * r / gmax / _CELLS_ACROSS
+
+
 def _check_resolution(h: float, tube: TubeSpec, gmax: float):
-    if not math.isfinite(tube.r):
-        return
-    width = 2.0 * tube.r / gmax if gmax > 0 else math.inf
-    if h > width / 8.0:
+    h_max = _max_spacing(tube.r, gmax)
+    if h > h_max:
         raise GridResolutionError(
-            f"grid spacing {h:.3g} exceeds an eighth of the tube width {width:.3g}; "
-            "raise the resolution"
+            f"grid spacing {h:.3g} exceeds {h_max:.3g}, 1/{_CELLS_ACROSS} of the tube "
+            "width; raise the resolution"
         )
+
+
+def grid_for_tube(field: ScalarFieldSpec, r: float) -> GridSpec:
+    """The coarsest power-of-two grid that meets the resolution rule for the
+    tube {|phi| < r}: at least 4096 cells on the circle and 256 per axis on
+    T^2, at most 2^22 and 8192."""
+    n, cap = (4096, 1 << 22) if field.dim == 1 else (256, 8192)
+    h_max = _max_spacing(r, _grad_max(field))
+    while 2.0 * math.pi / n > h_max:
+        n *= 2
+        if n > cap:
+            raise GridResolutionError(
+                f"tube half-width {r:.3g} needs more than {cap} grid cells per axis"
+            )
+    return GridSpec(n)
 
 
 # scan points per block of rows, and nodes per volume evaluation: bounds the
 # memory of each thread
 _BLOCK = 1 << 18
-# one panel rule per GridSpec.rule: the midpoint rule is the 1-point Gauss rule
-_PANEL_RULES = {
-    "gauss": np.polynomial.legendre.leggauss(12),
-    "midpoint": np.polynomial.legendre.leggauss(1),
-}
+_GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
 
 
 def _at(t, y):
@@ -280,18 +294,13 @@ def _abs_phi(field, pts):
     return np.abs(np.asarray(vals, dtype=float)).reshape(pts.shape[:-1])
 
 
-def _row_panels(field, r, edges, y, rule):
+def _row_panels(field, r, edges, y):
     """Panels [lo, hi], and the row of each, covering {|phi| < r} on the
     cells of a block of rows y.
 
-    The midpoint rule keeps the cells whose midpoint is inside.  The gauss
-    rule keeps the cells with an edge inside and clips each cell whose edges
-    disagree at its crossing, found by bisection, so the tube cutoff adds no
-    first-order error."""
-    if rule == "midpoint":
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        ri, ci = np.nonzero(_abs_phi(field, _grid(mid, y)) < r)
-        return edges[ci], edges[ci + 1], ri
+    The cells with an edge inside are kept, and each cell whose edges
+    disagree is clipped at its crossing, found by bisection, so the tube
+    cutoff adds no first-order error."""
     excess = _abs_phi(field, _grid(edges, y)) - r
     inside = excess < 0.0
     ri, ci = np.nonzero(inside[:, :-1] | inside[:, 1:])
@@ -346,23 +355,22 @@ def _tube_rows(field, tube, grid, kinds, rows, row_weight, edges):
 
     Each row (fixed trailing coordinates ``rows[j]``) is integrated over the
     first coordinate on the cells between ``edges``, with panels from
-    :func:`_row_panels` and the GL12 (or midpoint) rule on each; the row sums
+    :func:`_row_panels` and 12-point Gauss-Legendre on each; the row sums
     are weighted by ``row_weight``.  Blocks of rows are scanned, bisected and
     evaluated together, one block per task of :func:`parallel_map`, and the
     partial sums are added in block order."""
     _check_resolution(2.0 * math.pi / grid.resolution, tube, _grad_max(field))
-    x, w = _PANEL_RULES[grid.rule]
-    step = _BLOCK // x.size
+    step = _BLOCK // _GL12_X.size
 
     def block_sums(y):
-        lo, hi, ri = _row_panels(field, tube.r, edges, y, grid.rule)
+        lo, hi, ri = _row_panels(field, tube.r, edges, y)
         sums = []
         for k in range(0, lo.size, step):
             a, b = lo[k : k + step, None], hi[k : k + step, None]
             half = 0.5 * (b - a)
-            pts = _at(0.5 * (a + b) + half * x, y[ri[k : k + step], None])
+            pts = _at(0.5 * (a + b) + half * _GL12_X, y[ri[k : k + step], None])
             vols = _section_volume_vec(field, tube.tau, pts, kinds)
-            sums.append([float(np.sum(half * w * vals)) for vals in vols])
+            sums.append([float(np.sum(half * _GL12_W * vals)) for vals in vols])
         return sums
 
     totals = [0.0] * len(kinds)
@@ -454,21 +462,6 @@ def expected_zeros_coarea(field: ScalarFieldSpec, tube: TubeSpec) -> float:
     return math.factorial(m) * (2.0 * math.pi) ** (m / 2 - 1.0) * 2.0 * half_total
 
 
-# conventional names: n counts zeros in the r-tube at smoothing scale tau
-n_r_tau_integral = expected_zeros_integral
-
-
-def n_r_tau_coarea(
-    field: ScalarFieldSpec, tube: TubeSpec, grid: GridSpec | None = None
-) -> float:
-    """expected_zeros_coarea under its conventional name.
-
-    The level quadrature grades its own panels toward v = 0, so ``grid``
-    rides along only for signature parity with the tensor-grid route.
-    """
-    return expected_zeros_coarea(field, tube)
-
-
 def concentration_limit(dim: int, alpha: float, vol_zero_set: float) -> float:
     """Limit of the expected zero count in the shrinking tube r = alpha*tau:
     (m-1)! kappa_{m-1} / (2 pi)^(m-1) * erf(sqrt(m/2) alpha) * vol_{m-1}(Z)."""
@@ -514,7 +507,7 @@ def _zero_counter(field: ScalarFieldSpec, tube: TubeSpec, n: int):
     each block of samples gets X at all ends from one matrix product."""
     tau = tube.tau
     edges = _circle_edges(field, tube.r, n)
-    lo, hi, _ = _row_panels(field, tube.r, edges, np.zeros((1, 0)), "gauss")
+    lo, hi, _ = _row_panels(field, tube.r, edges, np.zeros((1, 0)))
     ends = np.concatenate([lo, hi])
     phi = np.asarray(field.phi(ends[:, None]), dtype=float)
     noise = tau * np.stack([np.cos(ends), np.sin(ends)])
@@ -655,8 +648,3 @@ def envelope_sandwich(
         passed=pointwise and counts_ok,
     )
 
-
-# conventional name: the comparison field replaces each section by its
-# enclosing ellipsoid, and the sandwich bounds the count ratio by the
-# limit-body inradius power
-comparison_field_sandwich = envelope_sandwich

@@ -49,7 +49,6 @@ __all__ = [
     "gaussian_support",
     "ellipsoid_support",
     "normalized_support",
-    "limit_support",
     "gaussian_gradient",
     "boundary_profile",
     "gaussian_volume",
@@ -58,7 +57,6 @@ __all__ = [
     "volume_bounds",
     "volume_asymptote",
     "limit_boundary_radius",
-    "compute_b_infinity",
     "limit_body_inradius",
     "limit_inradius_angle",
     "limit_inradius_grid",
@@ -386,7 +384,8 @@ def _inradius_search(tol: float) -> tuple[float, float]:
 
 
 def limit_body_inradius(tol: float = 1e-10) -> float:
-    """Radius of the largest centered ball inside the limit body.
+    """Radius of the largest centered ball inside the limit body, the
+    universal constant b-infinity.
 
     The limit body is origin symmetric, so the inradius is the minimum of its
     support function h(t) over the unit circle; by symmetry the scan is
@@ -403,10 +402,6 @@ def limit_inradius_angle(tol: float = 1e-10) -> float:
     """Angle on the unit circle where the limit support attains its minimum,
     the midpoint of a slope-sign bracket less than ``tol`` wide."""
     return _inradius_search(tol)[0]
-
-
-# the constant is usually written b-infinity; same computation
-compute_b_infinity = limit_body_inradius
 
 
 # grid points per slice of limit_inradius_grid: bounds the memory of each thread

@@ -20,7 +20,6 @@ from scipy import special
 __all__ = [
     "erf",
     "erf_inv",
-    "folded_abs_moment",
     "folded_normal_mean",
     "axial_stretch",
     "axial_stretch_deriv",
@@ -82,10 +81,6 @@ def folded_normal_mean(mu, sigma):
     return sigma * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * z * z) + mu * special.erf(
         z / math.sqrt(2.0)
     )
-
-
-# conventional name for the same quantity
-folded_abs_moment = folded_normal_mean
 
 
 def axial_stretch(s):

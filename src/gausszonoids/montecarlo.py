@@ -69,6 +69,10 @@ class EstimateWithCI(NamedTuple):
     std_error: float
     n_samples: int
 
+    def as_dict(self) -> dict:
+        """The printed layout: mean, std_error and n."""
+        return {"mean": self.mean, "std_error": self.std_error, "n": self.n_samples}
+
 
 def stream(seed: int, index: int) -> np.random.Generator:
     """Generator for chunk `index` of the run keyed by `seed`."""

@@ -116,6 +116,47 @@ def test_det_check_and_self_test(capsys):
     assert json.loads(out)["verdict"] == "FAIL"
 
 
+@pytest.mark.parametrize("m, k", [(2, 2), (5, 3)])
+def test_det_bounds_prints_the_check_bracket(capsys, m, k):
+    args = ["--m", str(m), "--k", str(k), "--s", "1", "--samples", "20000", "--seed", "1"]
+    bounds = run_json(capsys, "det", "bounds", *args)
+    check = run_json(capsys, "det", "check", *args)
+    assert bounds["coeff"] == check["coeff"]
+    assert bounds["mixed_volume"] == check["mixed_volume"]
+    for side in ("lower", "upper"):
+        assert bounds["bounds"][side] == check["bounds"][side]
+
+
+def test_det_bounds_iid_square_needs_equal_columns(capsys, tmp_path):
+    # centered columns with different matrices: no iid bracket, and the
+    # exact upper bound (the mixed area) meets the determinant estimate
+    manifest = tmp_path / "frame.json"
+    manifest.write_text(json.dumps({
+        "m": 2, "columns": [{"M": [[1, 0], [0, 1]], "c": [0, 0]},
+                            {"M": [[2, 0], [0, 2]], "c": [0, 0]}],
+    }))
+    bounds = run_json(capsys, "det", "bounds", "--manifest", str(manifest))
+    assert "iid_square" not in bounds
+    mc = run_json(capsys, "det", "mc", "--manifest", str(manifest), "--samples", "100000")
+    assert abs(mc["mean"] - bounds["bounds"]["upper"]) < 4 * mc["std_error"]
+    iid = run_json(capsys, "det", "bounds", "--m", "2")
+    assert iid["iid_square"]["upper"] == pytest.approx(iid["bounds"]["upper"], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, manifest", [
+    (("det", "mc"), {"m": 2, "columns": 5}),
+    (("det", "mc"), {"m": [3], "k": 1}),
+    (("det", "mc"), {"m": 2, "samples": [5]}),
+    (("zonoid", "volume"), {"s": [1, 2], "m": 2}),
+    (("binfty",), {"tol": [1]}),
+])
+def test_manifest_value_of_the_wrong_type_exits_2(capsys, tmp_path, argv, manifest):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(manifest))
+    code, out = run(capsys, *argv, "--manifest", str(path))
+    assert code == 2 and out == ""
+
+
 def test_manifest_rejects_unknown_key(capsys, tmp_path):
     manifest = tmp_path / "bad.json"
     manifest.write_text(json.dumps({"m": 1, "k": 1, "cheese": 9}))
