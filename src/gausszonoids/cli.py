@@ -124,7 +124,7 @@ def _command(run, **schema) -> tuple:
 
 def _params(args, name: str, schema: dict) -> dict:
     """Manifest fields overridden by explicitly given flags, each cast by its
-    schema entry; unknown manifest keys and uncastable values are rejected."""
+    schema entry; unknown keys, unread flags and uncastable values are rejected."""
     raw: dict = {}
     if args.manifest:
         try:
@@ -140,8 +140,11 @@ def _params(args, name: str, schema: dict) -> dict:
         command = raw.pop("command", name)
         if command != name:
             raise CommandError(f"manifest command {command!r} does not match {name!r}")
-    flags = vars(args)
-    raw.update({k: flags[k] for k in schema if flags.get(k) is not None})
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    unread = sorted(set(flags) - set(schema) - {"command", "action", "manifest"})
+    if unread:
+        raise CommandError(f"{name} does not read --{', --'.join(unread).replace('_', '-')}")
+    raw.update({k: flags[k] for k in schema if k in flags})
     params = {}
     for key, prm in schema.items():
         value = raw.get(key)
@@ -157,8 +160,6 @@ def _params(args, name: str, schema: dict) -> dict:
 
 def _binfty(p):
     tol = p["tol"]
-    if not tol > 0:
-        raise CommandError("tol must be positive")
     value = limit_body_inradius(tol)
     obj = {"b_infinity": value, "t_star": limit_inradius_angle(tol), "tol": tol}
     if p["check"]:
@@ -167,8 +168,8 @@ def _binfty(p):
     return obj, obj.get("check", {}).get("agrees", True)
 
 
-def _body(p, dim: int, s) -> RevolutionBody:
-    return RevolutionBody(p["kind"], dim, None if p["kind"] == "limit" else s)
+def _body(p, s) -> RevolutionBody:
+    return RevolutionBody(p["kind"], p["m"], None if p["kind"] == "limit" else s)
 
 
 def _with_s(obj: dict, body: RevolutionBody):
@@ -176,7 +177,7 @@ def _with_s(obj: dict, body: RevolutionBody):
 
 
 def _support(p):
-    body = _body(p, 2, p["s"])
+    body = _body(p, p["s"])
     support = body.support(p["x"], p["yr"])
     return _with_s({"kind": body.kind, "x": p["x"], "yr": p["yr"], "support": support}, body)
 
@@ -185,7 +186,7 @@ def _profile(p):
     svals = [None] if p["kind"] == "limit" else p["s"]
     if not svals:
         raise CommandError("profile needs at least one s value")
-    curves = [(s, boundary_profile(_body(p, 2, s), p["n"])) for s in svals]
+    curves = [(s, boundary_profile(_body(p, s), p["n"])) for s in svals]
     header = ("s", "theta", "axial", "radial")
     if p["format"] == "json":
         curves = [dict(zip(header, (s, *prof.T))) for s, prof in curves]
@@ -197,7 +198,7 @@ def _profile(p):
 
 
 def _volume(p):
-    m, body = p["m"], _body(p, p["m"], p["s"])
+    m, body = p["m"], _body(p, p["s"])
     obj = {"kind": body.kind, "dim": m, "volume": volume(body)}
     if body.kind == "gaussian":
         obj["bounds"] = volume_bounds(m, body.s)._asdict()
@@ -340,6 +341,7 @@ def _mc(p, field, tube):
 _KIND = Param(_choice(*KINDS), "gaussian", "body kind")
 _S = Param(float, None, "mean offset s (a comma-separated list for profile)")
 _M = Param(int, ..., "dimension")
+_M2 = Param(int, 2, _M.help)  # supports and profiles do not depend on it
 _SEED = Param(int, 0, "random seed")
 _FRAME = {
     "m": _M,
@@ -371,11 +373,11 @@ COMMANDS = {
         check=Param(bool, False, "cross-check by grid scan"),
     ),
     "zonoid support": _command(
-        _support, s=_S, kind=_KIND, x=Param(float, 1.0, "axial part of the direction"),
+        _support, m=_M2, s=_S, kind=_KIND, x=Param(float, 1.0, "axial part of the direction"),
         yr=Param(float, 0.0, "radial part of the direction"),
     ),
     "zonoid profile": _command(
-        _profile, s=Param(_floats, "0,1,2,3", _S.help), kind=_KIND,
+        _profile, m=_M2, s=Param(_floats, "0,1,2,3", _S.help), kind=_KIND,
         n=Param(int, 181, "boundary points; random directions for inclusion"),
     ),
     "zonoid volume": _command(_volume, m=_M, s=_S, kind=_KIND),

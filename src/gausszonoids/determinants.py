@@ -159,18 +159,18 @@ def mixed_volume_ellipsoids_mc(
 ) -> EstimateWithCI:
     """Estimate MV(shape_1@B, ..., shape_k@B, B[m-k]) by Monte Carlo.
 
-    The ball slots are realized by appending m-k standard centered Gaussian
-    columns; the full m-column determinant identity then gives
-    MV = E|det| * (2 pi)^(m/2) / m!.
+    The thin m x k frame of centered columns shape_j @ xi has E sqrt(det(Gamma^T
+    Gamma)) = mixed_volume_coeff(m, k) * MV; the ball slots take no columns.
     """
     k = len(shapes)
     if not 1 <= k <= dim:
         raise ValueError("need 1 <= len(shapes) <= dim")
     zero = np.zeros(dim)
     cols = [GaussianVector(np.asarray(a, dtype=float), zero) for a in shapes]
-    cols += [GaussianVector(np.eye(dim), zero) for _ in range(dim - k)]
     est = expected_absdet_mc(FrameSpec(dim, cols), cfg)
-    scale = (2 * math.pi) ** (dim / 2) / math.factorial(dim)
+    # 1 / mixed_volume_coeff(dim, k), as a product: at k = m it is (2 pi)^(m/2)/m!
+    scale = (2 * math.pi) ** (k / 2) * math.factorial(dim - k) * ball_volume(dim - k)
+    scale /= math.factorial(dim)
     return EstimateWithCI(est.mean * scale, est.std_error * scale, est.n_samples)
 
 

@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import gaussian_support, gaussian_volume, limit_body_inradius
-from .kernels import SQRT_2PI, axial_stretch, ball_volume, bisect
+from .geometry import BODY_KINDS, gaussian_support, gaussian_volume, limit_body_inradius
+from .kernels import SQRT_2PI, ball_volume, bisect
 from .montecarlo import EstimateWithCI, MCConfig, mc_mean, parallel_map
 
 __all__ = [
@@ -167,12 +167,8 @@ def section_volume(field: ScalarFieldSpec, p, tau: float) -> float:
     first-order germ, damped by the off-level factor exp(-m phi^2/(2 tau^2))."""
     if not tau > 0:
         raise ValueError("tau must be positive")
-    p = _points(field, p)
-    m = field.dim
-    s = float(np.linalg.norm(field.grad(p))) / tau
-    base = float(gaussian_volume(m, s))
-    off = math.exp(-m * float(field.phi(p)) ** 2 / (2.0 * tau * tau))
-    return (2.0 * math.pi) ** (-m / 2) * off * base
+    (vol,) = _section_volume_vec(field, tau, _points(field, p), ("gaussian",))
+    return float(vol)
 
 
 def section_support(field: ScalarFieldSpec, p, tau: float, u) -> float:
@@ -186,9 +182,7 @@ def section_support(field: ScalarFieldSpec, p, tau: float, u) -> float:
     g = np.asarray(field.grad(p), dtype=float).reshape(field.dim)
     gn = float(np.linalg.norm(g))
     scale = math.exp(-float(field.phi(p)) ** 2 / (2.0 * tau * tau)) / SQRT_2PI
-    if gn == 0.0:
-        return scale * float(np.linalg.norm(u)) / SQRT_2PI
-    unit = g / gn
+    unit = g / gn if gn > 0 else np.zeros_like(g)  # at gn = 0 the body is the ball
     x = float(u @ unit)
     yr = float(np.linalg.norm(u - x * unit))
     return scale * float(gaussian_support(gn / tau, x, yr))
@@ -198,20 +192,20 @@ def section_support(field: ScalarFieldSpec, p, tau: float, u) -> float:
 
 
 def _section_volume_vec(field, tau, pts, kinds):
-    """Section volumes on a batch of points, one array per entry of kinds:
-    "zonoid" for the zonoid itself, "ellipsoid" for its outer ellipsoid
-    envelope.  The field and its gradient are evaluated once for all."""
+    """Section volumes on a batch of points, one array per kind of BODY_KINDS
+    in kinds: the body of offset |grad phi|/tau times (2 pi)^(-m/2) exp(-m
+    phi^2/(2 tau^2)).  The field and its gradient are evaluated once for all."""
     m = field.dim
     phi = np.asarray(field.phi(pts), dtype=float)
     g = np.asarray(field.grad(pts), dtype=float)
     s = np.linalg.norm(g, axis=-1) / tau
-    off = np.exp(-m * phi * phi / (2.0 * tau * tau))
-    return [
-        (2.0 * math.pi) ** (-m / 2) * off * gaussian_volume(m, s)
-        if kind == "zonoid"
-        else (2.0 * math.pi) ** (-float(m)) * off * axial_stretch(s) * ball_volume(m)
-        for kind in kinds
-    ]
+    scale = (2.0 * math.pi) ** (-m / 2) * np.exp(-m * phi * phi / (2.0 * tau * tau))
+    return [scale * BODY_KINDS[kind].volume(m, s) for kind in kinds]
+
+
+def _check_tensor_dim(field: ScalarFieldSpec):
+    if field.dim > 2:
+        raise NotImplementedError("tensor-grid integration is implemented for dim <= 2")
 
 
 def _grad_max(field: ScalarFieldSpec, n: int = 8192) -> float:
@@ -222,8 +216,6 @@ def _grad_max(field: ScalarFieldSpec, n: int = 8192) -> float:
         coarse = t[:: max(1, n // 256)]
         a, b = np.meshgrid(coarse, coarse, indexing="ij")
         pts = np.stack([a.ravel(), b.ravel()], axis=-1)
-        if field.dim > 2:
-            pts = np.concatenate([pts, np.zeros((pts.shape[0], field.dim - 2))], axis=-1)
     return float(np.max(np.linalg.norm(field.grad(pts), axis=-1)))
 
 
@@ -252,6 +244,7 @@ def grid_for_tube(field: ScalarFieldSpec, r: float) -> GridSpec:
     """The coarsest power-of-two grid that meets the resolution rule for the
     tube {|phi| < r}: at least 4096 cells on the circle and 256 per axis on
     T^2, at most 2^22 and 8192."""
+    _check_tensor_dim(field)
     n, cap = (4096, 1 << 22) if field.dim == 1 else (256, 8192)
     h_max = _max_spacing(r, _grad_max(field))
     while 2.0 * math.pi / n > h_max:
@@ -400,11 +393,8 @@ def _integral_2d(field, tube, grid, kinds):
 
 
 def _tube_integral(field, tube, grid, kinds):
-    if field.dim == 1:
-        return _integral_1d(field, tube, grid, kinds)
-    if field.dim == 2:
-        return _integral_2d(field, tube, grid, kinds)
-    raise NotImplementedError("tensor-grid integration is implemented for dim <= 2")
+    _check_tensor_dim(field)
+    return (_integral_1d if field.dim == 1 else _integral_2d)(field, tube, grid, kinds)
 
 
 def expected_zeros_integral(
@@ -412,7 +402,7 @@ def expected_zeros_integral(
 ) -> float:
     """Expected zero count in the tube {|phi| < r}, by direct quadrature of
     the section-body volume: m! * integral vol_m(zeta(p)) dp."""
-    (total,) = _tube_integral(field, tube, grid, ("zonoid",))
+    (total,) = _tube_integral(field, tube, grid, ("gaussian",))
     return math.factorial(field.dim) * total
 
 
@@ -577,7 +567,7 @@ class SandwichReport:
 
 
 # the section body and its outer-ellipsoid envelope
-_BODIES = ("zonoid", "ellipsoid")
+_BODIES = ("gaussian", "ellipsoid")
 
 
 def envelope_sandwich(
@@ -587,7 +577,7 @@ def envelope_sandwich(
     r: float = math.inf,
     slack: float = 1e-10,
 ) -> SandwichReport:
-    """Check b^m * vol(ellipsoid section) <= vol(zonoid section) <=
+    """Check b^m * vol(ellipsoid section) <= vol(gaussian section) <=
     vol(ellipsoid section) pointwise on a grid, b the limit-body inradius,
     and compare the integrated zero counts the two bodies predict over the
     tube {|phi| < r}."""

@@ -7,16 +7,9 @@ every quantity reduces to the plane spanned by (axis, radial) coordinates.
 Directions are therefore passed as pairs (x, yr): x along the mean axis,
 yr >= 0 the radial part.
 
-Four bodies are exposed, named by the ``kind`` of :class:`RevolutionBody`:
-
-* ``"gaussian"``   -- the zonoid of c + xi, with s = |c|;
-* ``"ellipsoid"``  -- the outer ellipsoid: unit ball scaled by 1/sqrt(2 pi)
-  and stretched by ``axial_stretch(s)`` along the axis;
-* ``"normalized"`` -- the gaussian body pulled back through the inverse
-  stretch map and rescaled by sqrt(2 pi), so it touches the unit sphere at
-  the poles and the equator;
-* ``"limit"``      -- the limit of the normalized bodies as s -> inf, whose
-  support function is :func:`gausszonoids.kernels.limit_support`.
+Four bodies are exposed, one per entry of :data:`BODY_KINDS`, named by the
+``kind`` of :class:`RevolutionBody`: the gaussian zonoid, its normalized
+form, their limit and the outer ellipsoid.
 
 The normalized bodies shrink strictly with s and are sandwiched between the
 limit body and the unit ball; rescaling back gives the two-sided ellipsoid
@@ -27,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
@@ -44,6 +37,7 @@ from .montecarlo import parallel_map, stream
 
 __all__ = [
     "Direction",
+    "BODY_KINDS",
     "KINDS",
     "RevolutionBody",
     "gaussian_support",
@@ -65,9 +59,6 @@ __all__ = [
     "InclusionReport",
     "check_inclusion",
 ]
-
-KINDS = ("gaussian", "normalized", "limit", "ellipsoid")
-
 
 class Direction(NamedTuple):
     """Reduced direction: component along the mean axis and radial norm."""
@@ -171,10 +162,6 @@ def gaussian_gradient(s, x, yr):
     return gx, gy
 
 
-def _boundary_gaussian(s, theta):
-    return gaussian_gradient(s, np.cos(theta), np.sin(theta))
-
-
 def _boundary_ellipsoid(s, theta):
     lam = float(axial_stretch(s))
     x, yr = np.cos(theta), np.sin(theta)
@@ -198,62 +185,6 @@ def _boundary_limit(theta):
     ax = np.where(pole, np.sign(x), special.erf(x / (SQRT_PI * safe)))
     rad = np.where(pole, 0.0, np.exp(-x * x / (math.pi * safe * safe)))
     return ax, rad
-
-
-@dataclass(frozen=True)
-class RevolutionBody:
-    """A body of revolution in R^dim described in reduced coordinates."""
-
-    kind: str
-    dim: int
-    s: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ValueError("dim must be an integer >= 1")
-        if self.kind == "limit":
-            if self.s is not None:
-                raise ValueError("limit body takes no mean offset")
-        else:
-            if self.s is None:
-                raise ValueError(f"{self.kind} body requires a mean offset s")
-            _check_s(self.s, positive=(self.kind == "normalized"))
-
-    def support(self, x, yr):
-        if self.kind == "gaussian":
-            return gaussian_support(self.s, x, yr)
-        if self.kind == "ellipsoid":
-            return ellipsoid_support(self.s, x, yr)
-        if self.kind == "normalized":
-            return normalized_support(self.s, x, yr)
-        return limit_support(x, yr)
-
-    def boundary(self, theta):
-        """Boundary points (axial, radial) with outer normal (cos t, sin t)."""
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "gaussian":
-            return _boundary_gaussian(self.s, theta)
-        if self.kind == "ellipsoid":
-            return _boundary_ellipsoid(self.s, theta)
-        if self.kind == "normalized":
-            return _boundary_normalized(self.s, theta)
-        return _boundary_limit(theta)
-
-
-def boundary_profile(body: RevolutionBody, n_points: int = 181) -> np.ndarray:
-    """Sample the boundary meridian at angles theta in [0, pi].
-
-    Returns an (n_points, 3) array with columns (theta, axial, radial); the
-    radial column is 0 at both poles and the axial column decreases strictly,
-    which is how convexity shows up in this parametrization.
-    """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    theta = np.linspace(0.0, math.pi, n_points)
-    ax, rad = body.boundary(theta)
-    return np.column_stack([theta, ax, rad])
 
 
 def gaussian_volume(dim: int, s):
@@ -287,33 +218,94 @@ def gaussian_volume(dim: int, s):
     )
 
 
-def _ellipsoid_volume(m: int, lam: float) -> float:
-    return lam * ball_volume(m) / (2 * math.pi) ** (m / 2)
+class BodyKind(NamedTuple):
+    """The functions of one body kind, in reduced coordinates."""
+
+    support: Callable  # (s, x, yr) -> support value
+    boundary: Callable  # (s, theta) -> (axial, radial) point of outer normal (cos, sin)
+    volume: Callable  # (dim, s) -> volume, vectorized over s
 
 
-def _limit_volume(m: int) -> float:
-    return 2.0 * ball_volume(m - 1) / math.sqrt(m)
+# The entries look axial_stretch and limit_support up when called, so a
+# wrapper bound to those module names sees every call.
+BODY_KINDS = {
+    # the zonoid of c + xi, with s = |c|; volume :func:`gaussian_volume`
+    "gaussian": BodyKind(
+        gaussian_support,
+        lambda s, theta: gaussian_gradient(s, np.cos(theta), np.sin(theta)),
+        gaussian_volume,
+    ),
+    # the gaussian body pulled back through the inverse stretch map and
+    # rescaled by sqrt(2 pi), so it touches the unit sphere at the poles and
+    # the equator; volume (2 pi)^(m/2)/axial_stretch(s) times the gaussian's
+    "normalized": BodyKind(
+        normalized_support,
+        _boundary_normalized,
+        lambda m, s: (2 * math.pi) ** (m / 2) / axial_stretch(s) * gaussian_volume(m, s),
+    ),
+    # the limit of the normalized bodies as s -> inf; radial profile
+    # exp(-erf_inv(A)^2), and A = erf(u) leaves a Gaussian integral: volume
+    # 2*kappa_{m-1}/sqrt(m)
+    "limit": BodyKind(
+        lambda s, x, yr: limit_support(x, yr),
+        lambda s, theta: _boundary_limit(theta),
+        lambda m, s: 2.0 * ball_volume(m - 1) / math.sqrt(m),
+    ),
+    # the outer ellipsoid: the unit ball scaled by 1/sqrt(2 pi) and stretched
+    # by axial_stretch(s) along the axis; volume axial_stretch(s)*kappa_m/(2 pi)^(m/2)
+    "ellipsoid": BodyKind(
+        ellipsoid_support,
+        _boundary_ellipsoid,
+        lambda m, s: axial_stretch(s) * ball_volume(m) / (2 * math.pi) ** (m / 2),
+    ),
+}
+KINDS = tuple(BODY_KINDS)
+
+
+@dataclass(frozen=True)
+class RevolutionBody:
+    """A body of revolution in R^dim described in reduced coordinates."""
+
+    kind: str
+    dim: int
+    s: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError("dim must be an integer >= 1")
+        if (self.s is None) != (self.kind == "limit"):
+            raise ValueError("the limit body takes no mean offset s; the others require one")
+        if self.s is not None:
+            _check_s(self.s, positive=(self.kind == "normalized"))
+
+    def support(self, x, yr):
+        return BODY_KINDS[self.kind].support(self.s, x, yr)
+
+    def boundary(self, theta):
+        """Boundary points (axial, radial) with outer normal (cos t, sin t)."""
+        return BODY_KINDS[self.kind].boundary(self.s, np.asarray(theta, dtype=float))
+
+
+def boundary_profile(body: RevolutionBody, n_points: int = 181) -> np.ndarray:
+    """Sample the boundary meridian at angles theta in [0, pi].
+
+    Returns an (n_points, 3) array with columns (theta, axial, radial); the
+    radial column is 0 at both poles and the axial column decreases strictly,
+    which is how convexity shows up in this parametrization.
+    """
+    if n_points < 2:
+        raise ValueError("n_points must be >= 2")
+    theta = np.linspace(0.0, math.pi, n_points)
+    ax, rad = body.boundary(theta)
+    return np.column_stack([theta, ax, rad])
 
 
 def volume(body: RevolutionBody) -> float:
-    """Volume of the body, in closed form for every kind.
-
-    * gaussian: :func:`gaussian_volume`;
-    * ellipsoid: ``axial_stretch(s) * kappa_m / (2 pi)^(m/2)``;
-    * normalized: image of the gaussian body under the inverse stretch map,
-      so the volume scales by (2 pi)^(m/2)/axial_stretch(s);
-    * limit: radial profile exp(-erf_inv(A)^2); substituting A = erf(u)
-      leaves a Gaussian integral, 2*kappa_{m-1}/sqrt(m).
-    """
-    m = body.dim
-    if body.kind == "gaussian":
-        return float(gaussian_volume(m, body.s))
-    if body.kind == "ellipsoid":
-        return _ellipsoid_volume(m, float(axial_stretch(body.s)))
-    if body.kind == "normalized":
-        lam = float(axial_stretch(body.s))
-        return (2 * math.pi) ** (m / 2) / lam * float(gaussian_volume(m, body.s))
-    return _limit_volume(m)
+    """Volume of the body, in closed form for every kind: the volume of its
+    entry in :data:`BODY_KINDS`."""
+    return float(BODY_KINDS[body.kind].volume(body.dim, body.s))
 
 
 class VolumeBounds(NamedTuple):
@@ -330,12 +322,11 @@ def volume_bounds(dim: int, s) -> VolumeBounds:
     axial_stretch(s) * 2*kappa_{m-1} / (sqrt(m) (2 pi)^(m/2)) coming from the
     limit-body volume, and dominates ``lower`` for every dim.
     """
-    s = _check_s(s)
-    m = int(dim)
-    lam = float(axial_stretch(s))
-    upper = _ellipsoid_volume(m, lam)
+    s, m = _check_s(s), int(dim)
+    upper = float(BODY_KINDS["ellipsoid"].volume(m, s))
     lower = limit_body_inradius() ** m * upper
-    lower_sharp = lam * _limit_volume(m) / (2 * math.pi) ** (m / 2)
+    limit = BODY_KINDS["limit"].volume(m, s)
+    lower_sharp = float(axial_stretch(s)) * limit / (2 * math.pi) ** (m / 2)
     return VolumeBounds(lower=lower, lower_sharp=lower_sharp, upper=upper)
 
 
@@ -374,6 +365,8 @@ def _limit_ring_slope(t):
 
 @lru_cache(maxsize=8)
 def _inradius_search(tol: float) -> tuple[float, float]:
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     grid = np.linspace(0.0, math.pi / 2, 1001)
     vals = limit_support(np.cos(grid), np.sin(grid))
     i = int(np.argmin(vals))
@@ -479,10 +472,8 @@ class GaussianVector:
             raise ValueError("u must be finite")
         v = u @ self.matrix
         s = self.mean_norm
-        if s == 0.0:
-            h = np.linalg.norm(np.atleast_2d(v), axis=-1) / SQRT_2PI
-            return float(h[0]) if u.ndim == 1 else h.reshape(u.shape[:-1])
-        unit = self.mean / s
+        # at s = 0 every direction is radial and the body is the ball
+        unit = self.mean / s if s > 0 else np.zeros(self.dim)
         x = v @ unit
         yr = np.linalg.norm(np.atleast_2d(v - np.multiply.outer(x, unit)), axis=-1)
         h = gaussian_support(s, np.atleast_1d(x), yr)

@@ -2,8 +2,10 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +92,19 @@ def test_zonoid_inclusion_passes(capsys):
     assert payload["max_ratio_upper"] <= 1 + 1e-12
 
 
+def test_zonoid_support_and_profile_take_m(capsys, tmp_path):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"m": 3}))
+    for action, args in (("support", ("--s", "1", "--x", "0.6", "--yr", "0.8")),
+                         ("profile", ("--s", "1", "--n", "5"))):
+        code, out = run(capsys, "zonoid", action, "--m", "3", *args)
+        assert code == 0
+        assert run(capsys, "zonoid", action, "--manifest", str(manifest), *args) == (0, out)
+        # supports are computed in reduced coordinates, so m does not show
+        assert run(capsys, "zonoid", action, *args) == (0, out)
+        assert run(capsys, "zonoid", action, "--m", "0", *args)[0] == 2
+
+
 def test_det_mc_via_manifest_columns(capsys, tmp_path):
     manifest = tmp_path / "frame.json"
     manifest.write_text(json.dumps({
@@ -155,6 +170,29 @@ def test_manifest_value_of_the_wrong_type_exits_2(capsys, tmp_path, argv, manife
     path.write_text(json.dumps(manifest))
     code, out = run(capsys, *argv, "--manifest", str(path))
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (("det", "mc", "--m", "2", "--samples", "1000"), ("--self-test",)),
+    (("grf", "coarea", "--taus", "0.1"), ("--samples", "5")),
+    (("grf", "coarea", "--taus", "0.1"), ("--resolution", "64")),
+    (("grf", "coarea", "--taus", "0.1"), ("--seed", "3")),
+    (("zonoid", "volume", "--m", "3", "--s", "1"), ("--n", "7")),
+    (("grf", "integral", "--taus", "0.1"), ("--seed", "3")),
+])
+def test_flag_the_action_does_not_read_exits_2(capsys, argv, unread):
+    assert run(capsys, *argv)[0] == 0
+    code = main([*argv, *unread])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and unread[0] in captured.err
+
+
+def test_binfty_tol_must_be_positive_and_finite(capsys):
+    for tol in ("0", "-1", "inf", "nan"):
+        code = main(["binfty", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "tol must be positive and finite" in captured.err
 
 
 def test_manifest_rejects_unknown_key(capsys, tmp_path):
@@ -291,3 +329,22 @@ def test_out_file_json_ends_with_newline(capsys, tmp_path):
     raw = out_path.read_bytes()
     assert raw.endswith(b"\n") and not raw.endswith(b"\n\n")
     json.loads(raw)
+
+
+def _readme_block(lang: str) -> str:
+    """The first ``lang`` code block of README's CLI section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_cli_examples(capsys, tmp_path, monkeypatch):
+    # every documented command runs; --self-test corrupts its bounds and fails
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "frame.json").write_text(_readme_block("json"))
+    lines = [ln.split("#")[0].strip() for ln in _readme_block("sh").splitlines()]
+    commands = [shlex.split(ln)[1:] for ln in lines if ln.startswith("gausszonoids ")]
+    assert len(commands) == 14
+    for argv in commands:
+        code, _ = run(capsys, *argv)
+        assert code == (1 if "--self-test" in argv else 0), argv

@@ -1,4 +1,5 @@
 """Random determinants against mixed-volume identities and brackets."""
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import special
 
 from gausszonoids import (
     FrameSpec,
+    ball_volume,
     GaussianVector,
     MCConfig,
     RevolutionBody,
@@ -23,6 +25,7 @@ from gausszonoids import (
     stream,
     volume,
 )
+from gausszonoids.cli import main
 
 
 def iid_frame(m, k, s=0.0, matrix=None):
@@ -100,6 +103,44 @@ def test_mixed_volume_mc_matches_exact_area():
     mv = mixed_volume_ellipsoids_mc(shapes, 2, MCConfig(samples=300_000, seed=6))
     exact = mixed_area(ellipse_support_fn(shapes[0]), ellipse_support_fn(shapes[1]))
     assert abs(mv.mean - exact) < 4 * mv.std_error
+
+
+def padded_mixed_volume(shapes, dim, cfg):
+    """Reference: the k shapes padded with m - k standard Gaussian columns;
+    the square determinant identity gives MV = E|det| (2 pi)^(m/2) / m!."""
+    zero = np.zeros(dim)
+    cols = [GaussianVector(a, zero) for a in shapes]
+    cols += [GaussianVector(np.eye(dim), zero)] * (dim - len(shapes))
+    est = expected_absdet_mc(FrameSpec(dim, cols), cfg)
+    scale = (2 * math.pi) ** (dim / 2) / math.factorial(dim)
+    return est.mean * scale, est.std_error * scale
+
+
+@pytest.mark.parametrize("m, k", [(3, 1), (5, 3), (6, 2)])
+def test_thin_mixed_volume_matches_the_padded_frame(m, k):
+    rng = stream(40 + m, 0)
+    shapes = [np.eye(m) + 0.3 * rng.standard_normal((m, m)) for _ in range(k)]
+    thin = mixed_volume_ellipsoids_mc(shapes, m, MCConfig(samples=100_000, seed=1))
+    mean, se = padded_mixed_volume(shapes, m, MCConfig(samples=100_000, seed=2))
+    assert abs(thin.mean - mean) < 4 * math.hypot(thin.std_error, se)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_thin_mixed_volume_of_the_ball(m):
+    # MV(B, B[m-1]) = vol(B) = kappa_m
+    mv = mixed_volume_ellipsoids_mc([np.eye(m)], m, MCConfig(samples=100_000, seed=3))
+    assert abs(mv.mean - ball_volume(m)) < 4 * mv.std_error
+
+
+def test_det_check_m5_k3_thin_frame_has_the_smaller_error(capsys):
+    code = main(["det", "check", "--m", "5", "--k", "3", "--s", "1", "--samples", "50000"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["verdict"] == "PASS"
+    # the bracket's mixed volume is drawn on the seed after the CLI's seed 0
+    frame = iid_frame(5, 3, s=1.0)
+    shapes = [col.ellipsoid_matrix() for col in frame.columns]
+    _, padded_se = padded_mixed_volume(shapes, 5, MCConfig(samples=50_000, seed=1))
+    assert report["mixed_volume"]["std_error"] < padded_se
 
 
 def test_centered_identity_via_bounds_report_m2():

@@ -10,15 +10,18 @@ from gausszonoids import (
     GridResolutionError,
     GridSpec,
     MCConfig,
+    RevolutionBody,
     TubeSpec,
     concentration_limit,
     envelope_sandwich,
     expected_zeros_coarea,
     expected_zeros_integral,
+    grid_for_tube,
     mc_zero_count_circle,
     section_support,
     section_volume,
     sine_field,
+    volume,
 )
 
 SIN2 = sine_field(2)
@@ -99,6 +102,30 @@ def test_section_volume_positive_and_even():
 
 
 # --- the three routes ----------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kind", ["gaussian", "ellipsoid"])
+def test_section_volumes_are_the_body_volumes(m, kind):
+    # (2 pi)^(-m/2) e^{-m phi^2/(2 tau^2)} vol(body of offset |grad phi|/tau)
+    field, tau = sine_field(2, dim=m), 0.3
+    pts = gz.stream(17, 0).uniform(0.0, 2.0 * math.pi, (40, m))
+    (got,) = gz.fields._section_volume_vec(field, tau, pts, (kind,))
+    phi = field.phi(pts)
+    s = np.linalg.norm(field.grad(pts), axis=-1) / tau
+    vols = np.array([volume(RevolutionBody(kind, m, float(v))) for v in s])
+    scale = (2.0 * math.pi) ** (-m / 2) * np.exp(-m * phi * phi / (2.0 * tau * tau))
+    assert np.allclose(got, scale * vols, rtol=1e-15, atol=0)
+
+
+def test_1d_section_body_is_its_ellipsoid():
+    # in 1-D the zonoid and its outer ellipsoid are the same segment
+    pts = np.linspace(0.0, 2.0 * math.pi, 1001)[:, None]
+    zonoid, ellipsoid = gz.fields._section_volume_vec(SIN2, 0.05, pts, ("gaussian", "ellipsoid"))
+    np.testing.assert_array_max_ulp(zonoid, ellipsoid, maxulp=1)
+    rep = envelope_sandwich(SIN2, 0.05, GridSpec(4096))
+    assert rep.min_ratio == rep.max_ratio == 1.0
+    assert rep.max_upper_violation == 0.0 and rep.count_upper == rep.count
+
 
 def test_whole_circle_frozen_value():
     got = expected_zeros_integral(SIN2, TubeSpec(1.0, math.inf), GridSpec(4096))
@@ -325,6 +352,12 @@ def test_panel_counts_match_scan_and_bisection(field, tau, r, spacing, samples):
 def test_mc_spacing_guard():
     with pytest.raises(GridResolutionError):
         mc_zero_count_circle(SIN2, TubeSpec(1e-3, 0.1), MCConfig(samples=8, seed=1), spacing=0.3)
+
+
+def test_grid_for_tube_refuses_dim_3():
+    # the tensor-grid integral stops at T^2, so no grid is sized beyond it
+    with pytest.raises(NotImplementedError):
+        grid_for_tube(sine_field(2, dim=3), 0.1)
 
 
 def test_integral_resolution_guard():

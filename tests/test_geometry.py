@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gausszonoids import (
+    KINDS,
     Direction,
     GaussianVector,
     MCConfig,
@@ -166,6 +167,22 @@ def test_profile_parametrizes_the_support_boundary():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_boundary_is_the_support_gradient(kind):
+    # the boundary point of outer normal u is the gradient of the support at u
+    body = RevolutionBody(kind, 3, None if kind == "limit" else 1.3)
+    theta = np.array([0.3, 1.0, 1.9, 2.8])
+    x, yr = np.cos(theta), np.sin(theta)
+    ax, rad = body.boundary(theta)
+    # Euler's identity of a 1-homogeneous function
+    assert np.allclose(x * ax + yr * rad, body.support(x, yr), rtol=1e-13, atol=0)
+    h = 1e-6
+    fx = (body.support(x + h, yr) - body.support(x - h, yr)) / (2 * h)
+    fy = (body.support(x, yr + h) - body.support(x, yr - h)) / (2 * h)
+    assert np.allclose(ax, fx, rtol=0, atol=5e-9)
+    assert np.allclose(rad, fy, rtol=0, atol=5e-9)
+
+
 def test_limit_boundary_radius_roundtrip():
     from gausszonoids import erf
 
@@ -190,6 +207,13 @@ def test_inradius_grid_scan_agrees():
     assert limit_inradius_grid(1_000_000) == pytest.approx(
         limit_body_inradius(), abs=1e-8
     )
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_inradius_tol_must_be_positive_and_finite(tol):
+    for search in (limit_body_inradius, limit_inradius_angle):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            search(tol)
 
 
 def test_inradius_angle():
