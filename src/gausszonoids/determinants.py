@@ -196,9 +196,7 @@ class DeterminantBracket:
         }
 
 
-def determinant_bracket(
-    frame: FrameSpec, cfg: MCConfig, n_nodes: int = 4096
-) -> DeterminantBracket:
+def determinant_bracket(frame: FrameSpec, cfg: MCConfig) -> DeterminantBracket:
     """The two-sided mixed-volume bracket on E sqrt(det(Gamma^T Gamma)).
 
     The outer-ellipsoid mixed volume is computed exactly by
@@ -210,9 +208,7 @@ def determinant_bracket(
     shapes = [col.ellipsoid_matrix() for col in frame.columns]
     if m == 2 and k == 2:
         mv = EstimateWithCI(
-            mixed_area(ellipse_support_fn(shapes[0]), ellipse_support_fn(shapes[1]), n_nodes),
-            0.0,
-            0,
+            mixed_area(ellipse_support_fn(shapes[0]), ellipse_support_fn(shapes[1])), 0.0, 0
         )
     else:
         mv_cfg = MCConfig(samples=cfg.samples, seed=cfg.seed + 1, chunk=cfg.chunk)
@@ -230,7 +226,13 @@ class DeterminantBoundsReport(DeterminantBracket):
     estimate: EstimateWithCI
     se_lower: float
     se_upper: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """The estimate lies in the bracket widened by 4 pooled standard
+        errors on each side."""
+        mean = self.estimate.mean
+        return self.lower - 4 * self.se_lower <= mean <= self.upper + 4 * self.se_upper
 
     def as_dict(self) -> dict:
         d = super().as_dict()
@@ -239,23 +241,18 @@ class DeterminantBoundsReport(DeterminantBracket):
         return d
 
 
-def check_determinant_bounds(
-    frame: FrameSpec, cfg: MCConfig, n_nodes: int = 4096
-) -> DeterminantBoundsReport:
+def check_determinant_bounds(frame: FrameSpec, cfg: MCConfig) -> DeterminantBoundsReport:
     """Check the bracket of :func:`determinant_bracket` against
-    :func:`expected_absdet_mc` drawn with ``cfg``.  The verdict allows 4
-    pooled standard errors on each side.
+    :func:`expected_absdet_mc` drawn with ``cfg``; the verdict is the
+    report's ``passed``.
     """
-    bracket = determinant_bracket(frame, cfg, n_nodes)
+    bracket = determinant_bracket(frame, cfg)
     est = expected_absdet_mc(frame, cfg)
     alpha, mv_se = bracket.coeff, bracket.mixed_volume.std_error
     se_lower = math.hypot(est.std_error, limit_body_inradius() ** bracket.k * alpha * mv_se)
     se_upper = math.hypot(est.std_error, alpha * mv_se)
-    passed = (est.mean >= bracket.lower - 4 * se_lower) and (
-        est.mean <= bracket.upper + 4 * se_upper
-    )
     return DeterminantBoundsReport(
-        **vars(bracket), estimate=est, se_lower=se_lower, se_upper=se_upper, passed=passed
+        **vars(bracket), estimate=est, se_lower=se_lower, se_upper=se_upper
     )
 
 

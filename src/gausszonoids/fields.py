@@ -479,6 +479,8 @@ def _scan_cells(field: ScalarFieldSpec, tube: TubeSpec, spacing: float | None) -
     if spacing is None:
         base = min(tau, r) if math.isfinite(r) else tau
         spacing = min(base / 20.0, cap)
+    elif not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError("spacing must be positive and finite")
     elif spacing > cap:
         raise GridResolutionError(
             f"spacing {spacing:.3g} cannot resolve noise scale tau={tau:.3g} "
@@ -581,13 +583,9 @@ def envelope_sandwich(
     vol(ellipsoid section) pointwise on a grid, b the limit-body inradius,
     and compare the integrated zero counts the two bodies predict over the
     tube {|phi| < r}."""
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError("tau must be positive and finite")
     tube = TubeSpec(tau, r)
-    m = field.dim
-    if m > 2:
-        raise NotImplementedError("the envelope check is implemented for dim <= 2")
-    n = grid.resolution
+    _check_tensor_dim(field)
+    m, n = field.dim, grid.resolution
     t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
 
     bm = limit_body_inradius() ** m

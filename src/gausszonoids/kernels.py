@@ -26,7 +26,6 @@ __all__ = [
     "limit_support",
     "erf_log_slope",
     "ball_volume",
-    "bisect",
 ]
 
 SQRT_PI = math.sqrt(math.pi)

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["MCConfig", "EstimateWithCI", "stream", "mc_mean", "parallel_map"]
+__all__ = ["MCConfig", "EstimateWithCI", "stream", "mc_mean"]
 
 
 def _cores() -> int:
@@ -60,8 +60,7 @@ class MCConfig:
             raise ValueError("samples must be >= 1")
         if self.chunk < 1:
             raise ValueError("chunk must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _check_seed(self.seed)
 
 
 class EstimateWithCI(NamedTuple):
@@ -74,8 +73,14 @@ class EstimateWithCI(NamedTuple):
         return {"mean": self.mean, "std_error": self.std_error, "n": self.n_samples}
 
 
+def _check_seed(seed: int):
+    if not 0 <= seed < 1 << 64:  # a Philox key word
+        raise ValueError("seed must be nonnegative and below 2**64")
+
+
 def stream(seed: int, index: int) -> np.random.Generator:
     """Generator for chunk `index` of the run keyed by `seed`."""
+    _check_seed(seed)
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -348,3 +348,65 @@ def test_readme_cli_examples(capsys, tmp_path, monkeypatch):
     for argv in commands:
         code, _ = run(capsys, *argv)
         assert code == (1 if "--self-test" in argv else 0), argv
+
+
+def test_negative_seed_exits_2(capsys):
+    code = main(["zonoid", "inclusion", "--m", "3", "--s", "1", "--n", "100", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "seed must be nonnegative" in captured.err
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "b.json"
+    code = main(["binfty", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not target.exists()
+    assert captured.err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("argv", [
+    ("zonoid", "support", "--kind", "limit", "--s", "5"),
+    ("zonoid", "volume", "--kind", "limit", "--m", "3", "--s", "5"),
+    ("zonoid", "profile", "--kind", "limit", "--s", "1,2"),
+])
+def test_limit_body_with_an_offset_exits_2(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "limit body takes no mean offset" in captured.err
+
+
+def test_zonoid_profile_defaults_per_kind(capsys):
+    # without --s: one curve for the limit body, s = 0,1,2,3 for the others
+    code, out = run(capsys, "zonoid", "profile", "--kind", "limit", "--n", "3")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "theta,axial,radial" and len(lines) == 4
+    code, out = run(capsys, "zonoid", "profile", "--n", "3")
+    assert code == 0
+    assert out == run(capsys, "zonoid", "profile", "--s", "0,1,2,3", "--n", "3")[1]
+    assert {ln.split(",")[0] for ln in out.strip().split("\n")[1:]} == {"0.0", "1.0", "2.0", "3.0"}
+
+
+@pytest.mark.parametrize("argv, manifest", [
+    (("det", "mc"), {"m": 2, "samples": 1000, "chunk": 100}),
+    (("zonoid", "inclusion"), {"m": 3, "s": 1, "n": 100, "chunk": 10}),
+    (("grf", "mc"), {"taus": [0.3], "samples": 100, "chunk": 10}),
+    (("zonoid", "inclusion"), {"m": 3, "s": 1, "n": 100, "slack": 0.1}),
+    (("grf", "sandwich"), {"tau": 0.05, "resolution": 512, "slack": 0.1}),
+    (("grf", "mc"), {"taus": [0.3], "samples": 100, "spacing": 0.001}),
+])
+def test_removed_manifest_keys_exit_2(capsys, tmp_path, argv, manifest):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    code = main([*argv, "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "unknown manifest key" in captured.err
+
+
+@pytest.mark.parametrize("action", ["integral", "coarea", "mc"])
+def test_sweeps_take_taus_only(capsys, action):
+    code = main(["grf", action, "--tau", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "--tau" in captured.err

@@ -1,4 +1,5 @@
 """Random determinants against mixed-volume identities and brackets."""
+import dataclasses
 import json
 import math
 
@@ -269,3 +270,17 @@ def test_frame_validation():
         FrameSpec(1, [GaussianVector(np.eye(2), np.zeros(2))] * 2)  # k > m
     with pytest.raises(ValueError):
         FrameSpec(2, [GaussianVector(np.eye(3), np.zeros(3))])  # wrong ambient dim
+
+
+def test_bounds_report_verdict_follows_its_bracket():
+    # the verdict is computed from the report's own fields, so a corrupted
+    # bracket (the CLI's --self-test) fails by the same 4-SE rule
+    rep = check_determinant_bounds(iid_frame(2, 2, s=1.0), MCConfig(samples=20_000, seed=4))
+    assert rep.passed
+    mean = rep.estimate.mean
+    empty = dataclasses.replace(rep, lower=1.5 * mean, upper=0.5 * mean)
+    assert not empty.passed
+    assert empty.estimate == rep.estimate and empty.se_lower == rep.se_lower
+    edge = dataclasses.replace(rep, lower=mean + 4 * rep.se_lower, upper=mean - 4 * rep.se_upper)
+    assert edge.passed
+    assert "passed" not in rep.as_dict()

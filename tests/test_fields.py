@@ -438,3 +438,19 @@ def test_sandwich_dim2_respects_inradius():
     for key in ("dim", "tau", "min_ratio", "max_ratio", "count", "passed"):
         assert key in d
     assert d["passed"] == rep.passed
+
+
+@pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf])
+def test_mc_spacing_must_be_positive_and_finite(spacing):
+    with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        mc_zero_count_circle(SIN2, TubeSpec(0.3, 0.4), MCConfig(samples=8, seed=1), spacing=spacing)
+
+
+def test_sandwich_checks_its_inputs_like_the_tube_integral():
+    for tau in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            envelope_sandwich(SIN2, tau, GridSpec(64))
+    with pytest.raises(ValueError, match="r must be positive"):
+        envelope_sandwich(SIN2, 0.1, GridSpec(64), r=0.0)
+    with pytest.raises(NotImplementedError):
+        envelope_sandwich(sine_field(2, dim=3), 0.1, GridSpec(64))

@@ -79,3 +79,13 @@ def test_config_validation():
         MCConfig(samples=100, chunk=0)
     with pytest.raises(ValueError):
         MCConfig(samples=100, seed=-1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_stream_rejects_a_seed_outside_the_key_word(seed):
+    # a Philox key word holds [0, 2^64); numpy would raise OverflowError
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        stream(seed, 0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        MCConfig(samples=100, seed=seed)
+    stream((1 << 64) - 1, 0).standard_normal(2)  # the largest key word
