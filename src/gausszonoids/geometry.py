@@ -485,6 +485,10 @@ class GaussianVector:
         return self.matrix @ mean_stretch_matrix(self.mean)
 
 
+# rounding allowance on both sides of the sandwich in check_inclusion
+_INCLUSION_SLACK = 1e-12
+
+
 @dataclass(frozen=True)
 class InclusionReport:
     """Outcome of a randomized two-sided sandwich check."""
@@ -512,12 +516,11 @@ def check_inclusion(
     n_dirs: int = 10_000,
     seed: int = 0,
     chunk: int = 1 << 17,
-    slack: float = 1e-12,
 ) -> InclusionReport:
     """Verify the two-sided ellipsoid sandwich on random unit directions.
 
     For each sampled direction u the ratio gaussian/ellipsoid support must lie
-    in [inradius - slack, 1 + slack].  Directions are drawn in chunks from
+    in [inradius - 1e-12, 1 + 1e-12].  Directions are drawn in chunks from
     counter-based substreams, so the report is deterministic for a fixed
     (seed, n_dirs, chunk).  A violation does not raise; it is returned as a
     failing report carrying the worst direction as witness.
@@ -563,7 +566,7 @@ def check_inclusion(
         if 1.0 - rhi < worst_margin:
             worst_margin = 1.0 - rhi
             worst = dhi
-    passed = (min_ratio >= b - slack) and (max_ratio <= 1.0 + slack)
+    passed = (min_ratio >= b - _INCLUSION_SLACK) and (max_ratio <= 1.0 + _INCLUSION_SLACK)
     return InclusionReport(
         dim=int(dim),
         s=s,
@@ -573,6 +576,6 @@ def check_inclusion(
         max_ratio_upper=max_ratio,
         worst_direction=worst,
         limit_inradius=b,
-        slack=slack,
+        slack=_INCLUSION_SLACK,
         passed=passed,
     )

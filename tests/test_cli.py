@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gausszonoids
-from gausszonoids.cli import main
+from gausszonoids.cli import COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -348,6 +348,27 @@ def test_readme_cli_examples(capsys, tmp_path, monkeypatch):
     for argv in commands:
         code, _ = run(capsys, *argv)
         assert code == (1 if "--self-test" in argv else 0), argv
+
+
+def test_readme_manifest_key_table():
+    # each row of README's key table names exactly its commands' schema keys;
+    # "the `X` keys" starts from an earlier row, and "except" removes names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## CLI\n", 1)[1].split("| command | keys |\n", 1)[1].split("\n\n", 1)[0]
+    rows = [ln.split("|")[1:3] for ln in table.splitlines() if ln.startswith("| `")]
+    documented = {}
+    for names, keys in rows:
+        words = keys.split("`")[1::2]
+        if keys.strip().startswith("the "):
+            base, words = set(documented[words[0]]), words[1:]
+            keys_of_row = base - set(words) if "except" in keys else base | set(words)
+        else:
+            keys_of_row = set(words)
+        for name in names.split("`")[1::2]:
+            documented[name] = keys_of_row
+    assert documented == {
+        name: set(schema) - {"out", "format"} for name, (schema, _) in COMMANDS.items()
+    }
 
 
 def test_negative_seed_exits_2(capsys):

@@ -281,6 +281,9 @@ def test_bounds_report_verdict_follows_its_bracket():
     empty = dataclasses.replace(rep, lower=1.5 * mean, upper=0.5 * mean)
     assert not empty.passed
     assert empty.estimate == rep.estimate and empty.se_lower == rep.se_lower
-    edge = dataclasses.replace(rep, lower=mean + 4 * rep.se_lower, upper=mean - 4 * rep.se_upper)
-    assert edge.passed
+    # just inside and just outside the 4-SE window on each side
+    assert dataclasses.replace(rep, lower=mean + 3.9 * rep.se_lower).passed
+    assert not dataclasses.replace(rep, lower=mean + 4.1 * rep.se_lower).passed
+    assert dataclasses.replace(rep, upper=mean - 3.9 * rep.se_upper).passed
+    assert not dataclasses.replace(rep, upper=mean - 4.1 * rep.se_upper).passed
     assert "passed" not in rep.as_dict()
