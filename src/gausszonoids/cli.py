@@ -188,8 +188,9 @@ def _support(p):
 
 def _profile(p):
     svals = p["s"]
-    if svals is None:  # the limit body has no offset, the others a family
-        svals = [None] if p["kind"] == "limit" else [0.0, 1.0, 2.0, 3.0]
+    if svals is None:  # a family; the limit body takes no s, the normalized needs s > 0
+        family = {"limit": [None], "normalized": [1.0, 2.0, 3.0]}
+        svals = family.get(p["kind"], [0.0, 1.0, 2.0, 3.0])
     if not svals:
         raise CommandError("profile needs at least one s value")
     curves = [(s, boundary_profile(_body(p, s), p["n"])) for s in svals]
@@ -264,13 +265,6 @@ def _det_check(p):
     return _verdict(dict(report.as_dict(), self_test=True), report.passed)
 
 
-def _field(p):
-    field = p["field"]
-    if p["m"] is not None and p["m"] != field.dim:
-        raise CommandError(f"--m {p['m']} contradicts the {field.dim}-D field {field.name}")
-    return field
-
-
 def _grid(p, field, r: float) -> GridSpec:
     if p["resolution"] is not None:
         return GridSpec(p["resolution"])
@@ -283,7 +277,7 @@ def _limit(p):
 
 
 def _sandwich(p):
-    field = _field(p)
+    field = p["field"]
     grid = _grid(p, field, p["r"])
     report = envelope_sandwich(field, p["tau"], grid, r=p["r"])
     return _verdict(dict(report.as_dict(), field=field.name), report.passed)
@@ -303,7 +297,7 @@ def _tube_r(p, tau: float) -> float:
 def _sweep(route, p):
     """Handler of a sweep: one row per tau, holding the columns that
     ``route(p, field, tube)`` returns, its first column against the limit."""
-    field = _field(p)
+    field = p["field"]
     if not p["taus"]:
         raise CommandError("needs --taus")
     rows = []
@@ -351,12 +345,9 @@ _FRAME = {
     "samples": Param(int, 1_000_000, "Monte Carlo samples"),
     "seed": _SEED,
 }
-_FIELD = {
-    "field": Param(_field_from_id, "sin2", "sinK or sinK-2d"),
-    "m": Param(int, None, "dimension of grf limit; the other actions check the field's"),
-}
+_FIELD = Param(_field_from_id, "sin2", "sinK or sinK-2d")
 _SWEEP = {
-    **_FIELD,
+    "field": _FIELD,
     "taus": Param(_floats, None, "comma-separated noise scales"),
     "alpha": Param(float, 1.0, "tube rule r = alpha*tau"),
     "r": Param(float, None, "fixed tube half-width"),
@@ -395,11 +386,12 @@ COMMANDS = {
         seed=_SEED,
     ),
     "grf limit": _command(
-        _limit, m=Param(int, 1, _FIELD["m"].help), alpha=Param(float, ..., _SWEEP["alpha"].help),
+        _limit, m=Param(int, 1, "dimension of grf limit"),
+        alpha=Param(float, ..., _SWEEP["alpha"].help),
         volz0=Param(float, ..., "vol_{m-1} of the zero set"),
     ),
     "grf sandwich": _command(
-        _sandwich, **_FIELD, tau=Param(float, ..., "noise scale"), resolution=_RESOLUTION,
+        _sandwich, field=_FIELD, tau=Param(float, ..., "noise scale"), resolution=_RESOLUTION,
         r=Param(float, math.inf, "tube half-width"),
     ),
 }

@@ -72,6 +72,8 @@ def mixed_volume_coeff(m: int, k: int) -> float:
 
 # samples per sub-block of a Monte Carlo chunk: bounds each thread's memory
 _SUB_BLOCK = 1 << 14
+# nodes of mixed_area's periodic grid
+_MIXED_AREA_NODES = 4096
 
 
 def expected_absdet_mc(frame: FrameSpec, cfg: MCConfig) -> EstimateWithCI:
@@ -113,22 +115,21 @@ def expected_absdet_mc(frame: FrameSpec, cfg: MCConfig) -> EstimateWithCI:
     return mc_mean(sample, cfg)
 
 
-def mixed_area(h_k: Callable, h_l: Callable, n_nodes: int = 4096) -> float:
+def mixed_area(h_k: Callable, h_l: Callable) -> float:
     """Mixed area of two planar convex bodies from their support functions.
 
     MV(K, L) = (area(K+L) - area(K) - area(L)) / 2 with
     area(C) = (1/2) int (h^2 - h'^2) dtheta; the derivative is spectral and
-    the quadrature is the trapezoid rule on the periodic grid, so smooth
-    supports converge exponentially in n_nodes.  Raises if any computed area
+    the quadrature is the trapezoid rule on _MIXED_AREA_NODES periodic nodes,
+    so smooth supports converge exponentially.  Raises if any computed area
     is negative (non-convex input).
     """
-    if n_nodes < 64:
-        raise ValueError("n_nodes must be >= 64")
-    theta = np.arange(n_nodes) * (2 * math.pi / n_nodes)
-    freqs = 1j * np.fft.rfftfreq(n_nodes, 1.0 / n_nodes)
+    n = _MIXED_AREA_NODES
+    theta = np.arange(n) * (2 * math.pi / n)
+    freqs = 1j * np.fft.rfftfreq(n, 1.0 / n)
 
     def area(values: np.ndarray, label: str) -> float:
-        deriv = np.fft.irfft(np.fft.rfft(values) * freqs, n_nodes)
+        deriv = np.fft.irfft(np.fft.rfft(values) * freqs, n)
         a = float(0.5 * np.mean(values**2 - deriv**2) * 2 * math.pi)
         if a < -1e-9 * max(1.0, float(np.max(np.abs(values))) ** 2):
             raise ValueError(f"negative area for {label}: input is not a support function")
@@ -201,8 +202,9 @@ def determinant_bracket(frame: FrameSpec, cfg: MCConfig) -> DeterminantBracket:
 
     The outer-ellipsoid mixed volume is computed exactly by
     :func:`mixed_area` when the frame is planar with k = 2, and otherwise by
-    :func:`mixed_volume_ellipsoids_mc` on the seed after ``cfg.seed``, so it
-    is independent of a determinant estimate drawn with ``cfg``.
+    :func:`mixed_volume_ellipsoids_mc` on the seed after ``cfg.seed`` (0 after
+    2**64 - 1), so it is independent of a determinant estimate drawn with
+    ``cfg``.
     """
     m, k = frame.dim, frame.k
     shapes = [col.ellipsoid_matrix() for col in frame.columns]
@@ -211,7 +213,7 @@ def determinant_bracket(frame: FrameSpec, cfg: MCConfig) -> DeterminantBracket:
             mixed_area(ellipse_support_fn(shapes[0]), ellipse_support_fn(shapes[1])), 0.0, 0
         )
     else:
-        mv_cfg = MCConfig(samples=cfg.samples, seed=cfg.seed + 1, chunk=cfg.chunk)
+        mv_cfg = MCConfig(samples=cfg.samples, seed=(cfg.seed + 1) % (1 << 64))
         mv = mixed_volume_ellipsoids_mc(shapes, m, mv_cfg)
     alpha = mixed_volume_coeff(m, k)
     b = limit_body_inradius()

@@ -17,6 +17,7 @@ count concentrates on the zero set of phi with the closed-form limit of
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -46,7 +47,8 @@ __all__ = [
 
 
 class GridResolutionError(ValueError):
-    """The requested grid cannot resolve the tube (fewer than 8 cells across)."""
+    """The requested grid cannot resolve the tube (fewer than 8 cells across),
+    or resolving it would take more cells than the grid allows."""
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,16 @@ def sine_field(frequency: int = 2, dim: int = 1) -> ScalarFieldSpec:
     )
 
 
+# the smallest noise scale whose square is a normal float; below it tau^2
+# loses digits and then underflows to 0
+_TAU_MIN = math.sqrt(sys.float_info.min)
+
+
+def _check_tau(tau: float):
+    if not (math.isfinite(tau) and tau >= _TAU_MIN):
+        raise ValueError(f"tau must be positive and finite, and at least {_TAU_MIN:.3g}")
+
+
 @dataclass(frozen=True)
 class TubeSpec:
     """Noise scale tau and tube half-width r (math.inf = whole domain)."""
@@ -126,8 +138,7 @@ class TubeSpec:
     r: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("tau must be positive and finite")
+        _check_tau(self.tau)
         if not self.r > 0:
             raise ValueError("r must be positive (math.inf allowed)")
 
@@ -165,16 +176,14 @@ def _points(field: ScalarFieldSpec, p) -> np.ndarray:
 def section_volume(field: ScalarFieldSpec, p, tau: float) -> float:
     """vol_dim of the section body at p: the zonoid of the field's
     first-order germ, damped by the off-level factor exp(-m phi^2/(2 tau^2))."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     (vol,) = _section_volume_vec(field, tau, _points(field, p), ("gaussian",))
     return float(vol)
 
 
 def section_support(field: ScalarFieldSpec, p, tau: float, u) -> float:
     """Support function of the section body at p in ambient direction u."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     p = _points(field, p)
     u = np.asarray(u, dtype=float)
     if u.shape != (field.dim,) or not np.all(np.isfinite(u)):
@@ -221,6 +230,9 @@ def _grad_max(field: ScalarFieldSpec, n: int = 8192) -> float:
 
 # the resolution rule: a grid has at least this many cells across the tube
 _CELLS_ACROSS = 8
+# the most cells of a grid on the circle, for the tube integral and the
+# zero-count scan alike
+_MAX_CELLS_1D = 1 << 22
 
 
 def _max_spacing(r: float, gmax: float) -> float:
@@ -245,7 +257,7 @@ def grid_for_tube(field: ScalarFieldSpec, r: float) -> GridSpec:
     tube {|phi| < r}: at least 4096 cells on the circle and 256 per axis on
     T^2, at most 2^22 and 8192."""
     _check_tensor_dim(field)
-    n, cap = (4096, 1 << 22) if field.dim == 1 else (256, 8192)
+    n, cap = (4096, _MAX_CELLS_1D) if field.dim == 1 else (256, 8192)
     h_max = _max_spacing(r, _grad_max(field))
     while 2.0 * math.pi / n > h_max:
         n *= 2
@@ -470,21 +482,17 @@ def concentration_limit(dim: int, alpha: float, vol_zero_set: float) -> float:
 _SCAN_BLOCK = 1 << 15
 
 
-def _scan_cells(field: ScalarFieldSpec, tube: TubeSpec, spacing: float | None) -> int:
+def _scan_cells(field: ScalarFieldSpec, tube: TubeSpec) -> int:
     """Cells of the zero-count scan: fine enough that X cannot oscillate
-    within one cell (spacing <= tau / (10 max|phi'| + 10)); by default the
-    spacing is also at most min(tau, r) / 20."""
+    within one cell (spacing <= tau / (10 max|phi'| + 10)), and with spacing
+    at most min(tau, r) / 20.  More than _MAX_CELLS_1D cells raise
+    GridResolutionError."""
     tau, r = tube.tau, tube.r
-    cap = tau / (10.0 * _grad_max(field) + 10.0)
-    if spacing is None:
-        base = min(tau, r) if math.isfinite(r) else tau
-        spacing = min(base / 20.0, cap)
-    elif not (math.isfinite(spacing) and spacing > 0):
-        raise ValueError("spacing must be positive and finite")
-    elif spacing > cap:
+    spacing = min(min(tau, r) / 20.0, tau / (10.0 * _grad_max(field) + 10.0))
+    if spacing * _MAX_CELLS_1D < 2.0 * math.pi:
         raise GridResolutionError(
-            f"spacing {spacing:.3g} cannot resolve noise scale tau={tau:.3g} "
-            f"(need <= {cap:.3g})"
+            f"noise scale tau={tau:.3g} with tube half-width {r:.3g} needs more than "
+            f"{_MAX_CELLS_1D} scan cells"
         )
     return int(math.ceil(2.0 * math.pi / spacing))
 
@@ -517,17 +525,12 @@ def _zero_counter(field: ScalarFieldSpec, tube: TubeSpec, n: int):
     return sample
 
 
-def mc_zero_count_circle(
-    field: ScalarFieldSpec,
-    tube: TubeSpec,
-    cfg: MCConfig,
-    spacing: float | None = None,
-) -> EstimateWithCI:
+def mc_zero_count_circle(field: ScalarFieldSpec, tube: TubeSpec, cfg: MCConfig) -> EstimateWithCI:
     """Monte Carlo count of zeros of X = phi + tau*(xi1 cos + xi2 sin) on the
     circle that land inside {|phi| < r}.
 
-    The scan grid is fine enough that X cannot oscillate within one cell
-    (spacing <= tau / (10 max|phi'| + 10)).  Cells that cross the tube
+    The scan grid of :func:`_scan_cells` is fine enough that X cannot
+    oscillate within one cell.  Cells that cross the tube
     boundary twice (a tube narrower than a cell, a dip of |phi| below r) are
     split at the turn of |phi|; the cells are then clipped to the tube
     exactly as in the tube integral, and a sample counts the clipped panels
@@ -535,7 +538,7 @@ def mc_zero_count_circle(
     """
     if field.dim != 1:
         raise ValueError("the root-counting model is one-dimensional")
-    n = _scan_cells(field, tube, spacing)
+    n = _scan_cells(field, tube)
     return mc_mean(_zero_counter(field, tube, n), cfg)
 
 

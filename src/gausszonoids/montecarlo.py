@@ -1,9 +1,9 @@
 """Chunked, reproducible Monte Carlo driver, and the parallel map that runs
 the package's chunked loops.
 
-Streams are counter-based: chunk ``i`` of a run draws from a Philox generator
-keyed by ``(seed, i)``, so estimates are bitwise reproducible for a fixed
-(samples, seed, chunk) triple and chunks are independent by construction.
+Streams are counter-based: chunk ``i`` (of ``_CHUNK`` samples) draws from a
+Philox generator keyed by ``(seed, i)``, so estimates are bitwise
+reproducible for a fixed (samples, seed) pair and chunks are independent.
 
 Chunked loops (Monte Carlo chunks, tube row blocks, inclusion direction
 chunks, grid slices) run through :func:`parallel_map` on one thread per core
@@ -49,17 +49,18 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
         return list(pool.map(fn, items))
 
 
+# samples per chunk of a Monte Carlo run: one stream and one parallel task each
+_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class MCConfig:
     samples: int
     seed: int = 0
-    chunk: int = 1 << 16
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
         _check_seed(self.seed)
 
 
@@ -98,14 +99,14 @@ def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCCon
     """
 
     def moments(start: int) -> tuple[int, float, float]:
-        n = min(cfg.chunk, cfg.samples - start)
-        values = np.asarray(sample(stream(cfg.seed, start // cfg.chunk), n), dtype=float)
+        n = min(_CHUNK, cfg.samples - start)
+        values = np.asarray(sample(stream(cfg.seed, start // _CHUNK), n), dtype=float)
         if values.shape != (n,):
             raise ValueError(f"sample() returned shape {values.shape}, expected ({n},)")
         total = float(np.sum(values))
         return n, total, float(np.sum((values - total / n) ** 2))
 
-    counts, sums, devs = zip(*parallel_map(moments, range(0, cfg.samples, cfg.chunk)))
+    counts, sums, devs = zip(*parallel_map(moments, range(0, cfg.samples, _CHUNK)))
     n = cfg.samples
     mean = math.fsum(sums) / n
     if n > 1:

@@ -252,8 +252,7 @@ def test_grf_mc_reruns_byte_identical(capsys, tmp_path):
 
 
 def test_grf_sandwich_passes(capsys):
-    code, out = run(capsys, "grf", "sandwich", "--m", "1", "--tau", "0.05",
-                    "--resolution", "512")
+    code, out = run(capsys, "grf", "sandwich", "--tau", "0.05", "--resolution", "512")
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True
@@ -296,10 +295,29 @@ def test_sandwich_sizes_2d_grid(capsys):
     ("integral", "--field", "sin2-2d", "--m", "1", "--taus", "0.05"),
     ("coarea", "--m", "2", "--taus", "0.05"),
     ("mc", "--m", "2", "--taus", "0.5", "--samples", "10"),
+    ("sandwich", "--m", "1", "--tau", "0.05"),
+    ("coarea", "--field", "sin2-2d", "--m", "2", "--taus", "0.05"),
 ])
 def test_grf_m_contradicting_the_field_exits_2(capsys, argv):
-    code, _ = run(capsys, "grf", *argv)
-    assert code == 2
+    # the field fixes the dimension: only grf limit reads --m, even one that agrees
+    code = main(["grf", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "does not read --m" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # tau^2 is not a normal float below 1.49e-154
+    (("coarea", "--taus", "1e-300"), "at least 1.49e-154"),
+    (("coarea", "--taus", "1e-160"), "at least 1.49e-154"),
+    (("integral", "--taus", "1e-160"), "at least 1.49e-154"),
+    (("sandwich", "--tau", "1e-300"), "at least 1.49e-154"),
+    # 1.9e8 scan cells
+    (("mc", "--taus", "1e-6", "--samples", "10"), "scan cells"),
+])
+def test_tiny_tau_exits_2(capsys, argv, message):
+    code = main(["grf", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and message in captured.err
 
 
 def test_cli_import_skips_quadrature_modules():
@@ -399,7 +417,8 @@ def test_limit_body_with_an_offset_exits_2(capsys, argv):
 
 
 def test_zonoid_profile_defaults_per_kind(capsys):
-    # without --s: one curve for the limit body, s = 0,1,2,3 for the others
+    # without --s: one curve for the limit body, s = 0,1,2,3 for the gaussian
+    # and ellipsoid bodies
     code, out = run(capsys, "zonoid", "profile", "--kind", "limit", "--n", "3")
     assert code == 0
     lines = out.strip().split("\n")
@@ -408,6 +427,11 @@ def test_zonoid_profile_defaults_per_kind(capsys):
     assert code == 0
     assert out == run(capsys, "zonoid", "profile", "--s", "0,1,2,3", "--n", "3")[1]
     assert {ln.split(",")[0] for ln in out.strip().split("\n")[1:]} == {"0.0", "1.0", "2.0", "3.0"}
+    # the normalized body needs s > 0: s = 1,2,3
+    code, out = run(capsys, "zonoid", "profile", "--kind", "normalized", "--n", "3")
+    assert code == 0
+    assert out == run(capsys, "zonoid", "profile", "--kind", "normalized", "--s", "1,2,3",
+                      "--n", "3")[1]
 
 
 @pytest.mark.parametrize("argv, manifest", [
@@ -417,6 +441,8 @@ def test_zonoid_profile_defaults_per_kind(capsys):
     (("zonoid", "inclusion"), {"m": 3, "s": 1, "n": 100, "slack": 0.1}),
     (("grf", "sandwich"), {"tau": 0.05, "resolution": 512, "slack": 0.1}),
     (("grf", "mc"), {"taus": [0.3], "samples": 100, "spacing": 0.001}),
+    (("grf", "coarea"), {"taus": [0.3], "m": 1}),
+    (("grf", "sandwich"), {"tau": 0.05, "resolution": 512, "m": 1}),
 ])
 def test_removed_manifest_keys_exit_2(capsys, tmp_path, argv, manifest):
     path = tmp_path / "m.json"

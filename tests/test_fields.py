@@ -1,5 +1,6 @@
 """Zero counting for smooth periodic fields: three routes, one answer."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -339,9 +340,11 @@ def _cosine_cap(top):
     ],
 )
 def test_panel_counts_match_scan_and_bisection(field, tau, r, spacing, samples):
-    # the sign change of X on a clipped panel is exactly a root in the tube
+    # the sign change of X on a clipped panel is exactly a root in the tube;
+    # without a spacing the scan takes its own cell count (2095 cells at
+    # spacing 0.003, 262 at 0.024)
     tube = TubeSpec(tau, r)
-    n = gz.fields._scan_cells(field, tube, spacing)
+    n = gz.fields._scan_cells(field, tube) if spacing is None else math.ceil(2 * math.pi / spacing)
     counts = gz.fields._zero_counter(field, tube, n)(gz.stream(5, 0), samples)
     xi = gz.stream(5, 0).standard_normal((samples, 2))
     expect = _scan_and_bisect_counts(field, tube, n, xi)
@@ -349,9 +352,11 @@ def test_panel_counts_match_scan_and_bisection(field, tau, r, spacing, samples):
     assert counts.sum() > 0
 
 
-def test_mc_spacing_guard():
-    with pytest.raises(GridResolutionError):
-        mc_zero_count_circle(SIN2, TubeSpec(1e-3, 0.1), MCConfig(samples=8, seed=1), spacing=0.3)
+def test_zero_count_scan_refuses_more_cells_than_the_cap():
+    # tau = 1e-6 needs 1.9e8 cells: refused before anything is allocated
+    with pytest.raises(GridResolutionError, match="scan cells"):
+        mc_zero_count_circle(SIN2, TubeSpec(1e-6, 1e-6), MCConfig(samples=10))
+    assert gz.fields._scan_cells(SIN2, TubeSpec(1e-4, 1e-4)) <= gz.fields._MAX_CELLS_1D
 
 
 def test_grid_for_tube_refuses_dim_3():
@@ -440,10 +445,18 @@ def test_sandwich_dim2_respects_inradius():
     assert d["passed"] == rep.passed
 
 
-@pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf])
-def test_mc_spacing_must_be_positive_and_finite(spacing):
-    with pytest.raises(ValueError, match="spacing must be positive and finite"):
-        mc_zero_count_circle(SIN2, TubeSpec(0.3, 0.4), MCConfig(samples=8, seed=1), spacing=spacing)
+def test_tau_whose_square_is_not_normal_is_refused():
+    # below sqrt(float min) tau^2 loses digits, then underflows to 0
+    tiny = math.sqrt(sys.float_info.min)
+    assert TubeSpec(tiny, 1.0).tau == tiny
+    p = np.array([0.2])
+    for tau in (tiny / 2, 1e-300, math.inf):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            TubeSpec(tau, 1.0)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            section_volume(SIN2, p, tau)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            section_support(SIN2, p, tau, np.array([1.0]))
 
 
 def test_sandwich_checks_its_inputs_like_the_tube_integral():

@@ -9,6 +9,7 @@ from gausszonoids import (
     MCConfig,
     expected_absdet_mc,
     mc_mean,
+    montecarlo,
     stream,
 )
 
@@ -27,8 +28,9 @@ def test_stream_substreams_differ():
     assert not np.array_equal(a, c)
 
 
-def test_mc_mean_reproducible():
-    cfg = MCConfig(samples=30_000, seed=9, chunk=1 << 12)
+def test_mc_mean_reproducible(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 12)
+    cfg = MCConfig(samples=30_000, seed=9)
 
     def draw(rng, n):
         return rng.standard_normal(n) ** 2
@@ -65,8 +67,9 @@ def test_mc_mean_error_survives_a_large_mean():
     assert est.std_error == pytest.approx(n**-0.5, rel=0.05)
 
 
-def test_mc_mean_partial_final_chunk():
-    cfg = MCConfig(samples=(1 << 12) + 17, seed=5, chunk=1 << 12)
+def test_mc_mean_partial_final_chunk(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 12)
+    cfg = MCConfig(samples=(1 << 12) + 17, seed=5)
     est = mc_mean(lambda rng, n: np.ones(n), cfg)
     assert est.mean == 1.0
     assert est.n_samples == (1 << 12) + 17
@@ -75,8 +78,6 @@ def test_mc_mean_partial_final_chunk():
 def test_config_validation():
     with pytest.raises(ValueError):
         MCConfig(samples=0)
-    with pytest.raises(ValueError):
-        MCConfig(samples=100, chunk=0)
     with pytest.raises(ValueError):
         MCConfig(samples=100, seed=-1)
 

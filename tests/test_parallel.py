@@ -21,10 +21,9 @@ from gausszonoids import (
     sine_field,
     stream,
 )
-from gausszonoids import determinants
+from gausszonoids import determinants, geometry
 
-# several chunks per run, the last one partial
-CFG = MCConfig(samples=10_000, seed=3, chunk=3_000)
+CFG = MCConfig(samples=10_000, seed=3)
 
 
 def _frame(m, k, s=0.7):
@@ -47,7 +46,7 @@ RUNS = {
     "absdet-10x10": lambda: expected_absdet_mc(_frame(10, 10), CFG),
     "absdet-5x3": lambda: expected_absdet_mc(_scaled_frame(5, 3), CFG),
     "zeros-mc": lambda: mc_zero_count_circle(sine_field(2), TubeSpec(0.1, 0.1), CFG),
-    "inclusion": lambda: check_inclusion(6, 1.0, n_dirs=50_000, seed=4, chunk=12_000),
+    "inclusion": lambda: check_inclusion(6, 1.0, n_dirs=50_000, seed=4),
     # 1024 rows of 1024 cells: four row blocks
     "integral-2d": lambda: expected_zeros_integral(
         sine_field(2, dim=2), TubeSpec(0.05, 0.05), GridSpec(1024)
@@ -59,6 +58,9 @@ RUNS = {
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_worker_count_changes_nothing(name, monkeypatch):
+    # several chunks per run, the last one partial
+    monkeypatch.setattr(montecarlo, "_CHUNK", 3_000)
+    monkeypatch.setattr(geometry, "_INCLUSION_CHUNK", 12_000)
     outputs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(montecarlo, "WORKERS", workers)
