@@ -23,8 +23,20 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import BODY_KINDS, gaussian_support, gaussian_volume, limit_body_inradius
-from .kernels import SQRT_2PI, ball_volume, bisect
+from ._tube import (
+    GridResolutionError,
+    _BLOCK,
+    _fold_breaks,
+    _grid,
+    _row_blocks,
+    _row_panels,
+    _section_volume_vec,
+    _tube_edges,
+    _tube_rows,
+    _x2_quad,
+)
+from .geometry import gaussian_support, gaussian_volume, limit_body_inradius
+from .kernels import SQRT_2PI, ball_volume
 from .montecarlo import EstimateWithCI, MCConfig, mc_mean, parallel_map
 
 __all__ = [
@@ -44,11 +56,6 @@ __all__ = [
     "SandwichReport",
     "envelope_sandwich",
 ]
-
-
-class GridResolutionError(ValueError):
-    """The requested grid cannot resolve the tube (fewer than 8 cells across),
-    or resolving it would take more cells than the grid allows."""
 
 
 @dataclass(frozen=True)
@@ -145,13 +152,15 @@ class TubeSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Quadrature grid: cells per axis.
+    """Quadrature grid: cells along x1, the n of a row.
 
-    The tube integral runs row by row.  The circle is one row; the torus T^2
-    has n rows at x2 = (j + 1/2) h, each of weight h = 2 pi / n (the periodic
-    midpoint rule).  Each row is cut into n cells of width h along x1; every
-    cell is clipped to the tube, bisecting the crossing in a cell whose edges
-    disagree, and the clipped cell gets 12-point Gauss-Legendre.
+    The tube integral runs row by row.  The circle is one row; on the torus
+    T^2 the rule in x2 of the integral picks its own rows, and ``resolution``
+    does not set how many.  Each row is cut into n cells of width 2 pi / n
+    along x1, split where a cell crosses the tube boundary twice; every cell
+    is clipped to the tube, bisecting the crossing in a cell whose edges
+    disagree, and the clipped cell gets 12-point Gauss-Legendre.  The
+    sandwich's pointwise check runs on the n^dim grid.
     """
 
     resolution: int = 4096
@@ -200,18 +209,6 @@ def section_support(field: ScalarFieldSpec, p, tau: float, u) -> float:
 # -- tube integrals ----------------------------------------------------------
 
 
-def _section_volume_vec(field, tau, pts, kinds):
-    """Section volumes on a batch of points, one array per kind of BODY_KINDS
-    in kinds: the body of offset |grad phi|/tau times (2 pi)^(-m/2) exp(-m
-    phi^2/(2 tau^2)).  The field and its gradient are evaluated once for all."""
-    m = field.dim
-    phi = np.asarray(field.phi(pts), dtype=float)
-    g = np.asarray(field.grad(pts), dtype=float)
-    s = np.linalg.norm(g, axis=-1) / tau
-    scale = (2.0 * math.pi) ** (-m / 2) * np.exp(-m * phi * phi / (2.0 * tau * tau))
-    return [scale * BODY_KINDS[kind].volume(m, s) for kind in kinds]
-
-
 def _check_tensor_dim(field: ScalarFieldSpec):
     if field.dim > 2:
         raise NotImplementedError("tensor-grid integration is implemented for dim <= 2")
@@ -254,8 +251,9 @@ def _check_resolution(h: float, tube: TubeSpec, gmax: float):
 
 def grid_for_tube(field: ScalarFieldSpec, r: float) -> GridSpec:
     """The coarsest power-of-two grid that meets the resolution rule for the
-    tube {|phi| < r}: at least 4096 cells on the circle and 256 per axis on
-    T^2, at most 2^22 and 8192."""
+    tube {|phi| < r}: at least 4096 cells on the circle and 256 along x1 on
+    T^2 (and per axis in the sandwich's pointwise check), at most 2^22 and
+    8192."""
     _check_tensor_dim(field)
     n, cap = (4096, _MAX_CELLS_1D) if field.dim == 1 else (256, 8192)
     h_max = _max_spacing(r, _grad_max(field))
@@ -268,145 +266,62 @@ def grid_for_tube(field: ScalarFieldSpec, r: float) -> GridSpec:
     return GridSpec(n)
 
 
-# scan points per block of rows, and nodes per volume evaluation: bounds the
-# memory of each thread
-_BLOCK = 1 << 18
-_GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
-
-
-def _at(t, y):
-    """Points with first coordinate t and the others y, broadcast to t's shape."""
-    if y.shape[-1] == 0:  # the circle: a view, not a copy of a long row
-        return t[..., None]
-    y = np.broadcast_to(y, t.shape + y.shape[-1:])
-    return np.concatenate([t[..., None], y], axis=-1)
-
-
-def _grid(t, y):
-    """The (rows, t.size, dim) points pairing every abscissa t with every row y."""
-    return _at(np.broadcast_to(t, (y.shape[0], t.size)), y[:, None])
-
-
-def _row_blocks(rows, n):
-    """Blocks of rows, about _BLOCK points each at n points per row."""
-    step = max(1, _BLOCK // n)
-    return (rows[j : j + step] for j in range(0, rows.shape[0], step))
-
-
-def _abs_phi(field, pts):
-    """|phi| at points of any leading shape, passed to phi as one (N, dim) array."""
-    vals = field.phi(pts.reshape(-1, pts.shape[-1]))
-    return np.abs(np.asarray(vals, dtype=float)).reshape(pts.shape[:-1])
-
-
-def _row_panels(field, r, edges, y):
-    """Panels [lo, hi], and the row of each, covering {|phi| < r} on the
-    cells of a block of rows y.
-
-    The cells with an edge inside are kept, and each cell whose edges
-    disagree is clipped at its crossing, found by bisection, so the tube
-    cutoff adds no first-order error."""
-    excess = _abs_phi(field, _grid(edges, y)) - r
-    inside = excess < 0.0
-    ri, ci = np.nonzero(inside[:, :-1] | inside[:, 1:])
-    lo, hi = edges[ci], edges[ci + 1]
-    left_in = inside[ri, ci]
-    cut = np.nonzero(left_in != inside[ri, ci + 1])[0]
-    yc = y[ri[cut]]
-    c = bisect(
-        lambda t: _abs_phi(field, _at(t, yc)) - r,
-        lo[cut], hi[cut], excess[ri[cut], ci[cut]], 60,
-    )
-    lo[cut] = np.where(left_in[cut], lo[cut], c)
-    hi[cut] = np.where(left_in[cut], c, hi[cut])
-    return lo, hi, ri
-
-
-def _tube_turns(field: ScalarFieldSpec, r: float, edges: np.ndarray) -> np.ndarray:
-    """The turns of |phi| at which a cell of the scan crosses the level r twice.
-
-    A cell whose edges lie on one side of r reaches the other side only
-    around a turn of |phi| (a sign change of phi*phi'), e.g. a zero of phi
-    in a tube narrower than the cell.  With at most one turn per cell, each
-    such turn, found by bisection, splits its cell into two that cross r
-    once."""
-
-    def slope(t):  # phi*phi' has the sign of d|phi|/dt
-        p = t[:, None]
-        return np.asarray(field.phi(p), dtype=float) * np.asarray(field.grad(p), dtype=float)[:, 0]
-
-    s = slope(edges)
-    out = _abs_phi(field, edges[:, None]) >= r
-    falls = s < 0.0
-    # only a minimum of |phi| between edges outside the tube, or a maximum
-    # between edges inside it, can cross r
-    ci = np.nonzero((falls[:-1] != falls[1:]) & (out[:-1] == out[1:]) & (falls[:-1] == out[:-1]))[0]
-    turn = bisect(slope, edges[ci], edges[ci + 1], s[ci], 60)
-    return turn[(_abs_phi(field, turn[:, None]) >= r) != out[ci]]
-
-
-def _circle_edges(field: ScalarFieldSpec, r: float, n: int) -> np.ndarray:
-    """Edges of the n-cell grid of the circle, with every cell that crosses
-    the level r twice split at its turn of |phi| (:func:`_tube_turns`)."""
-    edges = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    if math.isfinite(r):
-        edges = np.sort(np.concatenate([edges, _tube_turns(field, r, edges)]))
-    return edges
-
-
-def _tube_rows(field, tube, grid, kinds, rows, row_weight, edges):
-    """Row quadrature of the section volumes over the tube {|phi| < r}, one
-    total per entry of kinds.
-
-    Each row (fixed trailing coordinates ``rows[j]``) is integrated over the
-    first coordinate on the cells between ``edges``, with panels from
-    :func:`_row_panels` and 12-point Gauss-Legendre on each; the row sums
-    are weighted by ``row_weight``.  Blocks of rows are scanned, bisected and
-    evaluated together, one block per task of :func:`parallel_map`, and the
-    partial sums are added in block order."""
-    _check_resolution(2.0 * math.pi / grid.resolution, tube, _grad_max(field))
-    step = _BLOCK // _GL12_X.size
-
-    def block_sums(y):
-        lo, hi, ri = _row_panels(field, tube.r, edges, y)
-        sums = []
-        for k in range(0, lo.size, step):
-            a, b = lo[k : k + step, None], hi[k : k + step, None]
-            half = 0.5 * (b - a)
-            pts = _at(0.5 * (a + b) + half * _GL12_X, y[ri[k : k + step], None])
-            vols = _section_volume_vec(field, tube.tau, pts, kinds)
-            sums.append([float(np.sum(half * _GL12_W * vals)) for vals in vols])
-        return sums
-
-    totals = [0.0] * len(kinds)
-    for sums in parallel_map(block_sums, list(_row_blocks(rows, grid.resolution))):
-        for part in sums:
-            for i, value in enumerate(part):
-                totals[i] += value
-    return [total * row_weight for total in totals]
-
-
 def _integral_1d(field, tube, grid, kinds):
-    """The tube integrals on the circle: a single row, on the n-cell grid
-    split at the turns of |phi| that cross r twice inside one cell."""
-    edges = _circle_edges(field, tube.r, grid.resolution)
-    return _tube_rows(field, tube, grid, kinds, np.zeros((1, 0)), 1.0, edges)
+    """The tube integrals on the circle: a single row."""
+    _check_resolution(2.0 * math.pi / grid.resolution, tube, _grad_max(field))
+    return [float(v) for v in _tube_rows(field, tube, grid, kinds, np.zeros((1, 0)))[:, 0]]
+
+
+# the x2 rule on T^2: the first and the largest Gauss-Legendre order of a
+# piece, and the relative agreement of two orders that ends the doubling
+_X2_ORDER = 8
+_X2_ORDER_MAX = 512
+_X2_TOL = 1e-13
+# the least error a piece may claim: rounding in the rows, as in QUADPACK
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 def _integral_2d(field, tube, grid, kinds):
-    """The tube integrals on T^2: n rows at x2 = (j + 1/2) h of weight h, the
-    periodic midpoint rule, which converges exponentially in x2 for smooth
-    periodic row integrals."""
-    n = grid.resolution
-    h = 2.0 * math.pi / n
-    rows = ((np.arange(n) + 0.5) * h)[:, None]
-    edges = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    return _tube_rows(field, tube, grid, kinds, rows, h, edges)
+    """The tube integrals on T^2, and an estimate of their error.
+
+    The row integral F(x2) (:func:`_tube_rows`, ``grid.resolution`` cells
+    along x1) is integrated over x2 piecewise, between the breaks of
+    :func:`_fold_breaks`, where F is not smooth, or once round the period
+    from x2 = 0 when there is none.  A piece [a, b] gets Gauss-Legendre in u
+    after x2 = a + (b - a) sin^2(pi u / 2), which makes the square-root
+    behaviour of F at a fold smooth, so the rule converges spectrally.  The
+    order N of a piece doubles from _X2_ORDER until orders N and 2N agree
+    within _X2_TOL of the total; past _X2_ORDER_MAX it raises
+    GridResolutionError.  The estimate is the sum over pieces of
+    |Q_2N - Q_N|, but at least _ROUNDOFF |Q_2N| each, one per kind."""
+    _check_resolution(2.0 * math.pi / grid.resolution, tube, _grad_max(field))
+    a = _fold_breaks(field, tube.r, grid.resolution)
+    b = np.append(a[1:], a[0] + 2.0 * math.pi)
+    order = _X2_ORDER
+    q = _x2_quad(field, tube, grid, kinds, a, b, order)
+    err = np.zeros_like(q)
+    todo = np.arange(a.size)
+    while todo.size:
+        order *= 2
+        if order > _X2_ORDER_MAX:
+            raise GridResolutionError(
+                f"the x2 rule of the tube integral does not converge in {_X2_ORDER_MAX} "
+                "rows per piece"
+            )
+        q2 = _x2_quad(field, tube, grid, kinds, a[todo], b[todo], order)
+        err[:, todo] = np.maximum(np.abs(q2 - q[:, todo]), _ROUNDOFF * np.abs(q2))
+        q[:, todo] = q2
+        tol = _X2_TOL * np.abs(np.sum(q, axis=1, keepdims=True))
+        todo = todo[np.any(err[:, todo] > tol, axis=0)]
+    return [float(v) for v in np.sum(q, axis=1)], [float(v) for v in np.sum(err, axis=1)]
 
 
 def _tube_integral(field, tube, grid, kinds):
     _check_tensor_dim(field)
-    return (_integral_1d if field.dim == 1 else _integral_2d)(field, tube, grid, kinds)
+    if field.dim == 1:
+        return _integral_1d(field, tube, grid, kinds)
+    totals, _ = _integral_2d(field, tube, grid, kinds)
+    return totals
 
 
 def expected_zeros_integral(
@@ -506,8 +421,8 @@ def _zero_counter(field: ScalarFieldSpec, tube: TubeSpec, n: int):
     tube.  The deterministic parts of X are evaluated once per panel end, and
     each block of samples gets X at all ends from one matrix product."""
     tau = tube.tau
-    edges = _circle_edges(field, tube.r, n)
-    lo, hi, _ = _row_panels(field, tube.r, edges, np.zeros((1, 0)))
+    circle = np.zeros((1, 0))
+    lo, hi, _ = _row_panels(field, tube.r, _tube_edges(field, tube.r, n, circle), circle)
     ends = np.concatenate([lo, hi])
     phi = np.asarray(field.phi(ends[:, None]), dtype=float)
     noise = tau * np.stack([np.cos(ends), np.sin(ends)])

@@ -31,7 +31,9 @@ from .kernels import (
     axial_stretch,
     ball_volume,
     bisect,
+    gauss_tail,
     limit_support,
+    scaled_norm,
 )
 from .montecarlo import parallel_map, stream
 
@@ -104,7 +106,7 @@ def gaussian_support(s, x, yr):
     sigma = np.hypot(x, yr)
     safe = np.where(sigma > 0, sigma, 1.0)
     w = x * s / safe
-    h = sigma / SQRT_2PI * np.exp(-0.5 * w * w) + 0.5 * x * s * special.erf(
+    h = sigma / SQRT_2PI * gauss_tail(w) + 0.5 * x * s * special.erf(
         w / math.sqrt(2.0)
     )
     out = np.where(sigma > 0, h, 0.0)
@@ -156,7 +158,7 @@ def gaussian_gradient(s, x, yr):
     if np.any(sigma == 0):
         raise ValueError("gradient undefined at the zero direction")
     w = x * s / sigma
-    e = np.exp(-0.5 * w * w) / SQRT_2PI
+    e = gauss_tail(w) / SQRT_2PI
     gx = x / sigma * e + 0.5 * s * special.erf(w / math.sqrt(2.0))
     gy = yr / sigma * e
     return gx, gy
@@ -165,8 +167,8 @@ def gaussian_gradient(s, x, yr):
 def _boundary_ellipsoid(s, theta):
     lam = float(axial_stretch(s))
     x, yr = np.cos(theta), np.sin(theta)
-    d = np.hypot(lam * x, yr)
-    return lam * lam * x / (SQRT_2PI * d), yr / (SQRT_2PI * d)
+    # lam * lam would overflow from s = 1.1e154
+    return lam * x / (SQRT_2PI * np.hypot(x, yr / lam)), yr / (SQRT_2PI * np.hypot(lam * x, yr))
 
 
 def _boundary_normalized(s, theta):
@@ -432,7 +434,7 @@ def mean_stretch_matrix(c: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(c)):
         raise ValueError("c must be finite")
     m = c.shape[0]
-    norm = float(np.linalg.norm(c))
+    norm = float(scaled_norm(c))
     eye = np.eye(m)
     if norm == 0.0:
         return eye
@@ -473,7 +475,7 @@ class GaussianVector:
 
     @property
     def mean_norm(self) -> float:
-        return float(np.linalg.norm(self.mean))
+        return float(scaled_norm(self.mean))
 
     def support(self, u):
         """Zonoid support function (1/2) E|<u, X>| at u (vector or batch)."""

@@ -31,6 +31,14 @@ __all__ = [
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+# a |w| beyond which exp(-w^2/2) is 0.0 (it is from 38.6 on)
+_GAUSS_CUTOFF = 64.0
+
+
+def gauss_tail(w):
+    """``exp(-w^2/2)``, with |w| clipped at _GAUSS_CUTOFF so that w^2 cannot
+    overflow; the clip changes no value."""
+    return np.exp(-0.5 * np.minimum(np.abs(w), _GAUSS_CUTOFF) ** 2)
 
 
 def _finite(name: str, value) -> np.ndarray:
@@ -38,6 +46,20 @@ def _finite(name: str, value) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return arr
+
+
+def binary_exponent(values) -> int:
+    """The binary exponent of the largest |value| (0 for none or zeros):
+    scaling by 2^-exponent keeps the squares of values finite."""
+    return int(np.frexp(np.max(np.abs(values), initial=0.0))[1])
+
+
+def scaled_norm(v, axis=None):
+    """``np.linalg.norm(v, axis=axis)``, taken of v scaled by a power of two
+    so that its squares cannot overflow; the scaling changes no value."""
+    v = np.asarray(v, dtype=float)
+    e = binary_exponent(v)
+    return np.ldexp(np.linalg.norm(np.ldexp(v, -e), axis=axis), e)
 
 
 def erf(t):
@@ -77,7 +99,7 @@ def folded_normal_mean(mu, sigma):
     if np.any(sigma <= 0):
         raise ValueError("sigma must be positive")
     z = mu / sigma
-    return sigma * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * z * z) + mu * special.erf(
+    return sigma * math.sqrt(2.0 / math.pi) * gauss_tail(z) + mu * special.erf(
         z / math.sqrt(2.0)
     )
 
@@ -92,7 +114,7 @@ def axial_stretch(s):
     to ``sqrt(pi/2)*|s|``.
     """
     s = _finite("s", s)
-    return np.exp(-0.5 * s * s) + SQRT_HALF_PI * s * special.erf(s / math.sqrt(2.0))
+    return gauss_tail(s) + SQRT_HALF_PI * s * special.erf(s / math.sqrt(2.0))
 
 
 def axial_stretch_deriv(s):

@@ -21,6 +21,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .kernels import binary_exponent
+
 __all__ = ["MCConfig", "EstimateWithCI", "stream", "mc_mean"]
 
 
@@ -95,24 +97,38 @@ def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCCon
     nor on how many threads :func:`parallel_map` runs the chunks on.  The
     variance keeps each chunk's squared deviations from its own mean and
     adds the spread of the chunk means (Chan, Golub & LeVeque), so it does not
-    cancel when the mean is large against the spread.
+    cancel when the mean is large against the spread.  Where the squares
+    would overflow, the deviations are scaled by powers of two before they
+    are squared, which changes no value but keeps them finite for draws up to
+    the largest float.
     """
 
-    def moments(start: int) -> tuple[int, float, float]:
+    def moments(start: int) -> tuple[int, float, float, int]:
         n = min(_CHUNK, cfg.samples - start)
         values = np.asarray(sample(stream(cfg.seed, start // _CHUNK), n), dtype=float)
         if values.shape != (n,):
             raise ValueError(f"sample() returned shape {values.shape}, expected ({n},)")
         total = float(np.sum(values))
-        return n, total, float(np.sum((values - total / n) ** 2))
+        with np.errstate(over="ignore"):
+            squares = float(np.sum((values - total / n) ** 2))
+        if math.isfinite(squares):
+            return n, total, squares, 0
+        dev = values - total / n  # squares past the largest float: scale first
+        e = binary_exponent(dev)
+        return n, total, float(np.sum(np.ldexp(dev, -e) ** 2)), e
 
-    counts, sums, devs = zip(*parallel_map(moments, range(0, cfg.samples, _CHUNK)))
+    counts, sums, devs, exps = zip(*parallel_map(moments, range(0, cfg.samples, _CHUNK)))
     n = cfg.samples
     mean = math.fsum(sums) / n
     if n > 1:
-        spread = math.fsum(k * (t / k - mean) ** 2 for k, t in zip(counts, sums))
-        var = (math.fsum(devs) + spread) / (n - 1)
-        se = math.sqrt(var / n)
+        spreads = np.array([t / k - mean for k, t in zip(counts, sums)])
+        # one scale for all: each chunk's root sum of squares, and each spread,
+        # below 2^e
+        roots = (x + (math.frexp(d)[1] + 1) // 2 for d, x in zip(devs, exps))
+        e = max(binary_exponent(spreads), *roots)
+        spread = math.fsum(k * math.ldexp(c, -e) ** 2 for k, c in zip(counts, spreads))
+        inner = math.fsum(math.ldexp(d, 2 * (x - e)) for d, x in zip(devs, exps))
+        se = math.ldexp(math.sqrt((inner + spread) / (n - 1) / n), e)
     else:
         se = float("inf")
     return EstimateWithCI(mean=mean, std_error=se, n_samples=n)

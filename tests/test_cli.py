@@ -457,3 +457,68 @@ def test_sweeps_take_taus_only(capsys, action):
     code = main(["grf", action, "--tau", "0.3"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and "--tau" in captured.err
+
+
+def _finite_numbers(out):
+    """Every number printed, as JSON or CSV, is finite."""
+    try:
+        stack = [json.loads(out)]
+    except json.JSONDecodeError:
+        stack = [float(v) for line in out.strip().split("\n")[1:] for v in line.split(",")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, (int, float)) and not isinstance(item, bool):
+            assert math.isfinite(item), out
+        elif isinstance(item, str):
+            assert item.lower() not in ("inf", "-inf", "nan"), out
+
+
+# offsets whose square overflows: every body stays finite and warns of nothing
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("zonoid", "volume", "--m", "1", "--s", "1e155"),
+    ("zonoid", "volume", "--m", "2", "--s", "1e155"),
+    ("zonoid", "support", "--s", "1e155"),
+    ("zonoid", "support", "--kind", "normalized", "--s", "1e155"),
+    ("zonoid", "inclusion", "--m", "3", "--s", "1e155"),
+    ("zonoid", "profile", "--kind", "ellipsoid", "--s", "1e155", "--n", "8"),
+    ("det", "mc", "--m", "2", "--k", "2", "--s", "1e155", "--samples", "2000", "--seed", "1"),
+])
+def test_huge_offsets_stay_finite(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    _finite_numbers(out)
+
+
+def test_huge_offsets_keep_their_values(capsys):
+    # the ellipsoid's pole is at s/2 (axial_stretch(s)/sqrt(2 pi) -> s/2)
+    code, out = run(capsys, "zonoid", "profile", "--kind", "ellipsoid", "--s", "1e155", "--n", "8")
+    assert code == 0
+    first = out.strip().split("\n")[1].split(",")
+    assert float(first[1]) == pytest.approx(5e154, rel=1e-15)
+    # |det| scales with s exactly, so its standard error does too
+    big, small = (
+        run_json(capsys, "det", "mc", "--m", "2", "--k", "2", "--s", s, "--samples", "2000",
+                 "--seed", "1")
+        for s in ("1e155", "1e100")
+    )
+    assert big["std_error"] / big["mean"] == pytest.approx(
+        small["std_error"] / small["mean"], rel=1e-12
+    )
+    assert big["std_error"] * 1e-55 == pytest.approx(small["std_error"], rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_planar_bracket_refuses_an_unresolved_ellipse(capsys):
+    # the exact mixed area cannot resolve an ellipse of axis ratio 1250 on
+    # its nodes (it read 3 % low); s = 1e155 reached it as "s must be
+    # finite, got inf", about a value the user never gave
+    for s in ("1000", "1e155"):
+        code = main(["det", "bounds", "--m", "2", "--k", "2", "--s", s])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "not resolved on 4096 nodes" in captured.err

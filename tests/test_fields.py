@@ -204,6 +204,139 @@ def test_rows_converge_on_a_genuinely_2d_field():
     assert mid == pytest.approx(fine, rel=5e-5)
 
 
+def _mixed_row(x2, r, tau):
+    """The row integral of the mixed field's section volume at height x2, by
+    adaptive quadrature between the roots of |phi| = r in x1 (from arcsin)."""
+    c = 0.5 * math.sin(2 * x2) + 0.3
+
+    def vol(x1):
+        phi = math.sin(x1) + c
+        z = 0.5 * (math.cos(x1) ** 2 + math.cos(2 * x2) ** 2) / tau**2
+        g2 = (z + 0.5) * special.i0e(z) + z * special.i1e(z)
+        return math.exp(-phi * phi / tau**2) / (2 * math.pi) * g2
+
+    cuts = [0.0, 2 * math.pi]
+    v = r - c  # phi = r where sin x1 = v
+    if abs(v) < 1:
+        cuts += [math.asin(v) % (2 * math.pi), math.pi - math.asin(v)]
+    # phi = -r where 1 + sin x1 = d, written so that it keeps its digits
+    # near the saddle (3 pi/2, pi/4), where d -> 0
+    d = math.sin(x2 - math.pi / 4) ** 2 + 0.2 - r
+    if 0 < d < 2:
+        w = 2 * math.asin(math.sqrt(d / 2))
+        cuts += [1.5 * math.pi - w, 1.5 * math.pi + w]
+    cuts.sort()
+    return sum(
+        integrate.quad(vol, a, b, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+        for a, b in zip(cuts[:-1], cuts[1:])
+        if abs(math.sin(0.5 * (a + b)) + c) < r
+    )
+
+
+def _mixed_reference(r, tau=0.1):
+    """Nested adaptive quadrature of the mixed field's zero count: the outer
+    integral in x2 breaks at the multiples of pi/4 (the critical points of
+    phi) and at the folds, where sin 2 x2 = (0.7 - r)/0.5."""
+    cuts = [k * math.pi / 4 for k in range(9)]
+    v = (0.7 - r) / 0.5
+    if v <= 1:
+        folds = (0.5 * math.asin(v), 0.5 * (math.pi - math.asin(v)))
+        cuts += [h + k * math.pi for h in folds for k in (0, 1)]
+    cuts = sorted(set(cuts))
+    return 2 * sum(
+        integrate.quad(_mixed_row, a, b, args=(r, tau), epsabs=0.0, epsrel=2e-14, limit=200)[0]
+        for a, b in zip(cuts[:-1], cuts[1:])
+    )
+
+
+# r = 0.2 puts the saddle of phi on the tube boundary; r = 0.25 has folds
+@pytest.mark.parametrize("r, frozen", [(0.2, 5.0568033378786), (0.25, 5.0794696139359)])
+def test_mixed_field_meets_the_nested_quadrature(r, frozen):
+    field, tube = _mixed_field(), TubeSpec(0.1, r)
+    ref = _mixed_reference(r)
+    assert ref == pytest.approx(frozen, rel=1e-13)
+    got = expected_zeros_integral(field, tube, grid_for_tube(field, r))
+    assert got == pytest.approx(ref, rel=1e-11)
+    # the x2 rule's estimate bounds the error whatever the cells along x1
+    for n in (256, 512, 1024, 2048):
+        (total,), (err,) = gz.fields._integral_2d(field, tube, GridSpec(n), ("gaussian",))
+        assert abs(2 * total - ref) <= 2 * err
+        assert err <= 1e-11 * total
+
+
+def test_x2_estimate_bounds_the_error_on_sin2_2d():
+    tube = TubeSpec(5e-2, 5e-2)
+    (total,), (err,) = gz.fields._integral_2d(SIN2_2D, tube, GridSpec(1024), ("gaussian",))
+    n_coa = expected_zeros_coarea(SIN2_2D, tube)
+    assert abs(2 * total - n_coa) <= 2 * err <= 1e-13 * n_coa
+
+
+def test_torus_integral_evaluates_few_points():
+    # the rows come from the x2 rule, not one per cell: at 4096 cells along
+    # x1 the integral calls phi at under 5 % of the 4096^2 points plus the
+    # bisections (25.4 M) of one midpoint row per cell
+    points = []
+
+    def phi(p):
+        points.append(p.shape[0])
+        return SIN2_2D.phi(p)
+
+    counted = gz.ScalarFieldSpec(2, phi, SIN2_2D.grad, name="counted")
+    tube = TubeSpec(0.05, 0.05)
+    got = expected_zeros_integral(counted, tube, GridSpec(4096))
+    assert sum(points) < 0.05 * 25.4e6
+    assert got == pytest.approx(expected_zeros_coarea(SIN2_2D, tube), rel=1e-14)
+
+
+def test_torus_rows_split_at_their_turns():
+    # the circle's in-cell dip on T^2: phi does not depend on x2, so the
+    # count is 2! * 2 pi times the row integral over the one interval where
+    # |phi| < r, which lies inside cell 1000 of the 4096 cells along x1
+    t0 = 2.0 * math.pi * 1000.5 / 4096
+    dip = gz.ScalarFieldSpec(
+        2,
+        lambda p: np.cos(p[..., 0] - t0) - 1.01 + 5e-8,
+        lambda p: np.stack([-np.sin(p[..., 0] - t0), np.zeros_like(p[..., 1])], axis=-1),
+        name="dip-2d",
+    )
+    tau, half = 0.5, math.acos(1.0 - 5e-8)  # |phi| < 0.01 on |x1 - t0| < half
+    row, _ = integrate.quad(
+        lambda x: section_volume(dip, np.array([x, 0.0]), tau),
+        t0 - half, t0 + half, epsabs=0.0, epsrel=1e-13,
+    )
+    got = expected_zeros_integral(dip, TubeSpec(tau, 0.01), GridSpec(4096))
+    assert got == pytest.approx(2 * 2 * math.pi * row, rel=1e-12)
+
+
+def test_x2_rule_refuses_what_it_cannot_resolve():
+    # phi = sin x2 has no critical points along the rows, so the jumps of
+    # its row integral are no breaks, and the orders never agree
+    rows_only = gz.ScalarFieldSpec(
+        2,
+        lambda p: np.sin(p[..., 1]),
+        lambda p: np.stack([np.zeros_like(p[..., 0]), np.cos(p[..., 1])], axis=-1),
+        name="sin-x2",
+    )
+    with pytest.raises(GridResolutionError, match="does not converge"):
+        expected_zeros_integral(rows_only, TubeSpec(0.1, 0.1), GridSpec(256))
+    # sin x1 + b sin 2 x1 gains two critical points along x1 as b grows
+    # past 1/4, so those of some adjacent probe rows cannot pair
+    births = gz.ScalarFieldSpec(
+        2,
+        lambda p: np.sin(p[..., 0]) + 0.5 * np.cos(p[..., 1]) * np.sin(2 * p[..., 0]),
+        lambda p: np.stack(
+            [
+                np.cos(p[..., 0]) + np.cos(p[..., 1]) * np.cos(2 * p[..., 0]),
+                -0.5 * np.sin(p[..., 1]) * np.sin(2 * p[..., 0]),
+            ],
+            axis=-1,
+        ),
+        name="births",
+    )
+    with pytest.raises(GridResolutionError, match="do not pair"):
+        expected_zeros_integral(births, TubeSpec(0.1, 0.3), GridSpec(256))
+
+
 def test_whole_torus_matches_scalar_quadrature():
     # r = inf: every cell is whole; sin2-2d is constant along x2, so the
     # torus integral is 2 pi times a circle integral done here by adaptive

@@ -67,6 +67,24 @@ def test_mc_mean_error_survives_a_large_mean():
     assert est.std_error == pytest.approx(n**-0.5, rel=0.05)
 
 
+@pytest.mark.filterwarnings("error")
+def test_mc_mean_error_survives_huge_draws(monkeypatch):
+    # draws near 1e300 square past the largest float; the deviations are
+    # scaled by powers of two first, so the error scales exactly with them
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 12)
+    cfg = MCConfig(samples=10_000, seed=3)
+    unit = mc_mean(lambda rng, n: rng.standard_normal(n) + 5.0, cfg)
+    huge = mc_mean(lambda rng, n: 2.0**1000 * (rng.standard_normal(n) + 5.0), cfg)
+    assert huge.mean == 2.0**1000 * unit.mean
+    assert huge.std_error == 2.0**1000 * unit.std_error
+    # each chunk's squares sum to 1.4e308, finite, but two chunks do not
+    monkeypatch.setattr(montecarlo, "_CHUNK", 4)
+    a = 6e153
+    est = mc_mean(lambda rng, n: np.array([a, -a, a, -a][:n]), MCConfig(samples=8))
+    assert est.mean == 0.0
+    assert est.std_error == pytest.approx(a / 7**0.5, rel=1e-15)
+
+
 def test_mc_mean_partial_final_chunk(monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 12)
     cfg = MCConfig(samples=(1 << 12) + 17, seed=5)
