@@ -9,17 +9,23 @@ slots carry a common (2 pi)^(-1/2) scale, absorbed into
 :func:`mixed_volume_coeff`; for centered columns the identity is an equality
 against the outer ellipsoids, and for shifted columns it brackets the
 expectation between the ellipsoid value and its inradius^k shrinkage.
+
+The outer-ellipsoid mixed volume is exact for planar frames and for columns
+that share the identity matrix and one mean (:func:`determinant_bracket`,
+after Muirhead 1982, *Aspects of Multivariate Statistical Theory*), and a
+Monte Carlo estimate otherwise.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy import special
 
 from .geometry import GaussianVector, limit_body_inradius, volume_asymptote, volume_bounds
-from .kernels import ball_volume, scaled_norm
+from .kernels import axial_stretch, ball_volume
 from .montecarlo import EstimateWithCI, MCConfig, mc_mean
 
 __all__ = [
@@ -27,7 +33,6 @@ __all__ = [
     "mixed_volume_coeff",
     "expected_absdet_mc",
     "mixed_area",
-    "ellipse_support_fn",
     "mixed_volume_ellipsoids_mc",
     "DeterminantBracket",
     "determinant_bracket",
@@ -72,11 +77,6 @@ def mixed_volume_coeff(m: int, k: int) -> float:
 
 # samples per sub-block of a Monte Carlo chunk: bounds each thread's memory
 _SUB_BLOCK = 1 << 14
-# nodes of mixed_area's periodic grid, and the most its top sixteenth of
-# Fourier modes may weigh against the largest: an ellipse of axis ratio 200
-# reaches 9e-10 there and loses 5e-8 of its area, one of ratio 100 9e-13
-_MIXED_AREA_NODES = 4096
-_MIXED_AREA_TAIL = 1e-12
 
 
 def expected_absdet_mc(frame: FrameSpec, cfg: MCConfig) -> EstimateWithCI:
@@ -118,52 +118,27 @@ def expected_absdet_mc(frame: FrameSpec, cfg: MCConfig) -> EstimateWithCI:
     return mc_mean(sample, cfg)
 
 
-def mixed_area(h_k: Callable, h_l: Callable) -> float:
-    """Mixed area of two planar convex bodies from their support functions.
+def mixed_area(shape_a, shape_c) -> float:
+    """Mixed area MV(A@B, C@B) of the ellipses that the 2x2 matrices A and C
+    make of the unit disc B.
 
-    MV(K, L) = (area(K+L) - area(K) - area(L)) / 2 with
-    area(C) = (1/2) int (h^2 - h'^2) dtheta; the derivative is spectral and
-    the quadrature is the trapezoid rule on _MIXED_AREA_NODES periodic nodes,
-    so smooth supports converge exponentially.  Raises if a support is not
-    resolved on the nodes (its top modes exceed _MIXED_AREA_TAIL), or if any
-    computed area is negative (non-convex input).
+    A map of determinant 1 keeps mixed areas, so MV(A@B, C@B) =
+    |det A| MV(B, A^-1 C@B) = |det A| perimeter(A^-1 C@B) / 2, and an ellipse
+    with semi-axes s_1 >= s_2 has perimeter 4 s_1 ellipe(1 - s_2^2/s_1^2).
+    Raises on a non-finite, non-2x2 or singular matrix.
     """
-    n = _MIXED_AREA_NODES
-    theta = np.arange(n) * (2 * math.pi / n)
-    freqs = 1j * np.fft.rfftfreq(n, 1.0 / n)
-
-    def area(values: np.ndarray, label: str) -> float:
-        modes = np.fft.rfft(values)
-        top = float(np.max(np.abs(modes[-n // 16 :])))
-        if top > _MIXED_AREA_TAIL * float(np.max(np.abs(modes))):
-            raise ValueError(
-                f"the support of {label} is not resolved on {n} nodes: its top Fourier modes "
-                f"reach {top / np.max(np.abs(modes)):.2g} of the largest (a body too thin)"
-            )
-        deriv = np.fft.irfft(modes * freqs, n)
-        a = float(0.5 * np.mean(values**2 - deriv**2) * 2 * math.pi)
-        if a < -1e-9 * max(1.0, float(np.max(np.abs(values))) ** 2):
-            raise ValueError(f"negative area for {label}: input is not a support function")
-        return a
-
-    vk = np.asarray(h_k(theta), dtype=float)
-    vl = np.asarray(h_l(theta), dtype=float)
-    if vk.shape != theta.shape or vl.shape != theta.shape:
-        raise ValueError("support callables must return one value per node")
-    return 0.5 * (area(vk + vl, "K+L") - area(vk, "K") - area(vl, "L"))
-
-
-def ellipse_support_fn(shape: np.ndarray) -> Callable:
-    """Support function theta -> |shape^T u(theta)| of the ellipse shape@B."""
-    mat = np.asarray(shape, dtype=float)
-    if mat.shape != (2, 2) or not np.all(np.isfinite(mat)):
-        raise ValueError("shape must be a finite 2x2 matrix")
-
-    def h(theta):
-        u = np.stack([np.cos(theta), np.sin(theta)])
-        return scaled_norm(mat.T @ u, axis=0)
-
-    return h
+    a, c = (np.asarray(x, dtype=float) for x in (shape_a, shape_c))
+    dets = []
+    for mat in (a, c):
+        if mat.shape != (2, 2) or not np.all(np.isfinite(mat)):
+            raise ValueError("shapes must be finite 2x2 matrices")
+        # the cross product, not np.linalg.det, whose log-sum loses 1e-14 at 1e155
+        (p, q), (r, t) = mat.tolist()
+        dets.append(p * t - q * r)
+        if not math.isfinite(dets[-1]) or dets[-1] == 0.0:
+            raise ValueError("shapes must be nonsingular with a finite determinant")
+    s1, s2 = np.linalg.svd(np.linalg.solve(a, c), compute_uv=False)
+    return abs(dets[0]) * 2.0 * s1 * float(special.ellipe(1.0 - (s2 / s1) ** 2))
 
 
 def mixed_volume_ellipsoids_mc(
@@ -211,22 +186,38 @@ class DeterminantBracket:
 def determinant_bracket(frame: FrameSpec, cfg: MCConfig) -> DeterminantBracket:
     """The two-sided mixed-volume bracket on E sqrt(det(Gamma^T Gamma)).
 
-    The outer-ellipsoid mixed volume is computed exactly by
-    :func:`mixed_area` when the frame is planar with k = 2, and otherwise by
-    :func:`mixed_volume_ellipsoids_mc` on the seed after ``cfg.seed`` (0 after
-    2**64 - 1), so it is independent of a determinant estimate drawn with
-    ``cfg``.
+    The outer-ellipsoid mixed volume MV is exact (standard error 0, n 0) in
+    two cases:
+
+    - a planar frame: :func:`mixed_area` of the two shapes, or of the shape
+      and the unit disc when k = 1;
+    - columns that share the identity matrix and one outer ellipsoid
+      I + (lam-1) u u^T, lam = axial_stretch(s): with G = QR standard, the
+      squared first row of Q is Beta(k/2, (m-k)/2) and independent of R, so
+      MV = chi(m, k) lam 2F1(-1/2, (m-k)/2; m/2; 1 - 1/lam^2) / coeff, with
+      chi(m, k) = E sqrt(det(G^T G)) = 2^(k/2) Gamma((m+1)/2) / Gamma((m-k+1)/2)
+      (Pfaff's form of 2F1(-1/2, k/2; m/2; 1 - lam^2), which cannot overflow).
+
+    Other frames estimate MV by :func:`mixed_volume_ellipsoids_mc` on the
+    seed after ``cfg.seed`` (0 after 2**64 - 1), so it is independent of a
+    determinant estimate drawn with ``cfg``.
     """
     m, k = frame.dim, frame.k
     shapes = [col.ellipsoid_matrix() for col in frame.columns]
-    if m == 2 and k == 2:
-        mv = EstimateWithCI(
-            mixed_area(ellipse_support_fn(shapes[0]), ellipse_support_fn(shapes[1])), 0.0, 0
-        )
+    alpha = mixed_volume_coeff(m, k)
+    shared = all(np.array_equal(col.matrix, np.eye(m)) for col in frame.columns) and all(
+        np.array_equal(shape, shapes[0]) for shape in shapes
+    )
+    if m == 2:
+        mv = EstimateWithCI(mixed_area(shapes[0], shapes[1] if k == 2 else np.eye(2)), 0.0, 0)
+    elif shared:
+        lam = float(axial_stretch(frame.columns[0].mean_norm))
+        pfaff = special.hyp2f1(-0.5, (m - k) / 2, m / 2, 1.0 - (1.0 / lam) ** 2)
+        chi = 2 ** (k / 2) * math.gamma((m + 1) / 2) / math.gamma((m - k + 1) / 2)
+        mv = EstimateWithCI(chi * lam * pfaff / alpha, 0.0, 0)
     else:
         mv_cfg = MCConfig(samples=cfg.samples, seed=(cfg.seed + 1) % (1 << 64))
         mv = mixed_volume_ellipsoids_mc(shapes, m, mv_cfg)
-    alpha = mixed_volume_coeff(m, k)
     b = limit_body_inradius()
     return DeterminantBracket(m, k, alpha, mv, b**k * alpha * mv.mean, alpha * mv.mean)
 

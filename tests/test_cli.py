@@ -487,6 +487,8 @@ def _finite_numbers(out):
     ("zonoid", "inclusion", "--m", "3", "--s", "1e155"),
     ("zonoid", "profile", "--kind", "ellipsoid", "--s", "1e155", "--n", "8"),
     ("det", "mc", "--m", "2", "--k", "2", "--s", "1e155", "--samples", "2000", "--seed", "1"),
+    ("det", "bounds", "--m", "2", "--k", "2", "--s", "1e155"),
+    ("det", "bounds", "--m", "3", "--k", "2", "--s", "1e155"),
 ])
 def test_huge_offsets_stay_finite(capsys, argv):
     code, out = run(capsys, *argv)
@@ -513,12 +515,20 @@ def test_huge_offsets_keep_their_values(capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_planar_bracket_refuses_an_unresolved_ellipse(capsys):
-    # the exact mixed area cannot resolve an ellipse of axis ratio 1250 on
-    # its nodes (it read 3 % low); s = 1e155 reached it as "s must be
-    # finite, got inf", about a value the user never gave
-    for s in ("1000", "1e155"):
-        code = main(["det", "bounds", "--m", "2", "--k", "2", "--s", s])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "not resolved on 4096 nodes" in captured.err
+def test_planar_bracket_is_exact_at_large_offsets(capsys):
+    # the planar frame's two outer ellipses coincide, so MV is their area
+    # pi * lam, exact at any axis ratio lam
+    for s in (1000.0, 1e155):
+        report = run_json(capsys, "det", "bounds", "--m", "2", "--k", "2", "--s", repr(s))
+        lam = float(gausszonoids.axial_stretch(s))
+        assert report["bounds"]["upper"] == pytest.approx(report["coeff"] * math.pi * lam, rel=1e-15)
+
+
+@pytest.mark.parametrize("m, k, s", [
+    (1, 1, "2"), (2, 1, "1"), (2, 2, "1000"), (3, 2, "1e12"), (5, 3, "1"), (10, 4, "0.5"),
+])
+def test_det_bounds_of_an_offset_frame_draws_nothing(capsys, m, k, s):
+    # at (3, 2, 1e12) the outer ellipsoid is too thin to be the matrix of a
+    # GaussianVector, so a drawn mixed volume would exit 2
+    report = run_json(capsys, "det", "bounds", "--m", str(m), "--k", str(k), "--s", s)
+    assert report["mixed_volume"]["n"] == 0 and report["mixed_volume"]["std_error"] == 0.0

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from gausszonoids import (
     FrameSpec,
@@ -15,9 +15,10 @@ from gausszonoids import (
     RevolutionBody,
     axial_stretch,
     check_determinant_bounds,
-    ellipse_support_fn,
+    determinant_bracket,
     expected_absdet_mc,
     folded_normal_mean,
+    gaussian_volume,
     iid_square_bounds,
     limit_body_inradius,
     mixed_area,
@@ -70,38 +71,125 @@ def test_square_frame_volume_identity():
 
 def test_mixed_area_oracle_disc():
     # MV(B, B) = area of the unit disc
-    one = lambda theta: np.ones_like(theta)
-    assert mixed_area(one, one) == pytest.approx(math.pi, rel=1e-12)
+    assert mixed_area(np.eye(2), np.eye(2)) == pytest.approx(math.pi, rel=1e-15)
 
 
 def test_mixed_area_against_perimeter():
-    """2 MV(K, B) equals the perimeter of K; for an ellipse that is a complete
-    elliptic integral, an oracle the FFT route never touches."""
+    """2 MV(K, B) equals the perimeter of K, with K in either slot."""
     a, b = axial_stretch(1.0), 1.0
     shape = np.diag([a, b])
-    ecc2 = 1 - (b / a) ** 2
-    perimeter = 4 * a * special.ellipe(ecc2)
-    got = mixed_area(ellipse_support_fn(shape), lambda t: np.ones_like(t))
-    assert got == pytest.approx(perimeter / 2, rel=1e-12)
+    perimeter = 4 * a * special.ellipe(1 - (b / a) ** 2)
+    assert mixed_area(shape, np.eye(2)) == pytest.approx(perimeter / 2, rel=1e-15)
+    assert mixed_area(np.eye(2), shape) == pytest.approx(perimeter / 2, rel=1e-15)
 
 
 def test_mixed_area_bilinear_scaling():
-    h = ellipse_support_fn(np.diag([1.5, 0.7]))
-    hb = lambda t: np.ones_like(t)
-    base = mixed_area(h, hb)
-    assert mixed_area(lambda t: 3 * h(t), hb) == pytest.approx(3 * base, rel=1e-12)
+    shape = np.diag([1.5, 0.7])
+    base = mixed_area(shape, np.eye(2))
+    assert mixed_area(3 * shape, np.eye(2)) == pytest.approx(3 * base, rel=1e-15)
+    assert mixed_area(shape, 3 * np.eye(2)) == pytest.approx(3 * base, rel=1e-15)
 
 
 def test_mixed_area_rejects_garbage():
-    with pytest.raises(ValueError):
-        mixed_area(lambda t: np.cos(7 * t), lambda t: np.ones_like(t))
+    # non-finite, not 2x2, singular
+    for shape in (
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.array([[1.0, np.inf], [0.0, 1.0]]),
+        np.eye(3),
+        np.ones(2),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),
+        np.zeros((2, 2)),
+    ):
+        with pytest.raises(ValueError):
+            mixed_area(shape, np.eye(2))
+        with pytest.raises(ValueError):
+            mixed_area(np.eye(2), shape)
+
+
+def _support_integral(shape_a, shape_c):
+    """(1/2) int_0^2pi (h_A h_C - h_A' h_C') dtheta, with h(theta) = |M^T u(theta)|
+    and h' = (M^T u) . (M^T u') / h, by adaptive quadrature."""
+
+    def h_and_deriv(mat, theta):
+        v = mat.T @ np.array([np.cos(theta), np.sin(theta)])
+        dv = mat.T @ np.array([-np.sin(theta), np.cos(theta)])
+        h = math.hypot(*v)
+        return h, float(v @ dv) / h
+
+    def integrand(theta):
+        ha, da = h_and_deriv(shape_a, theta)
+        hc, dc = h_and_deriv(shape_c, theta)
+        return 0.5 * (ha * hc - da * dc)
+
+    return integrate.quad(integrand, 0.0, 2 * math.pi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+@pytest.mark.parametrize("shape_a, shape_c", [
+    (np.array([[1.0, 0.4], [0.0, 1.0]]), np.array([[0.8, 0.0], [0.3, 1.2]])),
+    (np.diag([axial_stretch(2.0), 1.0]), np.array([[0.5, -1.5], [2.0, 0.25]])),
+    (np.array([[3.0, 1.0], [-1.0, 0.2]]), np.eye(2)),
+])
+def test_mixed_area_matches_the_support_integral(shape_a, shape_c):
+    expect = _support_integral(shape_a, shape_c)
+    assert mixed_area(shape_a, shape_c) == pytest.approx(expect, rel=1e-12)
+    assert mixed_area(shape_c, shape_a) == pytest.approx(expect, rel=1e-12)
+    # MV(K, K) = area(K) = pi |det A|
+    for shape in (shape_a, shape_c):
+        area = math.pi * abs(np.linalg.det(shape))
+        assert mixed_area(shape, shape) == pytest.approx(area, rel=1e-14)
 
 
 def test_mixed_volume_mc_matches_exact_area():
     shapes = [np.diag([2.0, 1.0]), np.eye(2)]
     mv = mixed_volume_ellipsoids_mc(shapes, 2, MCConfig(samples=300_000, seed=6))
-    exact = mixed_area(ellipse_support_fn(shapes[0]), ellipse_support_fn(shapes[1]))
+    exact = mixed_area(shapes[0], shapes[1])
     assert abs(mv.mean - exact) < 4 * mv.std_error
+
+
+@pytest.mark.parametrize("m, k, s", [(5, 3, 1.0), (3, 2, 2.0), (4, 1, 0.5), (6, 2, 30.0)])
+def test_shared_shape_mixed_volume_matches_mc(m, k, s):
+    frame = iid_frame(m, k, s)
+    mv = determinant_bracket(frame, MCConfig(samples=1)).mixed_volume
+    assert mv.std_error == 0.0 and mv.n_samples == 0
+    shapes = [col.ellipsoid_matrix() for col in frame.columns]
+    est = mixed_volume_ellipsoids_mc(shapes, m, MCConfig(samples=200_000, seed=m + k))
+    assert abs(mv.mean - est.mean) < 4 * est.std_error
+
+
+def expected_absdet(m, k, s):
+    """E sqrt(det(Gamma^T Gamma)) for k iid columns c + xi in R^m, |c| = s:
+    Gamma^T Gamma is noncentral Wishart with rank-one noncentrality k s^2
+    (Muirhead 1982, Thm 10.3.7), so E = chi(m, k) 1F1(-1/2; m/2; -k s^2/2)."""
+    chi = math.prod(
+        math.sqrt(2) * math.gamma((m - i + 1) / 2) / math.gamma((m - i) / 2) for i in range(k)
+    )
+    return chi * special.hyp1f1(-0.5, m / 2, -k * s * s / 2)
+
+
+OFFSETS = (0.0, 0.1, 1.0, 2.0, 10.0, 1e4)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+def test_expected_absdet_oracle_meets_the_volume_identity(m):
+    # k = m: E|det Gamma| = m! vol(G(s))
+    for s in OFFSETS:
+        volume_side = math.factorial(m) * float(gaussian_volume(m, s))
+        assert expected_absdet(m, m, s) == pytest.approx(volume_side, rel=2e-15, abs=0)
+
+
+def test_bracket_theorem_without_sampling():
+    # b^k <= E / upper <= 1, with equality on the right for centered frames
+    b = limit_body_inradius()
+    for m in range(1, 11):
+        for k in range(1, m + 1):
+            for s in OFFSETS:
+                rep = determinant_bracket(iid_frame(m, k, s), MCConfig(samples=1))
+                assert rep.mixed_volume.n_samples == 0
+                ratio = expected_absdet(m, k, s) / rep.upper
+                assert b**k <= ratio <= 1 + 1e-14, (m, k, s, ratio)
+                assert rep.lower == pytest.approx(b**k * rep.upper, rel=1e-15)
+                if s == 0.0:
+                    assert ratio == pytest.approx(1.0, rel=1e-14), (m, k)
 
 
 def padded_mixed_volume(shapes, dim, cfg):
@@ -131,24 +219,35 @@ def test_thin_mixed_volume_of_the_ball(m):
     assert abs(mv.mean - ball_volume(m)) < 4 * mv.std_error
 
 
-def test_det_check_m5_k3_thin_frame_has_the_smaller_error(capsys):
-    code = main(["det", "check", "--m", "5", "--k", "3", "--s", "1", "--samples", "50000"])
+def axis_means_frame(tmp_path, m, k, s):
+    """A manifest of k identity columns with means s*e_1, ..., s*e_k, whose
+    outer ellipsoids differ, so the bracket draws its mixed volume; and the
+    frame it describes."""
+    means = s * np.eye(m)[:k]
+    manifest = tmp_path / "frame.json"
+    manifest.write_text(json.dumps({"m": m, "columns": [{"c": c.tolist()} for c in means]}))
+    return str(manifest), FrameSpec(m, [GaussianVector(np.eye(m), c) for c in means])
+
+
+def test_det_check_m5_k3_thin_frame_has_the_smaller_error(capsys, tmp_path):
+    manifest, frame = axis_means_frame(tmp_path, 5, 3, 1.0)
+    code = main(["det", "check", "--manifest", manifest, "--samples", "50000"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["verdict"] == "PASS"
     # the bracket's mixed volume is drawn on the seed after the CLI's seed 0
-    frame = iid_frame(5, 3, s=1.0)
     shapes = [col.ellipsoid_matrix() for col in frame.columns]
     _, padded_se = padded_mixed_volume(shapes, 5, MCConfig(samples=50_000, seed=1))
-    assert report["mixed_volume"]["std_error"] < padded_se
+    assert 0 < report["mixed_volume"]["std_error"] < padded_se
 
 
-def test_bracket_after_the_largest_seed_draws_seed_zero(capsys):
+def test_bracket_after_the_largest_seed_draws_seed_zero(capsys, tmp_path):
     # the mixed volume takes the seed after the run's, and 2^64 - 1 wraps to 0
-    code = main(["det", "bounds", "--m", "3", "--k", "2", "--s", "1", "--samples", "2000",
+    manifest, frame = axis_means_frame(tmp_path, 3, 2, 1.0)
+    code = main(["det", "bounds", "--manifest", manifest, "--samples", "2000",
                  "--seed", str((1 << 64) - 1)])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
-    shapes = [col.ellipsoid_matrix() for col in iid_frame(3, 2, s=1.0).columns]
+    shapes = [col.ellipsoid_matrix() for col in frame.columns]
     mv = mixed_volume_ellipsoids_mc(shapes, 3, MCConfig(samples=2000, seed=0))
     assert report["mixed_volume"] == mv.as_dict()
 

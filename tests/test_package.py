@@ -15,7 +15,7 @@ normalized_support gaussian_gradient boundary_profile volume VolumeBounds
 volume_bounds volume_asymptote limit_boundary_radius limit_body_inradius
 limit_inradius_angle limit_inradius_grid mean_stretch_matrix GaussianVector
 InclusionReport check_inclusion FrameSpec mixed_volume_coeff expected_absdet_mc
-mixed_area ellipse_support_fn mixed_volume_ellipsoids_mc DeterminantBracket
+mixed_area mixed_volume_ellipsoids_mc DeterminantBracket
 determinant_bracket DeterminantBoundsReport check_determinant_bounds
 IIDSquareBounds iid_square_bounds AxisProfile ScalarFieldSpec sine_field
 TubeSpec GridSpec GridResolutionError section_volume section_support
