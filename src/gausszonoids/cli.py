@@ -59,7 +59,7 @@ def _jsonable(v):
 
 
 def _cell(v) -> str:
-    return "" if v is None else repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+    return "" if v is None else repr(v)
 
 
 def _emit(report, out: str | None):
@@ -119,10 +119,9 @@ def _field_from_id(fid):
 
 
 def _command(run, **schema) -> tuple:
-    """A table entry: the handler's schema, plus the output parameters of
-    every command, and the handler."""
+    """A table entry: the handler's schema, plus the output file every
+    command takes, and the handler."""
     schema["out"] = Param(str, None, "write the output to this file")
-    schema["format"] = Param(_choice("json", "csv"), None, "table format of profile and sweeps")
     return schema, run
 
 
@@ -198,7 +197,7 @@ def _profile(p):
     if p["format"] == "json":
         curves = [dict(zip(header, (s, *prof.T))) for s, prof in curves]
         return {"kind": p["kind"], "curves": curves}, True
-    rows = [(s, *r) for s, prof in curves for r in prof]
+    rows = [(s, *r) for s, prof in curves for r in prof.tolist()]
     if len(curves) == 1:  # one curve: no s column
         header, rows = header[1:], [r[1:] for r in rows]
     return (header, rows), True
@@ -283,17 +282,6 @@ def _sandwich(p):
     return _verdict(dict(report.as_dict(), field=field.name), report.passed)
 
 
-def _tube_r(p, tau: float) -> float:
-    """Tube half-width at noise scale tau: --r, else r_coef * tau**r_power,
-    else alpha * tau."""
-    if p["r"] is not None:
-        return p["r"]
-    if p["r_coef"] is None and p["r_power"] is None:
-        return p["alpha"] * tau
-    coef = 1.0 if p["r_coef"] is None else p["r_coef"]
-    return coef * tau ** (1.0 if p["r_power"] is None else p["r_power"])
-
-
 def _sweep(route, p):
     """Handler of a sweep: one row per tau, holding the columns that
     ``route(p, field, tube)`` returns, its first column against the limit."""
@@ -302,7 +290,7 @@ def _sweep(route, p):
         raise CommandError("needs --taus")
     rows = []
     for tau in p["taus"]:
-        tube = TubeSpec(tau, _tube_r(p, tau))
+        tube = TubeSpec(tau, p["alpha"] * tau if p["r"] is None else p["r"])
         row = dict(dict.fromkeys(SWEEP_COLUMNS), tau=tau, r=tube.r)
         if field.zero_set_measure is not None:
             row["limit"] = concentration_limit(field.dim, tube.r / tau, field.zero_set_measure)
@@ -345,14 +333,14 @@ _FRAME = {
     "samples": Param(int, 1_000_000, "Monte Carlo samples"),
     "seed": _SEED,
 }
+_FORMAT = Param(_choice("json", "csv"), "csv", "table format")
 _FIELD = Param(_field_from_id, "sin2", "sinK or sinK-2d")
 _SWEEP = {
     "field": _FIELD,
     "taus": Param(_floats, None, "comma-separated noise scales"),
     "alpha": Param(float, 1.0, "tube rule r = alpha*tau"),
     "r": Param(float, None, "fixed tube half-width"),
-    "r_coef": Param(float, None, "tube rule r = r_coef * tau**r_power"),
-    "r_power": Param(float, None, "tube rule r = r_coef * tau**r_power"),
+    "format": _FORMAT,
 }
 _RESOLUTION = Param(int, None, "grid cells per axis (default: sized to the tube)")
 
@@ -367,7 +355,7 @@ COMMANDS = {
     ),
     "zonoid profile": _command(
         _profile, m=_M2, s=Param(_floats, None, _S.help), kind=_KIND,
-        n=Param(int, 181, "boundary points; random directions for inclusion"),
+        n=Param(int, 181, "boundary points; random directions for inclusion"), format=_FORMAT,
     ),
     "zonoid volume": _command(_volume, m=_M, s=_S, kind=_KIND),
     "zonoid inclusion": _command(

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from .geometry import GaussianVector, limit_body_inradius, volume_asymptote, volume_bounds
-from .kernels import axial_stretch, ball_volume
+from .kernels import axial_stretch, ball_volume, factorial
 from .montecarlo import EstimateWithCI, MCConfig, mc_mean
 
 __all__ = [
@@ -70,9 +70,7 @@ def mixed_volume_coeff(m: int, k: int) -> float:
     E sqrt(det(Gamma^T Gamma)) to the mixed volume of the outer ellipsoids."""
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
-    return math.factorial(m) / (
-        (2 * math.pi) ** (k / 2) * math.factorial(m - k) * ball_volume(m - k)
-    )
+    return factorial(m) / ((2 * math.pi) ** (k / 2) * factorial(m - k) * ball_volume(m - k))
 
 
 # samples per sub-block of a Monte Carlo chunk: bounds each thread's memory
@@ -156,8 +154,8 @@ def mixed_volume_ellipsoids_mc(
     cols = [GaussianVector(np.asarray(a, dtype=float), zero) for a in shapes]
     est = expected_absdet_mc(FrameSpec(dim, cols), cfg)
     # 1 / mixed_volume_coeff(dim, k), as a product: at k = m it is (2 pi)^(m/2)/m!
-    scale = (2 * math.pi) ** (k / 2) * math.factorial(dim - k) * ball_volume(dim - k)
-    scale /= math.factorial(dim)
+    scale = (2 * math.pi) ** (k / 2) * factorial(dim - k) * ball_volume(dim - k)
+    scale /= factorial(dim)
     return EstimateWithCI(est.mean * scale, est.std_error * scale, est.n_samples)
 
 
@@ -279,7 +277,7 @@ def iid_square_bounds(dim: int, matrix, s) -> IIDSquareBounds:
     mat = np.asarray(matrix, dtype=float)
     if mat.shape != (m, m) or not np.all(np.isfinite(mat)):
         raise ValueError("matrix must be a finite m x m map")
-    scale = math.factorial(m) * abs(float(np.linalg.det(mat)))
+    scale = factorial(m) * abs(float(np.linalg.det(mat)))
     vb = volume_bounds(m, s)
     return IIDSquareBounds(
         lower=scale * vb.lower_sharp,

@@ -36,7 +36,7 @@ from ._tube import (
     _x2_quad,
 )
 from .geometry import gaussian_support, gaussian_volume, limit_body_inradius
-from .kernels import SQRT_2PI, ball_volume
+from .kernels import SQRT_2PI, ball_volume, factorial
 from .montecarlo import EstimateWithCI, MCConfig, mc_mean, parallel_map
 
 __all__ = [
@@ -376,7 +376,7 @@ def expected_zeros_coarea(field: ScalarFieldSpec, tube: TubeSpec) -> float:
             half_total += half * w * math.exp(-m * v * v / (2.0 * tau * tau)) * term
 
     # the level integrand is even in v
-    return math.factorial(m) * (2.0 * math.pi) ** (m / 2 - 1.0) * 2.0 * half_total
+    return float(math.factorial(m) * (2.0 * math.pi) ** (m / 2 - 1.0) * 2.0 * half_total)
 
 
 def concentration_limit(dim: int, alpha: float, vol_zero_set: float) -> float:
@@ -389,7 +389,7 @@ def concentration_limit(dim: int, alpha: float, vol_zero_set: float) -> float:
         raise ValueError("alpha must be positive (math.inf allowed)")
     if not vol_zero_set >= 0:
         raise ValueError("vol_zero_set must be nonnegative")
-    front = math.factorial(m - 1) * ball_volume(m - 1) / (2.0 * math.pi) ** (m - 1)
+    front = factorial(m - 1) * ball_volume(m - 1) / (2.0 * math.pi) ** (m - 1)
     return front * math.erf(math.sqrt(m / 2.0) * alpha) * vol_zero_set
 
 

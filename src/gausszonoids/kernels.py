@@ -179,6 +179,14 @@ def ball_volume(m: int) -> float:
     return val
 
 
+def factorial(n: int) -> float:
+    """n! as a float, for the dimension constants; from n = 171 on it
+    overflows a float, and raises ValueError."""
+    if n > 170:
+        raise ValueError(f"{n}! overflows a float (170! is the largest that fits)")
+    return float(math.factorial(n))
+
+
 def bisect(f, a, b, fa, steps: int):
     """Halve the brackets [a, b] of sign changes of f ``steps`` times, all at once.
 

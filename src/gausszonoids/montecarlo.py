@@ -91,16 +91,18 @@ def stream(seed: int, index: int) -> np.random.Generator:
 def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCConfig) -> EstimateWithCI:
     """Estimate E[sample] with a standard error.
 
-    `sample(rng, n)` must return n i.i.d. scalar draws.  Per-chunk sums use
-    numpy's pairwise summation; cross-chunk accumulation uses math.fsum, so
-    the result does not depend on summation order beyond the fixed chunking,
-    nor on how many threads :func:`parallel_map` runs the chunks on.  The
-    variance keeps each chunk's squared deviations from its own mean and
-    adds the spread of the chunk means (Chan, Golub & LeVeque), so it does not
-    cancel when the mean is large against the spread.  Where the squares
-    would overflow, the deviations are scaled by powers of two before they
-    are squared, which changes no value but keeps them finite for draws up to
-    the largest float.
+    `sample(rng, n)` must return n i.i.d. scalar draws.  Each chunk scales
+    its draws by 2^-e, e the binary exponent of its largest |draw|, before it
+    sums them, and the chunks are combined on the largest e; scaling by a
+    power of two changes no value, but keeps the sums and the squares of
+    draws from the largest float down to the smallest normal ones finite and
+    nonzero.  Per-chunk sums use numpy's pairwise summation; cross-chunk
+    accumulation uses math.fsum, so the result does not depend on summation
+    order beyond the fixed chunking, nor on how many threads
+    :func:`parallel_map` runs the chunks on.  The variance keeps each chunk's
+    squared deviations from its own mean and adds the spread of the chunk
+    means (Chan, Golub & LeVeque), so it does not cancel when the mean is
+    large against the spread.
     """
 
     def moments(start: int) -> tuple[int, float, float, int]:
@@ -108,27 +110,19 @@ def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCCon
         values = np.asarray(sample(stream(cfg.seed, start // _CHUNK), n), dtype=float)
         if values.shape != (n,):
             raise ValueError(f"sample() returned shape {values.shape}, expected ({n},)")
+        e = binary_exponent(values)
+        values = np.ldexp(values, -e)
         total = float(np.sum(values))
-        with np.errstate(over="ignore"):
-            squares = float(np.sum((values - total / n) ** 2))
-        if math.isfinite(squares):
-            return n, total, squares, 0
-        dev = values - total / n  # squares past the largest float: scale first
-        e = binary_exponent(dev)
-        return n, total, float(np.sum(np.ldexp(dev, -e) ** 2)), e
+        return n, total, float(np.sum((values - total / n) ** 2)), e
 
     counts, sums, devs, exps = zip(*parallel_map(moments, range(0, cfg.samples, _CHUNK)))
-    n = cfg.samples
+    n, e = cfg.samples, max(exps)  # every chunk on the scale 2^-e of the largest draw
+    sums = [math.ldexp(t, x - e) for t, x in zip(sums, exps)]
     mean = math.fsum(sums) / n
     if n > 1:
-        spreads = np.array([t / k - mean for k, t in zip(counts, sums)])
-        # one scale for all: each chunk's root sum of squares, and each spread,
-        # below 2^e
-        roots = (x + (math.frexp(d)[1] + 1) // 2 for d, x in zip(devs, exps))
-        e = max(binary_exponent(spreads), *roots)
-        spread = math.fsum(k * math.ldexp(c, -e) ** 2 for k, c in zip(counts, spreads))
+        spread = math.fsum(k * (t / k - mean) ** 2 for k, t in zip(counts, sums))
         inner = math.fsum(math.ldexp(d, 2 * (x - e)) for d, x in zip(devs, exps))
         se = math.ldexp(math.sqrt((inner + spread) / (n - 1) / n), e)
     else:
         se = float("inf")
-    return EstimateWithCI(mean=mean, std_error=se, n_samples=n)
+    return EstimateWithCI(mean=math.ldexp(mean, e), std_error=se, n_samples=n)

@@ -443,6 +443,7 @@ def test_zonoid_profile_defaults_per_kind(capsys):
     (("grf", "mc"), {"taus": [0.3], "samples": 100, "spacing": 0.001}),
     (("grf", "coarea"), {"taus": [0.3], "m": 1}),
     (("grf", "sandwich"), {"tau": 0.05, "resolution": 512, "m": 1}),
+    (("grf", "coarea"), {"taus": [0.3], "r_coef": 1.0, "r_power": 0.5}),
 ])
 def test_removed_manifest_keys_exit_2(capsys, tmp_path, argv, manifest):
     path = tmp_path / "m.json"
@@ -457,6 +458,82 @@ def test_sweeps_take_taus_only(capsys, action):
     code = main(["grf", action, "--tau", "0.3"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and "--tau" in captured.err
+
+
+def _exit(capsys, argv):
+    """Exit code and captured output of one run; a flag that no action of
+    the group declares is argparse's usage error, SystemExit(2)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    return code, capsys.readouterr()
+
+
+_TABLES = {"zonoid profile", "grf integral", "grf coarea", "grf mc"}
+
+
+def test_format_is_in_the_table_schemas_only():
+    assert {name for name, (schema, _) in COMMANDS.items() if "format" in schema} == _TABLES
+
+
+@pytest.mark.parametrize("argv", [
+    ("binfty",),
+    ("zonoid", "support"),
+    ("zonoid", "volume", "--m", "2"),
+    ("zonoid", "inclusion", "--m", "2", "--s", "1", "--n", "100"),
+    ("det", "mc", "--m", "2", "--samples", "100"),
+    ("det", "bounds", "--m", "2"),
+    ("det", "check", "--m", "2", "--samples", "100"),
+    ("grf", "limit", "--alpha", "1", "--volz0", "1"),
+    ("grf", "sandwich", "--tau", "0.05", "--resolution", "512"),
+])
+def test_format_on_a_command_without_a_table_exits_2(capsys, argv):
+    code, captured = _exit(capsys, [*argv, "--format", "csv"])
+    assert code == 2 and captured.out == "" and "--format" in captured.err
+
+
+@pytest.mark.parametrize("action", ["integral", "coarea", "mc"])
+@pytest.mark.parametrize("flag", [("--r-coef", "1"), ("--r-power", "0.5")])
+def test_tube_rule_flags_are_gone(capsys, action, flag):
+    code, captured = _exit(capsys, ["grf", action, "--taus", "0.1", *flag])
+    assert code == 2 and captured.out == "" and flag[0] in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("zonoid", "profile", "--s", "1", "--n", "9"),
+    ("zonoid", "profile", "--n", "9"),
+    ("zonoid", "profile", "--kind", "limit", "--n", "9"),
+    ("grf", "integral", "--taus", "0.1,0.03"),
+    ("grf", "integral", "--field", "sin2-2d", "--taus", "0.2"),
+    ("grf", "coarea", "--taus", "0.1,0.03"),
+    ("grf", "mc", "--taus", "0.1", "--samples", "2000"),
+])
+def test_table_cells_are_plain_floats(capsys, argv):
+    # the CSV writer prints repr(v): a numpy scalar would print as np.float64(...)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    header, *rows = out.strip().split("\n")
+    assert rows
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(header.split(","))
+        for cell in filter(None, cells):
+            assert "np." not in cell
+            float(cell)
+
+
+@pytest.mark.parametrize("argv", [
+    ("det", "bounds", "--m", "171", "--k", "1"),
+    ("det", "bounds", "--m", "200"),
+    ("det", "check", "--m", "171", "--k", "1", "--samples", "1000"),
+    ("grf", "limit", "--m", "200", "--alpha", "1", "--volz0", "1"),
+])
+def test_dimension_whose_factorial_overflows_exits_2(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "overflows a float (170! is the largest that fits)" in captured.err
 
 
 def _finite_numbers(out):

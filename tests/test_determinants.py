@@ -49,6 +49,15 @@ def test_coeff_values():
         mixed_volume_coeff(2, 3)
 
 
+def test_dimension_constants_stop_at_170():
+    # 170! is the largest factorial below the largest float
+    assert math.isfinite(mixed_volume_coeff(170, 1))
+    with pytest.raises(ValueError, match="171! overflows a float"):
+        mixed_volume_coeff(171, 1)
+    with pytest.raises(ValueError, match="171! overflows a float"):
+        iid_square_bounds(171, np.eye(171), 0.0)
+
+
 def test_folded_moment_identity():
     # k = m = 1: E|s + xi| is the folded normal mean
     est = expected_absdet_mc(iid_frame(1, 1, s=3.0), MCConfig(samples=200_000, seed=2))

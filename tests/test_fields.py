@@ -537,6 +537,20 @@ def test_concentration_limit_values():
         concentration_limit(1, -1.0, 1.0)
 
 
+def test_concentration_limit_stops_where_the_factorial_overflows():
+    # the constant holds (m-1)!, and 170! is the largest below the largest float
+    assert math.isfinite(concentration_limit(171, 1.0, 1.0))
+    with pytest.raises(ValueError, match="171! overflows a float"):
+        concentration_limit(172, 1.0, 1.0)
+
+
+def test_routes_return_python_floats():
+    # the CLI's CSV writer prints repr(v), which differs for numpy scalars
+    tube = TubeSpec(3e-2, 0.4)
+    assert type(expected_zeros_coarea(SIN2, tube)) is float
+    assert type(expected_zeros_integral(SIN2, tube, GridSpec(4096))) is float
+
+
 def test_sweep_sits_on_the_limit():
     # deviations decay like exp(-c/tau^2), far below quadrature noise for
     # every tau here, so test a floor rather than literal monotonicity

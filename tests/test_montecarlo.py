@@ -1,4 +1,6 @@
 """Counter-based streams and the chunked mean estimator."""
+import math
+
 import numpy as np
 import pytest
 
@@ -69,8 +71,8 @@ def test_mc_mean_error_survives_a_large_mean():
 
 @pytest.mark.filterwarnings("error")
 def test_mc_mean_error_survives_huge_draws(monkeypatch):
-    # draws near 1e300 square past the largest float; the deviations are
-    # scaled by powers of two first, so the error scales exactly with them
+    # draws near 1e300 square past the largest float; each chunk scales its
+    # draws by a power of two first, so the error scales exactly with them
     monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 12)
     cfg = MCConfig(samples=10_000, seed=3)
     unit = mc_mean(lambda rng, n: rng.standard_normal(n) + 5.0, cfg)
@@ -83,6 +85,22 @@ def test_mc_mean_error_survives_huge_draws(monkeypatch):
     est = mc_mean(lambda rng, n: np.array([a, -a, a, -a][:n]), MCConfig(samples=8))
     assert est.mean == 0.0
     assert est.std_error == pytest.approx(a / 7**0.5, rel=1e-15)
+
+
+def test_mc_mean_error_survives_tiny_draws():
+    # the squares of draws near 1e-200 underflow to 0 unless they are scaled
+    n = 20_000
+    est = mc_mean(lambda rng, k: 1e-200 * np.abs(rng.standard_normal(k)), MCConfig(n, seed=1))
+    se = 1e-200 * math.sqrt((1 - 2 / math.pi) / n)
+    assert est.std_error == pytest.approx(se, rel=0.1, abs=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mc_mean_of_draws_near_the_largest_float():
+    # 1000 draws of 1e306 sum past the largest float unless they are scaled
+    est = mc_mean(lambda rng, k: 1e306 + rng.standard_normal(k), MCConfig(1000, seed=0))
+    assert math.isfinite(est.mean)
+    assert est.mean == pytest.approx(1e306, rel=1e-14)
 
 
 def test_mc_mean_partial_final_chunk(monkeypatch):
