@@ -10,10 +10,9 @@ slots carry a common (2 pi)^(-1/2) scale, absorbed into
 against the outer ellipsoids, and for shifted columns it brackets the
 expectation between the ellipsoid value and its inradius^k shrinkage.
 
-The outer-ellipsoid mixed volume is exact for planar frames and for columns
-that share the identity matrix and one mean (:func:`determinant_bracket`,
-after Muirhead 1982, *Aspects of Multivariate Statistical Theory*), and a
-Monte Carlo estimate otherwise.
+Shared frames (:attr:`FrameSpec.shared`) draw determinants from their exact law
+and, like planar frames, have an exact mixed volume, after the QR factorization
+of a Gaussian matrix (Muirhead 1982, *Aspects of Multivariate Statistical Theory*).
 """
 from __future__ import annotations
 
@@ -64,6 +63,13 @@ class FrameSpec:
     def k(self) -> int:
         return len(self.columns)
 
+    @property
+    def shared(self) -> bool:
+        """Identity columns +-c + xi for one c: one outer ellipsoid, iid up to signs."""
+        c, eye = self.columns[0].mean, np.eye(self.dim)
+        same = [np.array_equal(col.mean, c) or np.array_equal(col.mean, -c) for col in self.columns]
+        return all(same) and all(np.array_equal(col.matrix, eye) for col in self.columns)
+
 
 def mixed_volume_coeff(m: int, k: int) -> float:
     """Constant alpha(m, k) = m! / ((2 pi)^(k/2) (m-k)! kappa_{m-k}) linking
@@ -80,40 +86,43 @@ _SUB_BLOCK = 1 << 14
 def expected_absdet_mc(frame: FrameSpec, cfg: MCConfig) -> EstimateWithCI:
     """Monte Carlo estimate of E sqrt(det(Gamma^T Gamma)).
 
-    Each sample is |det Gamma| for a square frame: the closed form for
-    m <= 2 and an LU factorization otherwise.  For k < m it is the product
-    of |R_ii| from a QR factorization: the k-volume of the column
-    parallelotope, without forming the (condition-squared) Gram matrix.
-    A chunk is drawn and factorized in sub-blocks of _SUB_BLOCK samples, in
-    order from the chunk's stream, so the draws do not depend on the
-    sub-block size.
+    A shared frame (|c| = s) draws each sample from its exact law: rotated on
+    the right, Gamma has columns sqrt(k) c + xi_1 and k - 1 centered ones, so
+    its volume is |column 1| = hypot(z + sqrt(k) s, chi_{m-1}) times that of
+    the others projected off it, prod_{i=1}^{k-1} chi_{m-i} (Bartlett).  At
+    k = 1 a sample is |c + xi| - s in a form that does not cancel where
+    c + xi rounds to c, and s is added to the mean.  Other frames draw m x k
+    normals in sub-blocks of _SUB_BLOCK, in stream order, and take prod |R_ii|
+    of each frame's QR factorization.
     """
     m, k = frame.dim, frame.k
     mats = np.stack([col.matrix.T for col in frame.columns])  # (k, m, m)
     means = np.stack([col.mean for col in frame.columns])  # (k, m)
-    # multiplying by the identity is exact, so identity columns skip it
-    identity = all(np.array_equal(col.matrix, np.eye(m)) for col in frame.columns)
+    s = frame.columns[0].mean_norm
+    nu = m - np.array([1, *range(1, k)])  # degrees of freedom of the chis
 
-    def volumes(xi: np.ndarray) -> np.ndarray:
-        xi += means  # (n, k, m)
-        g = xi if identity else np.matmul(xi.transpose(1, 0, 2), mats).transpose(1, 0, 2)
-        if m == 1:
-            return np.abs(g[:, 0, 0])
-        if m == k == 2:
-            return np.abs(g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0])
-        if k == m:
-            return np.abs(np.linalg.det(g))
-        r = np.linalg.qr(g.transpose(0, 2, 1), mode="r")
-        return np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
+    def draws(rng: np.random.Generator, n: int) -> np.ndarray:
+        z = rng.standard_normal(n)
+        # chi^2_nu = 2 Gamma(nu // 2) + z^2 for odd nu: numpy is slow at shape 1/2
+        chi2 = 2.0 * rng.standard_gamma(nu[:, None] // 2, size=(k, n))
+        chi2[nu % 2 == 1] += rng.standard_normal((int(sum(nu % 2)), n)) ** 2
+        chi = np.sqrt(chi2)
+        if k > 1:
+            return np.hypot(z + math.sqrt(k) * s, chi[0]) * np.prod(chi[1:], axis=0)
+        # (z (2s + z) + r^2) / (hypot(s + z, r) + s), halved so it cannot overflow
+        half = 0.5 * np.hypot(s + z, chi[0]) + 0.5 * s
+        return z * ((s + 0.5 * z) / half) + chi[0] * (0.5 * chi[0] / half)
 
-    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
+    def volumes(rng: np.random.Generator, n: int) -> np.ndarray:
         out = np.empty(n)
         for a in range(0, n, _SUB_BLOCK):
-            b = min(n, a + _SUB_BLOCK)
-            out[a:b] = volumes(rng.standard_normal((b - a, k, m)))
+            xi = rng.standard_normal((min(n, a + _SUB_BLOCK) - a, k, m)) + means
+            r = np.linalg.qr(np.matmul(xi.transpose(1, 0, 2), mats).transpose(1, 2, 0), mode="r")
+            out[a : a + len(r)] = np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
         return out
 
-    return mc_mean(sample, cfg)
+    est = mc_mean(draws if frame.shared else volumes, cfg)
+    return est._replace(mean=s + est.mean) if frame.shared and k == 1 else est
 
 
 def mixed_area(shape_a, shape_c) -> float:
@@ -189,10 +198,10 @@ def determinant_bracket(frame: FrameSpec, cfg: MCConfig) -> DeterminantBracket:
 
     - a planar frame: :func:`mixed_area` of the two shapes, or of the shape
       and the unit disc when k = 1;
-    - columns that share the identity matrix and one outer ellipsoid
-      I + (lam-1) u u^T, lam = axial_stretch(s): with G = QR standard, the
-      squared first row of Q is Beta(k/2, (m-k)/2) and independent of R, so
-      MV = chi(m, k) lam 2F1(-1/2, (m-k)/2; m/2; 1 - 1/lam^2) / coeff, with
+    - a shared frame (outer ellipsoid I + (lam-1) u u^T, lam = axial_stretch(s)):
+      with G = QR standard, the squared first row of Q is Beta(k/2, (m-k)/2) and
+      independent of R, so MV = chi(m, k) lam 2F1(-1/2, (m-k)/2; m/2; 1 - 1/lam^2)
+      / coeff, with
       chi(m, k) = E sqrt(det(G^T G)) = 2^(k/2) Gamma((m+1)/2) / Gamma((m-k+1)/2)
       (Pfaff's form of 2F1(-1/2, k/2; m/2; 1 - lam^2), which cannot overflow).
 
@@ -203,12 +212,9 @@ def determinant_bracket(frame: FrameSpec, cfg: MCConfig) -> DeterminantBracket:
     m, k = frame.dim, frame.k
     shapes = [col.ellipsoid_matrix() for col in frame.columns]
     alpha = mixed_volume_coeff(m, k)
-    shared = all(np.array_equal(col.matrix, np.eye(m)) for col in frame.columns) and all(
-        np.array_equal(shape, shapes[0]) for shape in shapes
-    )
     if m == 2:
         mv = EstimateWithCI(mixed_area(shapes[0], shapes[1] if k == 2 else np.eye(2)), 0.0, 0)
-    elif shared:
+    elif frame.shared:
         lam = float(axial_stretch(frame.columns[0].mean_norm))
         pfaff = special.hyp2f1(-0.5, (m - k) / 2, m / 2, 1.0 - (1.0 / lam) ** 2)
         chi = 2 ** (k / 2) * math.gamma((m + 1) / 2) / math.gamma((m - k + 1) / 2)

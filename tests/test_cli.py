@@ -564,6 +564,9 @@ def _finite_numbers(out):
     ("zonoid", "inclusion", "--m", "3", "--s", "1e155"),
     ("zonoid", "profile", "--kind", "ellipsoid", "--s", "1e155", "--n", "8"),
     ("det", "mc", "--m", "2", "--k", "2", "--s", "1e155", "--samples", "2000", "--seed", "1"),
+    ("det", "mc", "--m", "10", "--k", "10", "--s", "1e155", "--samples", "2000", "--seed", "1"),
+    ("det", "mc", "--m", "3", "--k", "1", "--s", "1e306", "--samples", "1000", "--seed", "1"),
+    ("det", "mc", "--m", "1", "--k", "1", "--s", "1.7e308", "--samples", "1000", "--seed", "1"),
     ("det", "bounds", "--m", "2", "--k", "2", "--s", "1e155"),
     ("det", "bounds", "--m", "3", "--k", "2", "--s", "1e155"),
 ])
@@ -589,6 +592,16 @@ def test_huge_offsets_keep_their_values(capsys):
         small["std_error"] / small["mean"], rel=1e-12
     )
     assert big["std_error"] * 1e-55 == pytest.approx(small["std_error"], rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_one_column_error_survives_rounding(capsys, m):
+    # c + xi rounds to c at s = 1e17, but the deviation |c + xi| - s does not:
+    # its variance is 1 + O(1/s^2), so the error is 1/sqrt(n)
+    report = run_json(capsys, "det", "mc", "--m", str(m), "--k", "1", "--s", "1e17",
+                      "--samples", "1000")
+    assert report["mean"] == 1e17
+    assert report["std_error"] == pytest.approx(1000**-0.5, rel=0.1, abs=0)
 
 
 @pytest.mark.filterwarnings("error")

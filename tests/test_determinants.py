@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from gausszonoids import (
+    EstimateWithCI,
     FrameSpec,
     ball_volume,
     GaussianVector,
@@ -311,11 +312,15 @@ def test_estimator_reproducible():
 
 
 def _per_sample(frame, monkeypatch):
-    """The per-sample |det| callback of expected_absdet_mc."""
+    """The per-sample callback that expected_absdet_mc hands to mc_mean."""
     from gausszonoids import determinants
 
-    monkeypatch.setattr(determinants, "mc_mean", lambda sample, cfg: sample)
-    return expected_absdet_mc(frame, MCConfig(samples=1))
+    callbacks = []
+    monkeypatch.setattr(
+        determinants, "mc_mean", lambda sample, cfg: callbacks.append(sample) or EstimateWithCI(0.0, 0.0, 0)
+    )
+    expected_absdet_mc(frame, MCConfig(samples=1))
+    return callbacks[0]
 
 
 def _frames(frame, xi):
@@ -342,11 +347,10 @@ def _mixed_frame(m, k, seed):
     return FrameSpec(m, cols)
 
 
-def _assert_agree(got, gamma):
+def _assert_agree(got, gamma, expect):
     # both factorizations are backward stable, so a sample's two values
     # differ by about cond * eps: 1e-12 on a well-conditioned frame, more on
     # the near-singular draws among thousands (cond up to about 1e5)
-    expect = _qr_volumes(gamma)
     rel = np.abs(got - expect) / expect
     cond = np.linalg.cond(gamma)
     assert np.all(rel <= 10.0 * np.finfo(float).eps * cond)
@@ -363,12 +367,17 @@ def _spy(monkeypatch, name):
 @pytest.mark.parametrize("m", [2, 5, 10])
 @pytest.mark.parametrize("distinct", [False, True])
 def test_square_frame_lu_matches_qr(m, distinct, monkeypatch):
-    frame = _mixed_frame(m, m, seed=m) if distinct else iid_frame(m, m, s=0.7)
+    # a square frame that is not shared takes QR; LU determinants of the same
+    # frames are the independent reference
+    scale = np.diag(np.linspace(0.5, 2.0, m))
+    frame = _mixed_frame(m, m, seed=m) if distinct else iid_frame(m, m, s=0.7, matrix=scale)
+    assert not frame.shared
     sample = _per_sample(frame, monkeypatch)
-    qr_calls = _spy(monkeypatch, "qr")
+    det_calls = _spy(monkeypatch, "det")
     got = sample(stream(9, 0), 2000)
-    assert qr_calls == []
-    _assert_agree(got, _frames(frame, stream(9, 0).standard_normal((2000, m, m))))
+    assert det_calls == []
+    gamma = _frames(frame, stream(9, 0).standard_normal((2000, m, m)))
+    _assert_agree(got, gamma, np.abs(np.linalg.det(gamma)))
 
 
 def test_thin_frame_takes_qr(monkeypatch):
@@ -377,7 +386,63 @@ def test_thin_frame_takes_qr(monkeypatch):
     det_calls, qr_calls = _spy(monkeypatch, "det"), _spy(monkeypatch, "qr")
     got = sample(stream(9, 0), 500)
     assert det_calls == [] and qr_calls == ["qr"]
-    _assert_agree(got, _frames(frame, stream(9, 0).standard_normal((500, 3, 5))))
+    gamma = _frames(frame, stream(9, 0).standard_normal((500, 3, 5)))
+    _assert_agree(got, gamma, _qr_volumes(gamma))
+
+
+def test_shared_frames():
+    # identity columns whose means agree up to sign, and nothing else
+    c = np.array([1.0, -2.0, 0.5])
+    assert FrameSpec(3, [GaussianVector(np.eye(3), v) for v in (c, -c, c)]).shared
+    assert iid_frame(3, 2, s=0.0).shared and iid_frame(1, 1, s=-3.0).shared
+    for cols in (
+        [GaussianVector(np.eye(3), c), GaussianVector(np.eye(3), c * (1 + 1e-15))],
+        [GaussianVector(np.eye(3), c), GaussianVector(np.eye(3), c[[1, 0, 2]])],
+        [GaussianVector(np.eye(3), c), GaussianVector(2 * np.eye(3), c)],
+    ):
+        assert not FrameSpec(3, cols).shared
+    assert not iid_frame(3, 3, s=1.0, matrix=np.diag([1.0, 1.0, -1.0])).shared
+
+
+def ex2_absdet(m, k, s):
+    """E det(Gamma^T Gamma) = k! [C(m, k) + s^2 C(m-1, k-1)], by Cauchy-Binet
+    over the k x k minors."""
+    return math.factorial(k) * (math.comb(m, k) + s * s * math.comb(m - 1, k - 1))
+
+
+SHARED_GRID = [
+    (1, 1, 0.0), (1, 1, 10.0), (4, 1, 2.0), (2, 2, 0.0), (3, 2, 0.5), (5, 3, 1.0),
+    (7, 4, 10.0), (4, 4, 10.0), (10, 10, 0.5), (6, 6, 0.0),
+]
+
+
+@pytest.mark.parametrize("i", range(len(SHARED_GRID)))
+def test_shared_sampler_meets_the_exact_moments(i):
+    m, k, s = SHARED_GRID[i]
+    n = 200_000
+    est = expected_absdet_mc(iid_frame(m, k, s), MCConfig(samples=n, seed=70 + i))
+    mean = expected_absdet(m, k, s)
+    assert abs(est.mean - mean) < 4 * est.std_error
+    se = math.sqrt((ex2_absdet(m, k, s) - mean**2) / n)
+    assert est.std_error == pytest.approx(se, rel=0.05, abs=0)
+
+
+def _rotated(frame):
+    """The frame with every column Q (c + xi) for one fixed orthogonal Q:
+    its volumes have the shared frame's law, through the QR route."""
+    q = np.linalg.qr(stream(77, 0).standard_normal((frame.dim, frame.dim)))[0]
+    return FrameSpec(frame.dim, [GaussianVector(q, col.mean) for col in frame.columns])
+
+
+@pytest.mark.parametrize("m, k, s", [(3, 1, 0.5), (3, 2, 0.5), (5, 3, 1.0), (7, 4, 10.0), (4, 4, 2.0)])
+def test_shared_sampler_matches_the_qr_route(m, k, s, monkeypatch):
+    frame = iid_frame(m, k, s)
+    rotated = _rotated(frame)
+    assert frame.shared and not rotated.shared
+    exact = _per_sample(frame, monkeypatch)(stream(5, 0), 50_000)
+    exact += s if k == 1 else 0.0  # the k = 1 sampler draws |c + xi| - s
+    brute = _per_sample(rotated, monkeypatch)(stream(6, 0), 50_000)
+    assert stats.ks_2samp(exact, brute).pvalue > 1e-3
 
 
 def test_frame_validation():

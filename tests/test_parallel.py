@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gausszonoids import (
+    EstimateWithCI,
     FrameSpec,
     GaussianVector,
     GridSpec,
@@ -72,7 +73,7 @@ def test_worker_count_changes_nothing(name, monkeypatch):
 def test_sub_blocks_draw_the_same_numbers(monkeypatch):
     # a chunk drawn in sub-blocks is the chunk drawn at once
     cfg = MCConfig(samples=5_000, seed=8)
-    for frame in (_frame(1, 1), _frame(2, 2), _frame(4, 4), _scaled_frame(5, 3)):
+    for frame in (_frame(1, 1), _frame(2, 2), _frame(4, 4), _scaled_frame(4, 4), _scaled_frame(5, 3)):
         results = []
         for size in (1 << 30, 1_000):
             monkeypatch.setattr(determinants, "_SUB_BLOCK", size)
@@ -80,21 +81,22 @@ def test_sub_blocks_draw_the_same_numbers(monkeypatch):
         assert results[0] == results[1]
 
 
-def test_identity_columns_skip_the_matmul(monkeypatch):
-    # multiplying by the identity is exact: the values are those of the
-    # frames built by the product, and no product is taken
-    monkeypatch.setattr(determinants, "mc_mean", lambda sample, cfg: sample)
-    frame = _frame(5, 5)
-    sample = expected_absdet_mc(frame, MCConfig(samples=1))
+def test_shared_frames_factorize_nothing(monkeypatch):
+    # a shared frame draws each |det| from its exact law, so no frame is
+    # built or factorized; a frame that is not shared takes one QR per sub-block
+    def one_block(sample, cfg):
+        return EstimateWithCI(float(np.mean(sample(stream(2, 0), 500))), 0.0, 500)
+
+    monkeypatch.setattr(determinants, "mc_mean", one_block)
     calls = []
-    real = np.matmul
-    monkeypatch.setattr(np, "matmul", lambda *a: calls.append(1) or real(*a))
-    got = sample(stream(2, 0), 500)
+    for name in ("det", "qr"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=real, _n=name, **kw: calls.append(_n) or _f(*a, **kw))
+    for m, k in ((1, 1), (2, 2), (5, 3), (10, 10)):
+        expected_absdet_mc(_frame(m, k), CFG)
     assert calls == []
-    xi = stream(2, 0).standard_normal((500, 5, 5))
-    gamma = np.stack([col.matrix @ (col.mean + xi[:, j]).T for j, col in enumerate(frame.columns)])
-    expect = np.abs(np.linalg.det(gamma.transpose(2, 0, 1)))  # rows are the columns
-    assert np.array_equal(got, expect)
+    expected_absdet_mc(_scaled_frame(5, 3), CFG)
+    assert calls == ["qr"]
 
 
 def test_parallel_map_keeps_input_order(monkeypatch):
