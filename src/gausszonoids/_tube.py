@@ -1,8 +1,9 @@
 """Row quadrature over the tube {|phi| < r} of a field on the circle or
 the torus T^2, for :mod:`gausszonoids.fields`.
 
-A row (fixed trailing coordinates) is cut into cells along x1, split where a
-cell crosses the tube boundary twice, clipped to the tube and integrated by
+A row (fixed trailing coordinates) is cut into cells along x1 and scanned
+once (:func:`_row_panels`): each cell is split where it crosses the tube
+boundary twice and clipped to the tube, and the panels are integrated by
 Gauss-Legendre.  On T^2 the rows come from a rule in x2 whose breaks, the
 heights where the row integral is not smooth, are found here as well.  The
 names are internal; ``fields`` exports :class:`GridResolutionError`.
@@ -71,80 +72,59 @@ def _flat(fn, pts):
     return vals.reshape(pts.shape[:-1] + vals.shape[1:])
 
 
-def _abs_phi(field, pts):
-    return np.abs(_flat(field.phi, pts))
-
-
 def _dphi(field, pts, axis=0):
     """dphi/dx_(axis+1) at points of any leading shape."""
     return _flat(field.grad, pts)[..., axis]
 
 
-def _row_panels(field, r, edges, y):
-    """Panels [lo, hi], and the row of each, covering {|phi| < r} on the
-    cells of a block of rows y, between the (rows, E) edges of each row.
+def _row_panels(field, r, n, y):
+    """Panels [lo, hi], and the row of each, covering {|phi| < r} on the n
+    cells along x1 of each row of a block y, in x1 order per row.
 
-    The cells with an edge inside are kept, and each cell whose edges
-    disagree is clipped at its crossing, found by bisection, so the tube
-    cutoff adds no first-order error."""
-    excess = _abs_phi(field, _grid(edges, y)) - r
-    inside = excess < 0.0
-    ri, ci = np.nonzero(inside[:, :-1] | inside[:, 1:])
-    lo, hi = edges[ri, ci], edges[ri, ci + 1]
-    left_in = inside[ri, ci]
-    cut = np.nonzero(left_in != inside[ri, ci + 1])[0]
-    yc = y[ri[cut]]
-    c = bisect(
-        lambda t: _abs_phi(field, _at(t, yc)) - r,
-        lo[cut], hi[cut], excess[ri[cut], ci[cut]], _STEPS,
-    )
-    lo[cut] = np.where(left_in[cut], lo[cut], c)
-    hi[cut] = np.where(left_in[cut], c, hi[cut])
-    return lo, hi, ri
-
-
-def _tube_turns(field, r, edges, y):
-    """The turns of |phi| at which a cell of a row crosses the level r twice,
-    and the row of each, on the cells between edges of the rows y.
-
-    A cell whose edges lie on one side of r reaches the other side only
-    around a turn of |phi| (a sign change of phi * dphi/dx1), e.g. a zero of
-    phi in a tube narrower than the cell.  With at most one turn per cell,
-    each such turn, found by bisection, splits its cell into two that cross r
-    once."""
+    phi and dphi/dx1 are evaluated once at the cell edges.  A cell whose
+    edges lie on one side of r reaches the other side only around a turn of
+    |phi| (a sign change of phi * dphi/dx1), e.g. a zero of phi in a tube
+    narrower than the cell.  With at most one turn per cell, each such turn,
+    found by bisection, splits its cell into two that cross r once.  The
+    cells with an end inside the tube are kept, and each whose ends disagree
+    is clipped at its crossing, found by bisection, so the tube cutoff adds
+    no first-order error.  For r = inf the cells are whole and phi is not
+    evaluated."""
+    edges, rows = np.linspace(0.0, 2.0 * math.pi, n + 1), y.shape[0]
+    if not math.isfinite(r):
+        return np.tile(edges[:-1], rows), np.tile(edges[1:], rows), np.repeat(np.arange(rows), n)
 
     def slope(pts):  # phi, and phi * dphi/dx1, which has the sign of d|phi|/dx1
         phi = _flat(field.phi, pts)
         return phi, phi * _dphi(field, pts)
 
     phi, s = slope(_grid(edges, y))
-    out = np.abs(phi) >= r
-    falls = s < 0.0
+    excess = np.abs(phi) - r
+    out, falls = excess >= 0.0, s < 0.0
     # only a minimum of |phi| between edges outside the tube, or a maximum
     # between edges inside it, can cross r
     left, right = np.s_[:, :-1], np.s_[:, 1:]
     turning = (falls[left] != falls[right]) & (out[left] == out[right]) & (falls[left] == out[left])
-    ri, ci = np.nonzero(turning)
-    yt = y[ri]
-    turn = bisect(lambda t: slope(_at(t, yt))[1], edges[ci], edges[ci + 1], s[ri, ci], _STEPS)
-    keep = (_abs_phi(field, _at(turn, yt)) >= r) != out[ri, ci]
-    return turn[keep], ri[keep]
-
-
-def _tube_edges(field, r, n, y):
-    """The edges of the n cells along x1 of each row y, as a (rows, E)
-    array: a row's cells that cross the level r twice are split at its own
-    turns of |phi| (:func:`_tube_turns`), and a row with fewer turns than
-    another in y ends in zero-width cells at 2 pi."""
-    edges = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    if not math.isfinite(r):
-        return np.broadcast_to(edges, (y.shape[0], n + 1))
-    turn, ri = _tube_turns(field, r, edges, y)
-    slot = np.arange(ri.size) - np.searchsorted(ri, ri)  # each turn's place in its row
-    split = np.full((y.shape[0], n + 1 + slot.max(initial=-1) + 1), edges[-1])
-    split[:, : n + 1] = edges
-    split[ri, n + 1 + slot] = turn
-    return np.sort(split, axis=1)
+    tr, tc = np.nonzero(turning)
+    yt = y[tr]
+    turn = bisect(lambda t: slope(_at(t, yt))[1], edges[tc], edges[tc + 1], s[tr, tc], _STEPS)
+    at_turn = np.abs(_flat(field.phi, _at(turn, yt))) - r
+    split = (at_turn >= 0.0) != out[tr, tc]
+    # the edges of all rows in turn, each turn between the edges of its cell
+    at = (tr * (n + 1) + tc + 1)[split]
+    x = np.insert(np.tile(edges, rows), at, turn[split])
+    excess = np.insert(excess.ravel(), at, at_turn[split])
+    row = np.insert(np.repeat(np.arange(rows), n + 1), at, tr[split])
+    inside = excess < 0.0
+    i = np.nonzero((row[:-1] == row[1:]) & (inside[:-1] | inside[1:]))[0]
+    lo, hi, ri, left_in = x[i], x[i + 1], row[i], inside[i]
+    cut = np.nonzero(left_in != inside[i + 1])[0]
+    yc = y[ri[cut]]
+    at_lo = excess[i[cut]]
+    c = bisect(lambda t: np.abs(_flat(field.phi, _at(t, yc))) - r, lo[cut], hi[cut], at_lo, _STEPS)
+    lo[cut] = np.where(left_in[cut], lo[cut], c)
+    hi[cut] = np.where(left_in[cut], c, hi[cut])
+    return lo, hi, ri
 
 
 def _tube_rows(field, tube, grid, kinds, rows):
@@ -152,16 +132,16 @@ def _tube_rows(field, tube, grid, kinds, rows):
     array (kinds, rows) whose entry [i, j] integrates the body kinds[i] over
     the first coordinate on the row of trailing coordinates ``rows[j]``.
 
-    Each row is cut into ``grid.resolution`` cells, split at its turns
-    (:func:`_tube_edges`) and clipped to the tube (:func:`_row_panels`), and
-    each panel gets 12-point Gauss-Legendre.  Blocks of rows are scanned,
+    Each row is cut into ``grid.resolution`` cells, split at its turns and
+    clipped to the tube in one pass (:func:`_row_panels`), and each panel
+    gets 12-point Gauss-Legendre.  Blocks of rows are scanned,
     bisected and evaluated together, one block per task of
     :func:`parallel_map`, and each row adds up its panels in order."""
     n = grid.resolution
     step = _BLOCK // _GL12_X.size
 
     def block_rows(y):
-        lo, hi, ri = _row_panels(field, tube.r, _tube_edges(field, tube.r, n, y), y)
+        lo, hi, ri = _row_panels(field, tube.r, n, y)
         sums = np.zeros((len(kinds), y.shape[0]))
         for k in range(0, lo.size, step):
             a, b, rk = lo[k : k + step, None], hi[k : k + step, None], ri[k : k + step]
@@ -183,10 +163,10 @@ _PROBE_ROWS = 32
 _PROBE_SPLITS = 8
 
 
-def _row_extrema(field, r, edges, ys):
+def _row_extrema(field, edges, ys):
     """The critical points of phi along each row x2 = ys[j], the sign
     changes of dphi/dx1 on the cells between edges, bisected.  One tuple per
-    row: their abscissae, which are minima, and |phi| - r and dphi/dx2 there."""
+    row: their abscissae, which are minima, and phi and dphi/dx2 there."""
     y = ys[:, None]
     slope = _dphi(field, _grid(edges, y))
     falls = slope < 0.0
@@ -194,10 +174,10 @@ def _row_extrema(field, r, edges, ys):
     yt = y[ri]
     t = bisect(lambda t: _dphi(field, _at(t, yt)), edges[ci], edges[ci + 1], slope[ri, ci], _STEPS)
     pts = _at(t, yt)
-    level = _abs_phi(field, pts) - r
+    phi = _flat(field.phi, pts)
     d2 = _dphi(field, pts, 1)
     rows = np.searchsorted(ri, np.arange(1, ys.size))
-    parts = [np.split(v, rows) for v in (t, falls[ri, ci], level, d2)]
+    parts = [np.split(v, rows) for v in (t, falls[ri, ci], phi, d2)]
     return list(zip(*parts))
 
 
@@ -226,7 +206,7 @@ def _pair(field, y0, y1, a, b):
     extrema of either row, and each bracket (spanning both ends, plus that
     quarter) still holds one sign change of dphi/dx1 halfway between the
     rows."""
-    (ta, min_a, level_a, d2_a), (tb, min_b, level_b, d2_b) = a, b
+    (ta, min_a, phi_a, d2_a), (tb, min_b, phi_b, d2_b) = a, b
     c = ta.size
     if tb.size != c:
         return None
@@ -244,7 +224,7 @@ def _pair(field, y0, y1, a, b):
             falls_hi = _dphi(field, _at(hi, mid)) < 0.0
             if np.array_equal(falls_lo, min_a) and np.array_equal(falls_hi, ~min_a):
                 ends = np.full(c, y0), np.full(c, y1)
-                return np.stack([*ends, lo, hi, level_a, level_b[k], d2_a, d2_b[k]])
+                return np.stack([*ends, lo, hi, phi_a, phi_b[k], d2_a, d2_b[k]])
     return None
 
 
@@ -260,13 +240,14 @@ def _fold_breaks(field, r, n):
     interval whose points do not pair is halved, at most _PROBE_SPLITS
     times, before GridResolutionError.  On each segment a sign change of
     dphi/dx2 marks a critical point of phi, which splits the segment where
-    |phi| is monotone; a sign change of |phi| - r on such a part marks a
-    fold.  Both are bisected in x2."""
+    phi is monotone; a sign change of phi - r or of phi + r on such a part
+    marks a fold, so a part on which phi passes 0 can hold two.  Both are
+    bisected in x2."""
     if not math.isfinite(r):
         return np.zeros(1)
     edges = np.linspace(0.0, 2.0 * math.pi, n + 1)
     ys = np.linspace(0.0, 2.0 * math.pi, _PROBE_ROWS + 1)
-    rows = _row_extrema(field, r, edges, ys[:-1])
+    rows = _row_extrema(field, edges, ys[:-1])
     rows.append(rows[0])  # x2 = 2 pi is x2 = 0
     todo = [(ys[j], ys[j + 1], rows[j], rows[j + 1], 0) for j in range(_PROBE_ROWS)]
     segments = []
@@ -282,12 +263,9 @@ def _fold_breaks(field, r, n):
             )
         else:
             ym = 0.5 * (y0 + y1)
-            (mid,) = _row_extrema(field, r, edges, np.array([ym]))
+            (mid,) = _row_extrema(field, edges, np.array([ym]))
             todo += [(y0, ym, a, mid, depth + 1), (ym, y1, mid, b, depth + 1)]
-    y0, y1, lo, hi, level0, level1, d2_0, d2_1 = np.concatenate(segments, axis=1)
-
-    def level(pts):
-        return _abs_phi(field, pts) - r
+    y0, y1, lo, hi, phi0, phi1, d2_0, d2_1 = np.concatenate(segments, axis=1)
 
     def along(fn, seg, start, stop, f_start):
         """The x2 in [start, stop] where fn changes sign at the critical
@@ -299,15 +277,19 @@ def _fold_breaks(field, r, n):
 
     crit = np.nonzero((d2_0 < 0.0) != (d2_1 < 0.0))[0]
     top = along(lambda pts: _dphi(field, pts, 1), crit, y0[crit], y1[crit], d2_0[crit])
-    level_top = _branch_value(field, level, lo[crit], hi[crit], top) if crit.size else top
-    # the parts of the segments on which |phi| is monotone: split at the tops
+    phi = functools.partial(_flat, field.phi)
+    phi_top = _branch_value(field, phi, lo[crit], hi[crit], top) if crit.size else top
+    # the parts of the segments on which phi is monotone: split at the tops
     part = np.concatenate([np.arange(y0.size), crit])
     start, stop = np.concatenate([y0, top]), np.concatenate([y1, y1[crit]])
-    at_start, at_stop = np.concatenate([level0, level_top]), np.concatenate([level1, level1[crit]])
-    stop[crit], at_stop[crit] = top, level_top
-    fold = np.nonzero((at_start < 0.0) != (at_stop < 0.0))[0]
-    folds = along(level, part[fold], start[fold], stop[fold], at_start[fold])
-    breaks = np.unique(np.mod(np.concatenate([top, folds]), 2.0 * math.pi))
+    at_start, at_stop = np.concatenate([phi0, phi_top]), np.concatenate([phi1, phi1[crit]])
+    stop[crit], at_stop[crit] = top, phi_top
+    breaks = [top]
+    for v in (r, -r):  # a monotone part passes each level at most once
+        fold = np.nonzero((at_start - v < 0.0) != (at_stop - v < 0.0))[0]
+        f_start = at_start[fold] - v
+        breaks.append(along(lambda pts: phi(pts) - v, part[fold], start[fold], stop[fold], f_start))
+    breaks = np.unique(np.mod(np.concatenate(breaks), 2.0 * math.pi))
     return breaks if breaks.size else np.zeros(1)
 
 

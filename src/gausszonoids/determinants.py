@@ -100,11 +100,13 @@ def expected_absdet_mc(frame: FrameSpec, cfg: MCConfig) -> EstimateWithCI:
     means = np.stack([col.mean for col in frame.columns])  # (k, m)
     s = frame.columns[0].mean_norm
     nu = m - np.array([1, *range(1, k)])  # degrees of freedom of the chis
+    shape = nu[nu > 1, None] // 2  # the gamma shapes, of the chis with nu > 1
 
     def draws(rng: np.random.Generator, n: int) -> np.ndarray:
         z = rng.standard_normal(n)
         # chi^2_nu = 2 Gamma(nu // 2) + z^2 for odd nu: numpy is slow at shape 1/2
-        chi2 = 2.0 * rng.standard_gamma(nu[:, None] // 2, size=(k, n))
+        chi2 = np.zeros((k, n))
+        chi2[nu > 1] = 2.0 * rng.standard_gamma(shape, size=(shape.size, n))
         chi2[nu % 2 == 1] += rng.standard_normal((int(sum(nu % 2)), n)) ** 2
         chi = np.sqrt(chi2)
         if k > 1:
@@ -207,7 +209,8 @@ def determinant_bracket(frame: FrameSpec, cfg: MCConfig) -> DeterminantBracket:
 
     Other frames estimate MV by :func:`mixed_volume_ellipsoids_mc` on the
     seed after ``cfg.seed`` (0 after 2**64 - 1), so it is independent of a
-    determinant estimate drawn with ``cfg``.
+    determinant estimate drawn with ``cfg``.  A mixed volume or a bound past
+    the largest float raises ValueError.
     """
     m, k = frame.dim, frame.k
     shapes = [col.ellipsoid_matrix() for col in frame.columns]
@@ -222,6 +225,8 @@ def determinant_bracket(frame: FrameSpec, cfg: MCConfig) -> DeterminantBracket:
     else:
         mv_cfg = MCConfig(samples=cfg.samples, seed=(cfg.seed + 1) % (1 << 64))
         mv = mixed_volume_ellipsoids_mc(shapes, m, mv_cfg)
+    if not math.isfinite(alpha * mv.mean):  # then neither is the mixed volume, or a bound
+        raise ValueError("the mixed volume or its bracket exceeds the float range")
     b = limit_body_inradius()
     return DeterminantBracket(m, k, alpha, mv, b**k * alpha * mv.mean, alpha * mv.mean)
 

@@ -31,7 +31,6 @@ from ._tube import (
     _row_blocks,
     _row_panels,
     _section_volume_vec,
-    _tube_edges,
     _tube_rows,
     _x2_quad,
 )
@@ -157,9 +156,11 @@ class GridSpec:
     The tube integral runs row by row.  The circle is one row; on the torus
     T^2 the rule in x2 of the integral picks its own rows, and ``resolution``
     does not set how many.  Each row is cut into n cells of width 2 pi / n
-    along x1, split where a cell crosses the tube boundary twice; every cell
-    is clipped to the tube, bisecting the crossing in a cell whose edges
-    disagree, and the clipped cell gets 12-point Gauss-Legendre.  The
+    along x1 and scanned once, phi being evaluated at the n + 1 edges: a
+    cell is split where it crosses the tube boundary twice, every cell is
+    clipped to the tube, bisecting the crossing in a cell whose edges
+    disagree, and the clipped cell gets 12-point Gauss-Legendre.  With
+    r = inf the cells are whole and no edge is evaluated.  The
     sandwich's pointwise check runs on the n^dim grid.
     """
 
@@ -416,13 +417,13 @@ def _zero_counter(field: ScalarFieldSpec, tube: TubeSpec, n: int):
     """Per-sample zero counts in the tube, on the n-cell scan of the circle.
 
     The cells are split at the turns of |phi| that cross r twice and clipped
-    to the tube by :func:`_row_panels`.  With at most one root of X per
-    cell, X changes sign on a panel exactly when it has a root inside the
-    tube.  The deterministic parts of X are evaluated once per panel end, and
-    each block of samples gets X at all ends from one matrix product."""
+    to the tube by :func:`_row_panels`, in the tube integral's one pass over
+    the cell edges.  With at most one root of X per cell, X changes sign on
+    a panel exactly when it has a root inside the tube.  The deterministic
+    parts of X are evaluated once per panel end, and each block of samples
+    gets X at all ends from one matrix product."""
     tau = tube.tau
-    circle = np.zeros((1, 0))
-    lo, hi, _ = _row_panels(field, tube.r, _tube_edges(field, tube.r, n, circle), circle)
+    lo, hi, _ = _row_panels(field, tube.r, n, np.zeros((1, 0)))
     ends = np.concatenate([lo, hi])
     phi = np.asarray(field.phi(ends[:, None]), dtype=float)
     noise = tau * np.stack([np.cos(ends), np.sin(ends)])

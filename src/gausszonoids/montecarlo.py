@@ -91,7 +91,8 @@ def stream(seed: int, index: int) -> np.random.Generator:
 def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCConfig) -> EstimateWithCI:
     """Estimate E[sample] with a standard error.
 
-    `sample(rng, n)` must return n i.i.d. scalar draws.  Each chunk scales
+    `sample(rng, n)` must return n i.i.d. finite scalar draws; a draw that
+    is not finite raises ValueError.  Each chunk scales
     its draws by 2^-e, e the binary exponent of its largest |draw|, before it
     sums them, and the chunks are combined on the largest e; scaling by a
     power of two changes no value, but keeps the sums and the squares of
@@ -113,6 +114,8 @@ def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCCon
         e = binary_exponent(values)
         values = np.ldexp(values, -e)
         total = float(np.sum(values))
+        if not math.isfinite(total):  # n finite draws below 1 in size sum to at most n
+            raise ValueError("a draw is not finite: it exceeds the float range or is undefined")
         return n, total, float(np.sum((values - total / n) ** 2)), e
 
     counts, sums, devs, exps = zip(*parallel_map(moments, range(0, cfg.samples, _CHUNK)))

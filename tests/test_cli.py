@@ -576,6 +576,17 @@ def test_huge_offsets_stay_finite(capsys, argv):
     _finite_numbers(out)
 
 
+# E|det| is about 9.2e308 at m = k = 10, s = 1e306: past the largest float
+@pytest.mark.parametrize("argv", [
+    ("det", "mc", "--m", "10", "--k", "10", "--s", "1e306", "--samples", "1000"),
+    ("det", "bounds", "--m", "10", "--k", "10", "--s", "1e306"),
+])
+def test_determinant_past_the_largest_float_exits_2(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "exceeds the float range" in captured.err
+
+
 def test_huge_offsets_keep_their_values(capsys):
     # the ellipsoid's pole is at s/2 (axial_stretch(s)/sqrt(2 pi) -> s/2)
     code, out = run(capsys, "zonoid", "profile", "--kind", "ellipsoid", "--s", "1e155", "--n", "8")

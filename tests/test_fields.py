@@ -204,16 +204,21 @@ def test_rows_converge_on_a_genuinely_2d_field():
     assert mid == pytest.approx(fine, rel=5e-5)
 
 
+def _volume_2d(phi, grad_sq, tau):
+    """The section volume on T^2 at a point where phi and |grad phi|^2 take
+    these values."""
+    z = 0.5 * grad_sq / tau**2
+    g2 = (z + 0.5) * special.i0e(z) + z * special.i1e(z)
+    return math.exp(-phi * phi / tau**2) / (2 * math.pi) * g2
+
+
 def _mixed_row(x2, r, tau):
     """The row integral of the mixed field's section volume at height x2, by
     adaptive quadrature between the roots of |phi| = r in x1 (from arcsin)."""
     c = 0.5 * math.sin(2 * x2) + 0.3
 
     def vol(x1):
-        phi = math.sin(x1) + c
-        z = 0.5 * (math.cos(x1) ** 2 + math.cos(2 * x2) ** 2) / tau**2
-        g2 = (z + 0.5) * special.i0e(z) + z * special.i1e(z)
-        return math.exp(-phi * phi / tau**2) / (2 * math.pi) * g2
+        return _volume_2d(math.sin(x1) + c, math.cos(x1) ** 2 + math.cos(2 * x2) ** 2, tau)
 
     cuts = [0.0, 2 * math.pi]
     v = r - c  # phi = r where sin x1 = v
@@ -264,6 +269,75 @@ def test_mixed_field_meets_the_nested_quadrature(r, frozen):
         assert err <= 1e-11 * total
 
 
+def _cos_sin_field():
+    # phi = cos x1 + 2 sin x2 passes 0 on both branches of critical points
+    # along the rows, x1 = 0 and x1 = pi
+    def phi(p):
+        p = np.asarray(p, dtype=float)
+        return np.cos(p[..., 0]) + 2 * np.sin(p[..., 1])
+
+    def grad(p):
+        p = np.asarray(p, dtype=float)
+        return np.stack([-np.sin(p[..., 0]), 2 * np.cos(p[..., 1])], axis=-1)
+
+    return gz.ScalarFieldSpec(2, phi, grad, name="cos-sin")
+
+
+def _cos_sin_row(x2, r, tau):
+    """The row integral of the cos-sin field's section volume at height x2,
+    by adaptive quadrature between the roots of |phi| = r in x1 (from
+    arccos)."""
+    c = 2 * math.sin(x2)
+
+    def vol(x1):
+        return _volume_2d(math.cos(x1) + c, math.sin(x1) ** 2 + 4 * math.cos(x2) ** 2, tau)
+
+    cuts = [0.0, 2 * math.pi]
+    for v in (r - c, -r - c):  # phi = +-r where cos x1 = v
+        if abs(v) < 1:
+            cuts += [math.acos(v), 2 * math.pi - math.acos(v)]
+    cuts.sort()
+    return sum(
+        integrate.quad(vol, a, b, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+        for a, b in zip(cuts[:-1], cuts[1:])
+        if abs(math.cos(0.5 * (a + b)) + c) < r
+    )
+
+
+def _cos_sin_folds(r):
+    """The eight folds of the cos-sin field's tube: the heights where a row
+    extremum +-1 + 2 sin x2 of phi is +-r."""
+    levels = ((r - 1) / 2, (-r - 1) / 2, (r + 1) / 2, (1 - r) / 2)
+    return sorted(h for w in map(math.asin, levels) for h in (w % (2 * math.pi), math.pi - w))
+
+
+def _cos_sin_reference(r, tau):
+    """Nested adaptive quadrature of the cos-sin field's zero count: the
+    outer integral in x2 breaks at the multiples of pi/2 and at the folds."""
+    cuts = sorted([k * math.pi / 2 for k in range(5)] + _cos_sin_folds(r))
+    return 2 * sum(
+        integrate.quad(_cos_sin_row, a, b, args=(r, tau), epsabs=0.0, epsrel=2e-14, limit=200)[0]
+        for a, b in zip(cuts[:-1], cuts[1:])
+    )
+
+
+def test_folds_where_phi_passes_zero_on_a_branch():
+    # |phi| - r is positive at both ends of each monotone part of a branch,
+    # where phi runs between -1 and 3 (x1 = 0) or -3 and 1 (x1 = pi): its
+    # folds show only as sign changes of phi - r and phi + r
+    r, field, tube = 0.05, _cos_sin_field(), TubeSpec(0.1, 0.05)
+    tops = [0.5 * math.pi, 1.5 * math.pi]
+    breaks = gz._tube._fold_breaks(field, r, 256)
+    np.testing.assert_allclose(breaks, sorted(tops + _cos_sin_folds(r)), rtol=0, atol=1e-12)
+    ref = _cos_sin_reference(r, 0.1)
+    assert ref == pytest.approx(2.2168515578906938, rel=1e-13)
+    (total,), (err,) = gz.fields._integral_2d(
+        field, tube, grid_for_tube(field, r), ("gaussian",)
+    )
+    assert 2 * total == pytest.approx(ref, rel=1e-12)
+    assert abs(2 * total - ref) <= 2 * err
+
+
 def test_x2_estimate_bounds_the_error_on_sin2_2d():
     tube = TubeSpec(5e-2, 5e-2)
     (total,), (err,) = gz.fields._integral_2d(SIN2_2D, tube, GridSpec(1024), ("gaussian",))
@@ -271,21 +345,44 @@ def test_x2_estimate_bounds_the_error_on_sin2_2d():
     assert abs(2 * total - n_coa) <= 2 * err <= 1e-13 * n_coa
 
 
-def test_torus_integral_evaluates_few_points():
-    # the rows come from the x2 rule, not one per cell: at 4096 cells along
-    # x1 the integral calls phi at under 5 % of the 4096^2 points plus the
-    # bisections (25.4 M) of one midpoint row per cell
+def _counted(field):
+    """The field, and a list that gets the number of points of each call of
+    its phi."""
     points = []
 
     def phi(p):
-        points.append(p.shape[0])
-        return SIN2_2D.phi(p)
+        points.append(p.size // p.shape[-1])
+        return field.phi(p)
 
-    counted = gz.ScalarFieldSpec(2, phi, SIN2_2D.grad, name="counted")
+    return gz.ScalarFieldSpec(field.dim, phi, field.grad, name=field.name), points
+
+
+def test_torus_integral_evaluates_few_points():
+    # the rows come from the x2 rule, not one per cell: at 4096 cells along
+    # x1 the integral calls phi at under 160,000 points, 0.6 % of the 4096^2
+    # points plus the bisections (25.4 M) of one midpoint row per cell
+    counted, points = _counted(SIN2_2D)
     tube = TubeSpec(0.05, 0.05)
     got = expected_zeros_integral(counted, tube, GridSpec(4096))
-    assert sum(points) < 0.05 * 25.4e6
+    assert sum(points) < 160_000
     assert got == pytest.approx(expected_zeros_coarea(SIN2_2D, tube), rel=1e-14)
+
+
+def test_tube_rows_take_one_pass():
+    # at 4100 cells each peak of |sin 2 x1| lies mid-cell, and |phi| < r =
+    # 0.999999 but within 0.47 cells of it: each of the four cells holding
+    # one is split at its turn into two panels that cross r once.  phi is
+    # evaluated once at the n + 1 edges, at the 12 nodes of each panel, at
+    # 60 bisection steps per crossing and per turn, and at each turn
+    n, turns, crossings = 4100, 4, 8
+    counted, points = _counted(SIN2)
+    expected_zeros_integral(counted, TubeSpec(0.1, 0.999999), GridSpec(n))
+    assert sum(points) == n + 1 + 12 * (n + turns) + 61 * turns + 60 * crossings
+    # r = inf keeps the cells whole and evaluates no edge: phi is evaluated
+    # on the pointwise check's n points and at the nodes of the n cells
+    counted, points = _counted(SIN2)
+    envelope_sandwich(counted, 0.05, GridSpec(4096))
+    assert sum(points) == 4096 + 12 * 4096
 
 
 def test_torus_rows_split_at_their_turns():

@@ -103,6 +103,21 @@ def test_mc_mean_of_draws_near_the_largest_float():
     assert est.mean == pytest.approx(1e306, rel=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_mc_mean_refuses_a_draw_that_is_not_finite(monkeypatch, bad):
+    # one bad draw in the second chunk: no mean, and no warning on the way
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 12)
+
+    def draw(rng, n):
+        x = rng.standard_normal(n)
+        x[-1] = bad if n < 1 << 12 else x[-1]
+        return x
+
+    with pytest.raises(ValueError, match="not finite"):
+        mc_mean(draw, MCConfig((1 << 12) + 10, seed=0))
+
+
 def test_mc_mean_partial_final_chunk(monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 12)
     cfg = MCConfig(samples=(1 << 12) + 17, seed=5)
