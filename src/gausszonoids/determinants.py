@@ -89,28 +89,41 @@ def expected_absdet_mc(frame: FrameSpec, cfg: MCConfig) -> EstimateWithCI:
     A shared frame (|c| = s) draws each sample from its exact law: rotated on
     the right, Gamma has columns sqrt(k) c + xi_1 and k - 1 centered ones, so
     its volume is |column 1| = hypot(z + sqrt(k) s, chi_{m-1}) times that of
-    the others projected off it, prod_{i=1}^{k-1} chi_{m-i} (Bartlett).  At
-    k = 1 a sample is |c + xi| - s in a form that does not cancel where
-    c + xi rounds to c, and s is added to the mean.  Other frames draw m x k
-    normals in sub-blocks of _SUB_BLOCK, in stream order, and take prod |R_ii|
-    of each frame's QR factorization.
+    the others projected off it, prod_{i=1}^{k-1} chi_{m-i} (Bartlett).  By
+    Legendre's duplication formula chi_{nu+1} chi_nu has the law of
+    Gamma(nu), so the product is drawn as Gamma(m-2) Gamma(m-4) ..., one
+    gamma per pair of chis, times chi_{m-k+1} when k is even.  At k = 1 a
+    sample is |c + xi| - s in a form that does not cancel where c + xi rounds
+    to c, and s is added to the mean; at m = 1 there is no chi.  A product
+    past the largest float is left to mc_mean to refuse.  Other frames draw
+    m x k normals in sub-blocks of _SUB_BLOCK, in stream order, and take
+    prod |R_ii| of each frame's QR factorization.
     """
     m, k = frame.dim, frame.k
     mats = np.stack([col.matrix.T for col in frame.columns])  # (k, m, m)
     means = np.stack([col.mean for col in frame.columns])  # (k, m)
     s = frame.columns[0].mean_norm
-    nu = m - np.array([1, *range(1, k)])  # degrees of freedom of the chis
-    shape = nu[nu > 1, None] // 2  # the gamma shapes, of the chis with nu > 1
+    nu = np.array([m - 1, m - k + 1][: 2 - k % 2])  # the lone chis: column 1's, the leftover
+    # gamma shapes: nu // 2 of the lone chis with nu > 1, then m - 2, m - 4, ... of the pairs
+    shape = np.concatenate([nu[nu > 1] // 2, m - 2 * np.arange(1, (k + 1) // 2)])[:, None]
+    alone = int(np.sum(nu > 1))
 
     def draws(rng: np.random.Generator, n: int) -> np.ndarray:
         z = rng.standard_normal(n)
+        if m == 1:  # |s + z| - s, as below with r = chi_0 = 0
+            return z * ((s + 0.5 * z) / (0.5 * np.abs(s + z) + 0.5 * s))
+        gamma = rng.standard_gamma(shape, size=(shape.size, n))
         # chi^2_nu = 2 Gamma(nu // 2) + z^2 for odd nu: numpy is slow at shape 1/2
-        chi2 = np.zeros((k, n))
-        chi2[nu > 1] = 2.0 * rng.standard_gamma(shape, size=(shape.size, n))
+        chi2 = np.zeros((nu.size, n))
+        chi2[nu > 1] = 2.0 * gamma[:alone]
         chi2[nu % 2 == 1] += rng.standard_normal((int(sum(nu % 2)), n)) ** 2
         chi = np.sqrt(chi2)
         if k > 1:
-            return np.hypot(z + math.sqrt(k) * s, chi[0]) * np.prod(chi[1:], axis=0)
+            vol = np.hypot(z + math.sqrt(k) * s, chi[0])
+            with np.errstate(over="ignore"):  # mc_mean refuses a volume past the largest float
+                for factor in (*gamma[alone:], *chi[1:]):  # in place: no stacked copy
+                    vol *= factor
+            return vol
         # (z (2s + z) + r^2) / (hypot(s + z, r) + s), halved so it cannot overflow
         half = 0.5 * np.hypot(s + z, chi[0]) + 0.5 * s
         return z * ((s + 0.5 * z) / half) + chi[0] * (0.5 * chi[0] / half)

@@ -394,8 +394,9 @@ def concentration_limit(dim: int, alpha: float, vol_zero_set: float) -> float:
     return front * math.erf(math.sqrt(m / 2.0) * alpha) * vol_zero_set
 
 
-# noisy-field values per block of the zero-count scan, sized to stay in cache
-_SCAN_BLOCK = 1 << 15
+# noisy-field values per block of the zero-count scan: 1 MB, sized to stay in
+# a core's L2 cache
+_SCAN_BLOCK = 1 << 17
 
 
 def _scan_cells(field: ScalarFieldSpec, tube: TubeSpec) -> int:
@@ -419,13 +420,19 @@ def _zero_counter(field: ScalarFieldSpec, tube: TubeSpec, n: int):
     The cells are split at the turns of |phi| that cross r twice and clipped
     to the tube by :func:`_row_panels`, in the tube integral's one pass over
     the cell edges.  With at most one root of X per cell, X changes sign on
-    a panel exactly when it has a root inside the tube.  The deterministic
-    parts of X are evaluated once per panel end, and each block of samples
-    gets X at all ends from one matrix product."""
+    a panel exactly when it has a root inside the tube.  Consecutive panels
+    share their ends, so X is evaluated once at each distinct end: its
+    deterministic parts once per run, and its noise for a block of samples
+    from one matrix product, which is compared with -phi (the sign of X).  A
+    sample counts the sign changes between adjacent ends that bound a panel,
+    not those across the gaps between the tube's components, as one product
+    with 0/1 weights: the sums are integers below 2^24, exact in float32."""
     tau = tube.tau
     lo, hi, _ = _row_panels(field, tube.r, n, np.zeros((1, 0)))
-    ends = np.concatenate([lo, hi])
-    phi = np.asarray(field.phi(ends[:, None]), dtype=float)
+    ends = np.unique(np.concatenate([lo, hi]))
+    panel = np.zeros(ends[1:].shape, dtype=np.float32)  # no ends in an empty tube
+    panel[np.searchsorted(ends, lo)[lo < hi]] = 1.0  # the panel [ends[j], ends[j + 1]]
+    level = -np.asarray(field.phi(ends[:, None]), dtype=float)
     noise = tau * np.stack([np.cos(ends), np.sin(ends)])
     rows = max(1, _SCAN_BLOCK // max(1, ends.size))
 
@@ -433,9 +440,8 @@ def _zero_counter(field: ScalarFieldSpec, tube: TubeSpec, n: int):
         xi = rng.standard_normal((n_draw, 2))
         counts = np.zeros(n_draw, dtype=np.int64)
         for r0 in range(0, n_draw, rows):
-            x = xi[r0 : r0 + rows] @ noise + phi
-            change = x[:, : lo.size] * x[:, lo.size :] < 0.0
-            counts[r0 : r0 + rows] = np.count_nonzero(change, axis=1)
+            neg = xi[r0 : r0 + rows] @ noise < level
+            counts[r0 : r0 + rows] = (neg[:, 1:] != neg[:, :-1]) @ panel
         return counts
 
     return sample

@@ -576,7 +576,9 @@ def test_huge_offsets_stay_finite(capsys, argv):
     _finite_numbers(out)
 
 
-# E|det| is about 9.2e308 at m = k = 10, s = 1e306: past the largest float
+# E|det| is about 9.2e308 at m = k = 10, s = 1e306: past the largest float.
+# No overflow warning comes first, so -W error exits 2 as well
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ("det", "mc", "--m", "10", "--k", "10", "--s", "1e306", "--samples", "1000"),
     ("det", "bounds", "--m", "10", "--k", "10", "--s", "1e306"),

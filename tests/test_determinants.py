@@ -404,6 +404,20 @@ def test_shared_frames():
     assert not iid_frame(3, 3, s=1.0, matrix=np.diag([1.0, 1.0, -1.0])).shared
 
 
+@pytest.mark.parametrize("nu", range(1, 10))
+def test_chi_pairs_have_the_gamma_law(nu):
+    # Legendre's duplication formula: chi_nu chi_{nu+1} ~ Gamma(nu), whose
+    # first two moments are nu and nu (nu + 1)
+    chis, gamma = (stats.chi(nu), stats.chi(nu + 1)), stats.gamma(nu)
+    for order, exact in ((1, nu), (2, nu * (nu + 1))):
+        moment = chis[0].moment(order) * chis[1].moment(order)
+        assert moment == pytest.approx(exact, rel=1e-14)
+        assert gamma.moment(order) == pytest.approx(exact, rel=1e-14)
+    rng = stream(80 + nu, 0)
+    pair = np.sqrt(rng.chisquare(nu, 20_000) * rng.chisquare(nu + 1, 20_000))
+    assert stats.kstest(pair, stats.gamma(nu).cdf).pvalue > 1e-3
+
+
 def ex2_absdet(m, k, s):
     """E det(Gamma^T Gamma) = k! [C(m, k) + s^2 C(m-1, k-1)], by Cauchy-Binet
     over the k x k minors."""
@@ -413,6 +427,8 @@ def ex2_absdet(m, k, s):
 SHARED_GRID = [
     (1, 1, 0.0), (1, 1, 10.0), (4, 1, 2.0), (2, 2, 0.0), (3, 2, 0.5), (5, 3, 1.0),
     (7, 4, 10.0), (4, 4, 10.0), (10, 10, 0.5), (6, 6, 0.0),
+    # several pairs of chis and no leftover one
+    (6, 5, 1.0), (8, 7, 2.0),
 ]
 
 
@@ -434,7 +450,10 @@ def _rotated(frame):
     return FrameSpec(frame.dim, [GaussianVector(q, col.mean) for col in frame.columns])
 
 
-@pytest.mark.parametrize("m, k, s", [(3, 1, 0.5), (3, 2, 0.5), (5, 3, 1.0), (7, 4, 10.0), (4, 4, 2.0)])
+@pytest.mark.parametrize(
+    "m, k, s",
+    [(3, 1, 0.5), (3, 2, 0.5), (5, 3, 1.0), (7, 4, 10.0), (4, 4, 2.0), (6, 5, 1.0), (8, 7, 2.0)],
+)
 def test_shared_sampler_matches_the_qr_route(m, k, s, monkeypatch):
     frame = iid_frame(m, k, s)
     rotated = _rotated(frame)

@@ -582,6 +582,28 @@ def test_panel_counts_match_scan_and_bisection(field, tau, r, spacing, samples):
     assert counts.sum() > 0
 
 
+def test_zero_counter_evaluates_each_panel_end_once():
+    # sin 2 x1 at r = 0.1: the tube's four components lie on five runs of
+    # panels in [0, 2 pi] (the one around 0 is cut there), with four gaps
+    # between them; X is evaluated once at each distinct end, the p + 1 ends
+    # of each run of p panels
+    counted, points = _counted(SIN2)
+    tube = TubeSpec(0.1, 0.1)
+    n = gz.fields._scan_cells(SIN2, tube)
+    counter = gz.fields._zero_counter(counted, tube, n)
+    lo, hi, _ = gz._tube._row_panels(SIN2, tube.r, n, np.zeros((1, 0)))
+    ends = np.unique(np.concatenate([lo, hi]))
+    assert points[-1] == ends.size == lo.size + 5
+    counts = counter(gz.stream(6, 0), 4000)
+    xi = gz.stream(6, 0).standard_normal((4000, 2))
+    assert np.array_equal(counts, _scan_and_bisect_counts(SIN2, tube, n, xi))
+    assert counts.max() >= 2
+    # a tube that phi never enters has no ends, and no zeros
+    far = gz.ScalarFieldSpec(1, lambda p: 2.0 + np.sin(p[..., 0]), lambda p: np.cos(p[..., :1]))
+    est = mc_zero_count_circle(far, TubeSpec(0.1, 0.5), MCConfig(samples=100, seed=1))
+    assert est.mean == 0.0 and est.std_error == 0.0
+
+
 def test_zero_count_scan_refuses_more_cells_than_the_cap():
     # tau = 1e-6 needs 1.9e8 cells: refused before anything is allocated
     with pytest.raises(GridResolutionError, match="scan cells"):
