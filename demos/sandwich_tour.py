@@ -25,9 +25,9 @@ b = limit_body_inradius(1e-10)
 print(f"universal ratio b = {b:.12f}")
 print(f"attained at angle  {limit_inradius_angle():.6f} rad on the profile circle\n")
 
-# Monte Carlo directions confirm the squeeze; the support ratio depends
-# only on the angle to the mean axis, so one ambient dimension suffices
-print("inclusion check, m = 3, 20000 directions per offset")
+# the support ratio depends only on the angle to the mean axis, so a scan of
+# that angle confirms the squeeze; its minimum is sandwich_constant(s)
+print("inclusion check, m = 3, 20000 meridian angles per offset")
 print("  s     min h_G/h_ell   max h_G/h_ell")
 for s in (0.5, 2.0, 10.0):
     rep = check_inclusion(3, s, n_dirs=20_000, seed=7)

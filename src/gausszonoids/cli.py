@@ -355,12 +355,12 @@ COMMANDS = {
     ),
     "zonoid profile": _command(
         _profile, m=_M2, s=Param(_floats, None, _S.help), kind=_KIND,
-        n=Param(int, 181, "boundary points; random directions for inclusion"), format=_FORMAT,
+        n=Param(int, 181, "boundary points; meridian angles for inclusion"), format=_FORMAT,
     ),
     "zonoid volume": _command(_volume, m=_M, s=_S, kind=_KIND),
     "zonoid inclusion": _command(
-        _inclusion, m=_M, s=Param(float, ..., _S.help), n=Param(int, 10_000, "random directions"),
-        seed=_SEED,
+        _inclusion, m=_M, s=Param(float, ..., _S.help),
+        n=Param(int, 10_000, "meridian angles, offset by one uniform draw"), seed=_SEED,
     ),
     "det mc": _command(_det_mc, **_FRAME),
     "det bounds": _command(_det_bounds, **_FRAME),

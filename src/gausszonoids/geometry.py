@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,6 +27,7 @@ from scipy import special
 
 from .kernels import (
     SQRT_2PI,
+    SQRT_HALF_PI,
     SQRT_PI,
     axial_stretch,
     ball_volume,
@@ -56,6 +57,7 @@ __all__ = [
     "limit_body_inradius",
     "limit_inradius_angle",
     "limit_inradius_grid",
+    "sandwich_constant",
     "mean_stretch_matrix",
     "GaussianVector",
     "InclusionReport",
@@ -87,6 +89,8 @@ def _check_s(s, positive=False):
         raise ValueError("mean offset s must be positive")
     if s < 0:
         raise ValueError("mean offset s must be nonnegative")
+    if SQRT_HALF_PI * s == math.inf:  # axial_stretch(s), the ellipsoid's axis
+        raise ValueError(f"mean offset s = {s!r} stretches the mean axis past the largest float")
     return s
 
 
@@ -368,36 +372,61 @@ def limit_boundary_radius(x):
     return out if out.ndim else float(out)
 
 
-def _limit_ring_slope(t):
-    # d/dt limit_support(cos t, sin t): the gradient of a support function is
-    # the boundary point with that outer normal
-    ax, rad = _boundary_limit(t)
-    return -np.sin(t) * ax + np.cos(t) * rad
+# grid points per slice of a meridian scan: bounds the memory of each thread
+_GRID_SLICE = 1 << 17
+# the scan of the first quadrant that brackets the minimum of a support
+_QUADRANT = np.linspace(0.0, math.pi / 2, 1001)
+
+
+def _ring_scan(support, angles, n: int):
+    """((least, j), (greatest, j)) of ``support(cos t, sin t)`` at t =
+    ``angles(j)``, j < n, scanned slice by slice on the parallel_map threads;
+    a tie goes to the lowest j, whatever the number of threads."""
+
+    def extremes(k: int):
+        t = angles(np.arange(k, min(k + _GRID_SLICE, n)))
+        h = support(np.cos(t), np.sin(t))
+        lo, hi = int(np.argmin(h)), int(np.argmax(h))
+        return (float(h[lo]), k + lo), (float(h[hi]), k + hi)
+
+    lows, highs = zip(*parallel_map(extremes, range(0, n, _GRID_SLICE)))
+    return min(lows, key=lambda e: e[0]), max(highs, key=lambda e: e[0])
+
+
+def _ring_extremes(support, boundary, tol=None, angles=_QUADRANT.__getitem__, n=_QUADRANT.size):
+    """((t, h(t)) at the minimum, (greatest, its angle)) of h(t) = ``support(cos
+    t, sin t)`` on the :func:`_ring_scan` of increasing angles that span its one
+    minimum.  The least value's neighbours bracket the minimum, and bisection on
+    the sign of h'(t) = -sin t * A + cos t * R, with (A, R) = ``boundary(t)`` the
+    boundary point of normal angle t, narrows the bracket below ``tol`` (by
+    default, to adjacent floats)."""
+    (_, i), (hi, k) = _ring_scan(support, angles, n)
+    a, b = (float(v) for v in angles(np.array([max(i - 1, 0), min(i + 1, n - 1)])))
+    tol = math.ulp(b) if tol is None else tol
+    steps = max(0, math.floor(math.log2((b - a) / tol)) + 1) if b > a else 0
+
+    def slope(t):
+        ax, rad = boundary(t)
+        return -np.sin(t) * ax + np.cos(t) * rad
+
+    # the slope is negative left of the minimum (0 at a pole): all bisect reads of fa
+    t = float(bisect(slope, np.array([a]), np.array([b]), np.array([-1.0]), steps)[0])
+    return (t, float(support(math.cos(t), math.sin(t)))), (hi, float(angles(np.array([k]))[0]))
 
 
 @lru_cache(maxsize=8)
 def _inradius_search(tol: float) -> tuple[float, float]:
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    grid = np.linspace(0.0, math.pi / 2, 1001)
-    vals = limit_support(np.cos(grid), np.sin(grid))
-    i = int(np.argmin(vals))
-    a, b = grid[i - 1 : i], grid[i + 1 : i + 2]
-    steps = max(0, math.floor(math.log2((b[0] - a[0]) / tol)) + 1)
-    t = float(bisect(_limit_ring_slope, a, b, _limit_ring_slope(a), steps)[0])
-    return t, float(limit_support(math.cos(t), math.sin(t)))
+    return _ring_extremes(limit_support, _boundary_limit, tol)[0]
 
 
 def limit_body_inradius(tol: float = 1e-10) -> float:
     """Radius of the largest centered ball inside the limit body, the
-    universal constant b-infinity.
-
-    The limit body is origin symmetric, so the inradius is the minimum of its
-    support function h(t) over the unit circle; by symmetry the scan is
-    restricted to the first quadrant.  The 1000-cell scan brackets the
-    minimum, and bisection on the sign of the slope h'(t) = -sin t * A(t) +
-    cos t * R(t), with (A, R) the boundary point of normal angle t, narrows
-    the bracket until it is less than ``tol`` wide.  The value is accurate to
+    universal constant b-infinity: the minimum of its support function over
+    the unit circle, in the first quadrant by symmetry.  A 1000-cell scan
+    brackets the minimum, and bisection on the sign of the slope narrows the
+    bracket until it is less than ``tol`` wide.  The value is accurate to
     O(tol^2) and sits near 0.91035.
     """
     return _inradius_search(tol)[1]
@@ -409,20 +438,35 @@ def limit_inradius_angle(tol: float = 1e-10) -> float:
     return _inradius_search(tol)[0]
 
 
-# grid points per slice of limit_inradius_grid: bounds the memory of each thread
-_GRID_SLICE = 1 << 17
-
-
 def limit_inradius_grid(n: int = 1_000_000) -> float:
     """Independent check of :func:`limit_body_inradius`: plain minimum of the
     limit support over an n-point first-quadrant grid, taken slice by slice."""
     t = np.linspace(0.0, math.pi / 2, n)
+    return _ring_scan(limit_support, t.__getitem__, n)[0][0]
 
-    def slice_min(k: int) -> float:
-        part = t[k : k + _GRID_SLICE]
-        return float(np.min(limit_support(np.cos(part), np.sin(part))))
 
-    return min(parallel_map(slice_min, range(0, n, _GRID_SLICE)))
+def _meridian_extremes(s: float, *grid):
+    # the normalized support at (cos t, sin t) is h_G/h_E at the direction
+    # inverse-stretched from it; at s = 0 both bodies are the ball
+    if s == 0.0:
+        return (0.0, 1.0), (1.0, 0.0)
+    support, boundary = partial(normalized_support, s), partial(_boundary_normalized, s)
+    return _ring_extremes(support, boundary, None, *grid)
+
+
+def sandwich_constant(s) -> float:
+    """The sandwich constant b(s) = min over unit u of h_G(u)/h_E(u), s >= 0:
+    the inradius of the normalized body, so that b(s) E(s) is inside G(s).
+
+    Both supports are homogeneous of degree 1, and the normalized support at
+    (cos t, sin t) is their ratio at the direction with the mean axis shrunk
+    by axial_stretch(s), so b(s) is the minimum of ``normalized_support(s, cos
+    t, sin t)`` over t in [0, pi/2].  A 1000-cell scan brackets it and
+    bisection on the sign of its slope finds it to full precision.  b(0) = 1,
+    and b falls strictly to :func:`limit_body_inradius` as s grows:
+    1 - b(s) ~ 0.02 s^4 near 0, and b(s) - b-infinity ~ 0.195/s^2.
+    """
+    return _meridian_extremes(_check_s(s))[0][1]
 
 
 def mean_stretch_matrix(c: np.ndarray) -> np.ndarray:
@@ -499,13 +543,12 @@ class GaussianVector:
 
 # rounding allowance on both sides of the sandwich in check_inclusion
 _INCLUSION_SLACK = 1e-12
-# directions per chunk of check_inclusion: one stream and one parallel task each
-_INCLUSION_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
 class InclusionReport:
-    """Outcome of a randomized two-sided sandwich check."""
+    """Outcome of :func:`check_inclusion`: the least and greatest ratio h_G/h_E,
+    and the unit direction where the ratio comes closest to a side."""
 
     dim: int
     s: float
@@ -525,13 +568,18 @@ class InclusionReport:
 
 
 def check_inclusion(dim: int, s, n_dirs: int = 10_000, seed: int = 0) -> InclusionReport:
-    """Verify the two-sided ellipsoid sandwich on random unit directions.
+    """Verify the two-sided ellipsoid sandwich b-infinity <= h_G/h_E <= 1.
 
-    For each sampled direction u the ratio gaussian/ellipsoid support must lie
-    in [inradius - 1e-12, 1 + 1e-12].  Directions are drawn in chunks of
-    ``_INCLUSION_CHUNK`` from counter-based substreams, so the report is
-    deterministic for a fixed (seed, n_dirs).  A violation does not raise; it
-    is returned as a failing report carrying the worst direction as witness.
+    The ratio depends on the meridian angle only: at the direction with the
+    mean axis shrunk by axial_stretch(s) from (cos t, sin t), it is
+    ``normalized_support(s, cos t, sin t)``, t in [0, pi/2] by symmetry.  The
+    check scans it at the pole, on the equator and at the angles (j + U)
+    (pi/2)/n_dirs, j < n_dirs, with U one uniform draw of ``stream(seed, 0)``,
+    and bisects the minimum to full precision: ``min_ratio_lower`` is
+    :func:`sandwich_constant` for every seed and n_dirs.  In one dimension
+    (only the poles) and at s = 0 (two balls) the ratio is 1.  Both extremes
+    must lie in [inradius - 1e-12, 1 + 1e-12]; a violation does not raise, it
+    is returned as a failing report with the worst direction as witness.
     """
     s = _check_s(s)
     if dim < 1:
@@ -539,49 +587,24 @@ def check_inclusion(dim: int, s, n_dirs: int = 10_000, seed: int = 0) -> Inclusi
     if n_dirs < 1:
         raise ValueError("n_dirs must be >= 1")
     b = limit_body_inradius()
+    u = stream(seed, 0).random()
+    step = 0.5 * math.pi / n_dirs
 
-    def extremes(start: int):
-        n = min(_INCLUSION_CHUNK, n_dirs - start)
-        u = stream(seed, start // _INCLUSION_CHUNK).standard_normal((n, dim))
-        norms = np.linalg.norm(u, axis=1)
-        ok = norms > 0  # zero-norm draws have probability 0; drop defensively
-        u = u[ok] / norms[ok, None]
-        x = u[:, 0]
-        yr = np.linalg.norm(u[:, 1:], axis=1) if dim > 1 else np.zeros_like(x)
-        ratio = np.asarray(gaussian_support(s, x, yr)) / np.asarray(
-            ellipsoid_support(s, x, yr)
-        )
-        lo = int(np.argmin(ratio))
-        hi = int(np.argmax(ratio))
-        return (
-            (float(ratio[lo]), Direction(float(x[lo]), float(yr[lo]))),
-            (float(ratio[hi]), Direction(float(x[hi]), float(yr[hi]))),
-        )
+    def angles(j):  # index 0 is the pole, n_dirs + 1 the equator
+        return np.clip((j - 1 + u) * step, 0.0, 0.5 * math.pi)
 
-    min_ratio = np.inf
-    max_ratio = -np.inf
-    worst = Direction(1.0, 0.0)
-    worst_margin = np.inf
-    # the chunks' extremes, reduced in chunk order
-    for (rlo, dlo), (rhi, dhi) in parallel_map(extremes, range(0, n_dirs, _INCLUSION_CHUNK)):
-        min_ratio = min(min_ratio, rlo)
-        max_ratio = max(max_ratio, rhi)
-        if rlo - b < worst_margin:
-            worst_margin = rlo - b
-            worst = dlo
-        if 1.0 - rhi < worst_margin:
-            worst_margin = 1.0 - rhi
-            worst = dhi
-    passed = (min_ratio >= b - _INCLUSION_SLACK) and (max_ratio <= 1.0 + _INCLUSION_SLACK)
+    (t_lo, lo), (hi, t_hi) = _meridian_extremes(0.0 if dim == 1 else s, angles, n_dirs + 2)
+    t = t_hi if 1.0 - hi < lo - b else t_lo
+    x, yr = math.cos(t) / float(axial_stretch(s)), math.sin(t)
     return InclusionReport(
         dim=int(dim),
         s=s,
         n_dirs=int(n_dirs),
         seed=int(seed),
-        min_ratio_lower=min_ratio,
-        max_ratio_upper=max_ratio,
-        worst_direction=worst,
+        min_ratio_lower=lo,
+        max_ratio_upper=hi,
+        worst_direction=Direction(x / math.hypot(x, yr), yr / math.hypot(x, yr)),
         limit_inradius=b,
         slack=_INCLUSION_SLACK,
-        passed=passed,
+        passed=(lo >= b - _INCLUSION_SLACK) and (hi <= 1.0 + _INCLUSION_SLACK),
     )

@@ -589,6 +589,22 @@ def test_determinant_past_the_largest_float_exits_2(capsys, argv):
     assert code == 2 and captured.out == "" and "exceeds the float range" in captured.err
 
 
+# from s = 1.43e308 on, axial_stretch(s) (the outer ellipsoid's axis) exceeds
+# the largest float; no overflow warning comes first, so -W error exits 2 as well
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("zonoid", "inclusion", "--m", "3", "--s", "1.7e308"),
+    ("zonoid", "volume", "--m", "3", "--s", "1.7e308"),
+    ("zonoid", "support", "--s", "1.7e308"),
+    ("zonoid", "support", "--kind", "normalized", "--s", "1.7e308"),
+    ("zonoid", "profile", "--kind", "ellipsoid", "--s", "1.7e308", "--n", "8"),
+])
+def test_offset_past_the_largest_stretch_exits_2(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "past the largest float" in captured.err
+
+
 def test_huge_offsets_keep_their_values(capsys):
     # the ellipsoid's pole is at s/2 (axial_stretch(s)/sqrt(2 pi) -> s/2)
     code, out = run(capsys, "zonoid", "profile", "--kind", "ellipsoid", "--s", "1e155", "--n", "8")

@@ -24,6 +24,7 @@ from gausszonoids import (
     limit_support,
     mean_stretch_matrix,
     normalized_support,
+    sandwich_constant,
     stream,
     volume,
     volume_asymptote,
@@ -354,6 +355,70 @@ def test_check_inclusion_deterministic():
     a = check_inclusion(2, 1.0, n_dirs=2_000, seed=5)
     b = check_inclusion(2, 1.0, n_dirs=2_000, seed=5)
     assert a == b
+
+
+def _sandwich_reference(mp, s, t0):
+    """b(s) at 32 digits: the normalized support at the root of its slope
+    -sin t * A + cos t * R, (A, R) the boundary point of normal angle t."""
+    with mp.workdps(32):
+        s = mp.mpf(s)
+        lam = mp.exp(-s * s / 2) + mp.sqrt(mp.pi / 2) * s * mp.erf(s / mp.sqrt(2))
+
+        def jet(t):  # h and the slope of the normalized support at angle t
+            x, y = mp.cos(t) / lam, mp.sin(t)
+            sigma = mp.hypot(x, y)
+            w = x * s / sigma
+            e, g = mp.exp(-w * w / 2), mp.sqrt(2 * mp.pi) / 2 * s * mp.erf(w / mp.sqrt(2))
+            a, r = (x / sigma * e + g) / lam, y / sigma * e
+            return sigma * e + x * g, -mp.sin(t) * a + mp.cos(t) * r
+
+        return jet(mp.findroot(lambda t: jet(t)[1], mp.mpf(t0)))[0]
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 1.0, 2.0, 10.0, 1000.0])
+def test_sandwich_constant_matches_mpmath(s):
+    mp = pytest.importorskip("mpmath")
+    t0 = 0.61 if s > 2 else 0.75
+    assert sandwich_constant(s) == pytest.approx(float(_sandwich_reference(mp, s, t0)), rel=1e-15)
+
+
+def test_sandwich_constant_falls_from_one_to_b_infinity():
+    b_inf = limit_body_inradius()
+    b = np.array([sandwich_constant(s) for s in np.geomspace(0.05, 1e4, 60)])
+    assert sandwich_constant(0.0) == 1.0
+    assert np.all(np.diff(b) < 0) and b[0] < 1.0 and b[-1] > b_inf
+    # the two asymptotes: 1 - b ~ 0.0208 s^4 near 0, b - b_inf ~ 0.1946/s^2
+    for s in (0.01, 0.02):
+        assert (1.0 - sandwich_constant(s)) / s**4 == pytest.approx(0.02083, rel=1e-3)
+    for s in (100.0, 1000.0, 1e4):
+        assert (sandwich_constant(s) - b_inf) * s**2 == pytest.approx(0.19456, rel=1e-3)
+    assert sandwich_constant(1e300) == pytest.approx(b_inf, rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 50.0, 1e300])
+def test_inclusion_minimum_is_the_sandwich_constant(s):
+    b = sandwich_constant(s)
+    for m in (2, 3, 6):
+        for seed in (0, 3):
+            for n in (1, 2, 3, 10, 1000):
+                rep = check_inclusion(m, s, n_dirs=n, seed=seed)
+                assert rep.passed and rep.min_ratio_lower == pytest.approx(b, rel=1e-15)
+                assert rep.max_ratio_upper == pytest.approx(1.0, abs=1e-15)
+
+
+def test_inclusion_at_a_huge_offset_reaches_b_infinity():
+    rep = check_inclusion(3, 1e300, n_dirs=300_000, seed=2)
+    assert rep.passed
+    assert rep.min_ratio_lower == pytest.approx(limit_body_inradius(), rel=1e-15)
+
+
+def test_inclusion_ratio_is_one_on_the_line_and_at_zero_offset():
+    # in one dimension the directions are the poles; at s = 0 both bodies are the ball
+    for m, s in ((1, 0.0), (1, 3.0), (1, 1e300), (2, 0.0), (5, 0.0)):
+        rep = check_inclusion(m, s, n_dirs=100, seed=1)
+        assert rep.passed
+        assert rep.min_ratio_lower == 1.0 and rep.max_ratio_upper == 1.0
+        assert rep.worst_direction == Direction(1.0, 0.0)
 
 
 # -- linear algebra pieces -----------------------------------------------------------

@@ -61,7 +61,7 @@ RUNS = {
 def test_worker_count_changes_nothing(name, monkeypatch):
     # several chunks per run, the last one partial
     monkeypatch.setattr(montecarlo, "_CHUNK", 3_000)
-    monkeypatch.setattr(geometry, "_INCLUSION_CHUNK", 12_000)
+    monkeypatch.setattr(geometry, "_GRID_SLICE", 12_000)
     outputs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(montecarlo, "WORKERS", workers)
