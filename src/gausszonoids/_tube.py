@@ -38,8 +38,9 @@ def _section_volume_vec(field, tau, pts, kinds):
     return [scale * BODY_KINDS[kind].volume(m, s) for kind in kinds]
 
 
-# scan points per block of rows, and nodes per volume evaluation: bounds the
-# memory of each thread
+# scan points per block of tube rows, and nodes per volume evaluation of a
+# block: bounds the memory of each thread of the tube integral (the grid
+# scans take slices of montecarlo._GRID_SLICE points instead)
 _BLOCK = 1 << 18
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
 # bisection steps for a crossing, a turn or a break

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -62,22 +63,35 @@ def _cell(v) -> str:
     return "" if v is None else repr(v)
 
 
-def _emit(report, out: str | None):
-    """Write a report: a dict as one JSON object, a (header, rows) pair as CSV."""
+# CSV rows per write: bounds the text held at once
+_BATCH = 4096
+
+
+def _text(report):
+    """The text of a report, in pieces: a dict as one JSON object, a
+    (header, rows) pair as CSV, _BATCH rows per piece."""
     if isinstance(report, dict):
-        text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
-    else:
-        header, rows = report
-        lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    if out:
-        try:
-            with open(out, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise CommandError(f"cannot write output: {e}")
-    else:
-        sys.stdout.write(text)
+        yield json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+        return
+    header, rows = report
+    yield ",".join(header) + "\n"
+    rows = iter(rows)
+    while batch := list(itertools.islice(rows, _BATCH)):
+        yield "".join(",".join(_cell(v) for v in row) + "\n" for row in batch)
+
+
+def _emit(report, out: str | None):
+    """Write a report (:func:`_text`) to the file out, or to stdout.  Every
+    value of it is computed before it is written; only its text is made
+    batch by batch."""
+    if not out:
+        sys.stdout.writelines(_text(report))
+        return
+    try:
+        with open(out, "w", newline="") as fh:
+            fh.writelines(_text(report))
+    except OSError as e:
+        raise CommandError(f"cannot write output: {e}")
 
 
 def _verdict(obj: dict, passed: bool):
@@ -197,10 +211,16 @@ def _profile(p):
     if p["format"] == "json":
         curves = [dict(zip(header, (s, *prof.T))) for s, prof in curves]
         return {"kind": p["kind"], "curves": curves}, True
-    rows = [(s, *r) for s, prof in curves for r in prof.tolist()]
+    rows = ((s, *r) for s, prof in curves for r in _table_rows(prof))
     if len(curves) == 1:  # one curve: no s column
-        header, rows = header[1:], [r[1:] for r in rows]
+        header, rows = header[1:], (r[1:] for r in rows)
     return (header, rows), True
+
+
+def _table_rows(table: np.ndarray):
+    """The rows of a float array as lists of floats, made _BATCH at a time."""
+    for k in range(0, len(table), _BATCH):
+        yield from table[k : k + _BATCH].tolist()
 
 
 def _volume(p):

@@ -23,7 +23,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import special
 
-from .geometry import GaussianVector, limit_body_inradius, volume_asymptote, volume_bounds
+from .geometry import (
+    GaussianVector, _check_s, limit_body_inradius, volume_asymptote, volume_bounds,
+)
 from .kernels import axial_stretch, ball_volume, factorial
 from .montecarlo import EstimateWithCI, MCConfig, mc_mean
 
@@ -231,7 +233,7 @@ def determinant_bracket(frame: FrameSpec, cfg: MCConfig) -> DeterminantBracket:
     if m == 2:
         mv = EstimateWithCI(mixed_area(shapes[0], shapes[1] if k == 2 else np.eye(2)), 0.0, 0)
     elif frame.shared:
-        lam = float(axial_stretch(frame.columns[0].mean_norm))
+        lam = float(axial_stretch(_check_s(frame.columns[0].mean_norm)))
         pfaff = special.hyp2f1(-0.5, (m - k) / 2, m / 2, 1.0 - (1.0 / lam) ** 2)
         chi = 2 ** (k / 2) * math.gamma((m + 1) / 2) / math.gamma((m - k + 1) / 2)
         mv = EstimateWithCI(chi * lam * pfaff / alpha, 0.0, 0)

@@ -25,10 +25,7 @@ import numpy as np
 
 from ._tube import (
     GridResolutionError,
-    _BLOCK,
     _fold_breaks,
-    _grid,
-    _row_blocks,
     _row_panels,
     _section_volume_vec,
     _tube_rows,
@@ -36,7 +33,7 @@ from ._tube import (
 )
 from .geometry import gaussian_support, gaussian_volume, limit_body_inradius
 from .kernels import SQRT_2PI, ball_volume, factorial
-from .montecarlo import EstimateWithCI, MCConfig, mc_mean, parallel_map
+from .montecarlo import EstimateWithCI, MCConfig, grid_map, mc_mean
 
 __all__ = [
     "AxisProfile",
@@ -160,8 +157,10 @@ class GridSpec:
     cell is split where it crosses the tube boundary twice, every cell is
     clipped to the tube, bisecting the crossing in a cell whose edges
     disagree, and the clipped cell gets 12-point Gauss-Legendre.  With
-    r = inf the cells are whole and no edge is evaluated.  The
-    sandwich's pointwise check runs on the n^dim grid.
+    r = inf the cells are whole and no edge is evaluated.
+
+    The sandwich's pointwise check runs on the n^dim grid of the points
+    2 pi j / n, j < n, along each axis, one slice of flat indices at a time.
     """
 
     resolution: int = 4096
@@ -511,14 +510,13 @@ def envelope_sandwich(
     tube = TubeSpec(tau, r)
     _check_tensor_dim(field)
     m, n = field.dim, grid.resolution
-    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-
+    step = 2.0 * math.pi / n  # t = j * step is np.linspace(0, 2 pi, n, endpoint=False)
     bm = limit_body_inradius() ** m
 
-    def extremes(item):
-        y, k = item
-        chunk = _grid(t, y).reshape(-1, m)[k : k + _BLOCK]
-        vol_body, vol_ell = _section_volume_vec(field, tau, chunk, _BODIES)
+    def extremes(j):
+        # the flat index j of the grid t^m is the point (t[j mod n], t[j div n])
+        pts = np.stack([j % n, j // n][:m], axis=-1) * step
+        vol_body, vol_ell = _section_volume_vec(field, tau, pts, _BODIES)
         pos = vol_ell > 1e-300
         ratio = vol_body[pos] / vol_ell[pos]
         return (
@@ -528,11 +526,8 @@ def envelope_sandwich(
             float(np.max(ratio)) if ratio.size else -math.inf,
         )
 
-    # the grid t^m, a block of rows (and a chunk of _BLOCK points) at a time;
-    # max and min do not depend on the order of the chunks
-    blocks = _row_blocks(t[:, None] if m == 2 else np.zeros((1, 0)), n)
-    items = [(y, k) for y in blocks for k in range(0, y.shape[0] * n, _BLOCK)]
-    low, up, lows, highs = zip(*parallel_map(extremes, items))
+    # max and min do not depend on the order of the slices
+    low, up, lows, highs = zip(*grid_map(extremes, n**m))
     low_viol, up_viol, rmin, rmax = max(low), max(up), min(lows), max(highs)
     pointwise = low_viol <= slack and up_viol <= slack
 

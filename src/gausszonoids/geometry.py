@@ -36,7 +36,7 @@ from .kernels import (
     limit_support,
     scaled_norm,
 )
-from .montecarlo import parallel_map, stream
+from .montecarlo import grid_map, stream
 
 __all__ = [
     "Direction",
@@ -171,8 +171,11 @@ def gaussian_gradient(s, x, yr):
 def _boundary_ellipsoid(s, theta):
     lam = float(axial_stretch(s))
     x, yr = np.cos(theta), np.sin(theta)
-    # lam * lam would overflow from s = 1.1e154
-    return lam * x / (SQRT_2PI * np.hypot(x, yr / lam)), yr / (SQRT_2PI * np.hypot(lam * x, yr))
+    # lam * lam would overflow from s = 1.1e154, and SQRT_2PI * lam from
+    # s = 5.7e307: the radial quotient is taken with both sides quartered,
+    # which rounds as the plain one does
+    radial = 0.25 * yr / (SQRT_2PI * np.hypot(0.25 * lam * x, 0.25 * yr))
+    return lam * x / (SQRT_2PI * np.hypot(x, yr / lam)), radial
 
 
 def _boundary_normalized(s, theta):
@@ -217,8 +220,8 @@ def gaussian_volume(dim: int, s):
     """
     m = int(dim)
     s = np.asarray(s, dtype=float)
-    if m == 1:
-        return 2.0 * axial_stretch(s) / SQRT_2PI
+    if m == 1:  # 2 * lam would overflow from s = 7.2e307
+        return 2.0 * (axial_stretch(s) / SQRT_2PI)
     far = s >= _LINEAR_S
     if np.any(far):
         near = gaussian_volume(m, np.where(far, 0.0, s))
@@ -232,6 +235,15 @@ def gaussian_volume(dim: int, s):
         special.beta(0.5, a + 1.0) * special.hyp1f1(0.5, a + 1.5, -c)
         + s * s * special.beta(0.5, a + 2.0) * special.hyp1f1(0.5, a + 2.5, -c)
     )
+
+
+def _stretched_volume(m: int, s, vol):
+    """``axial_stretch(s) * vol / (2 pi)^(m/2)``: the volume of a body of
+    volume vol in R^m, stretched by axial_stretch(s) along its axis and
+    scaled by 1/sqrt(2 pi).  The product runs at an eighth of its scale,
+    which rounds as the plain one does, so that it stays finite for vol <= 8
+    (the ball and the limit body) up to the largest stretch."""
+    return 8.0 * (axial_stretch(s) * 0.125 * vol / (2 * math.pi) ** (m / 2))
 
 
 class BodyKind(NamedTuple):
@@ -272,7 +284,7 @@ BODY_KINDS = {
     "ellipsoid": BodyKind(
         ellipsoid_support,
         _boundary_ellipsoid,
-        lambda m, s: axial_stretch(s) * ball_volume(m) / (2 * math.pi) ** (m / 2),
+        lambda m, s: _stretched_volume(m, s, ball_volume(m)),
     ),
 }
 KINDS = tuple(BODY_KINDS)
@@ -342,7 +354,7 @@ def volume_bounds(dim: int, s) -> VolumeBounds:
     upper = float(BODY_KINDS["ellipsoid"].volume(m, s))
     lower = limit_body_inradius() ** m * upper
     limit = BODY_KINDS["limit"].volume(m, s)
-    lower_sharp = float(axial_stretch(s)) * limit / (2 * math.pi) ** (m / 2)
+    lower_sharp = float(_stretched_volume(m, s, limit))
     return VolumeBounds(lower=lower, lower_sharp=lower_sharp, upper=upper)
 
 
@@ -372,24 +384,22 @@ def limit_boundary_radius(x):
     return out if out.ndim else float(out)
 
 
-# grid points per slice of a meridian scan: bounds the memory of each thread
-_GRID_SLICE = 1 << 17
 # the scan of the first quadrant that brackets the minimum of a support
 _QUADRANT = np.linspace(0.0, math.pi / 2, 1001)
 
 
 def _ring_scan(support, angles, n: int):
     """((least, j), (greatest, j)) of ``support(cos t, sin t)`` at t =
-    ``angles(j)``, j < n, scanned slice by slice on the parallel_map threads;
-    a tie goes to the lowest j, whatever the number of threads."""
+    ``angles(j)``, j < n, scanned slice by slice (:func:`grid_map`); a tie
+    goes to the lowest j, whatever the number of threads."""
 
-    def extremes(k: int):
-        t = angles(np.arange(k, min(k + _GRID_SLICE, n)))
+    def extremes(j):
+        t = angles(j)
         h = support(np.cos(t), np.sin(t))
         lo, hi = int(np.argmin(h)), int(np.argmax(h))
-        return (float(h[lo]), k + lo), (float(h[hi]), k + hi)
+        return (float(h[lo]), int(j[lo])), (float(h[hi]), int(j[hi]))
 
-    lows, highs = zip(*parallel_map(extremes, range(0, n, _GRID_SLICE)))
+    lows, highs = zip(*grid_map(extremes, n))
     return min(lows, key=lambda e: e[0]), max(highs, key=lambda e: e[0])
 
 
@@ -440,9 +450,19 @@ def limit_inradius_angle(tol: float = 1e-10) -> float:
 
 def limit_inradius_grid(n: int = 1_000_000) -> float:
     """Independent check of :func:`limit_body_inradius`: plain minimum of the
-    limit support over an n-point first-quadrant grid, taken slice by slice."""
-    t = np.linspace(0.0, math.pi / 2, n)
-    return _ring_scan(limit_support, t.__getitem__, n)[0][0]
+    limit support over an n-point first-quadrant grid, taken slice by slice.
+
+    Each slice computes its own angles j * step, the last of n >= 2 exactly
+    pi/2: ``np.linspace(0, pi/2, n)`` bit for bit, with no array of all n."""
+    step = 0.5 * math.pi / max(n - 1, 1)
+
+    def angles(j):
+        t = j * step
+        if n > 1:
+            t[j == n - 1] = 0.5 * math.pi
+        return t
+
+    return _ring_scan(limit_support, angles, n)[0][0]
 
 
 def _meridian_extremes(s: float, *grid):
@@ -478,7 +498,7 @@ def mean_stretch_matrix(c: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(c)):
         raise ValueError("c must be finite")
     m = c.shape[0]
-    norm = float(scaled_norm(c))
+    norm = _check_s(scaled_norm(c))
     eye = np.eye(m)
     if norm == 0.0:
         return eye

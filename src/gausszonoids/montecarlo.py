@@ -5,11 +5,13 @@ Streams are counter-based: chunk ``i`` (of ``_CHUNK`` samples) draws from a
 Philox generator keyed by ``(seed, i)``, so estimates are bitwise
 reproducible for a fixed (samples, seed) pair and chunks are independent.
 
-Chunked loops (Monte Carlo chunks, tube row blocks, inclusion direction
-chunks, grid slices) run through :func:`parallel_map` on one thread per core
-in the process's affinity mask; ``taskset`` restricts them.  Each loop
-reduces its per-chunk results in chunk order, so no result depends on how
-many cores there are.
+Chunked loops (Monte Carlo chunks, tube row blocks, grid slices) run
+through :func:`parallel_map` on one thread per core in the process's
+affinity mask; ``taskset`` restricts them.  Each loop reduces its per-chunk
+results in chunk order, so no result depends on how many cores there are.
+Every grid scan (the sandwich's pointwise check, the meridian scans of the
+inclusion check, of b(s) and of the grid inradius) runs through
+:func:`grid_map`, one slice of flat indices per task.
 """
 from __future__ import annotations
 
@@ -49,6 +51,20 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+# flat indices per slice of a grid scan: each task builds the points of one
+# slice only, which bounds the memory of each thread
+_GRID_SLICE = 1 << 15
+
+
+def grid_map(fn: Callable, n: int) -> list:
+    """``fn(j)`` for the slices j of _GRID_SLICE consecutive flat indices
+    (int64 arrays) that cover 0 .. n - 1, in order, on the parallel_map
+    threads."""
+    return parallel_map(
+        lambda k: fn(np.arange(k, min(k + _GRID_SLICE, n))), range(0, n, _GRID_SLICE)
+    )
 
 
 # samples per chunk of a Monte Carlo run: one stream and one parallel task each

@@ -349,6 +349,28 @@ def test_out_file_json_ends_with_newline(capsys, tmp_path):
     json.loads(raw)
 
 
+@pytest.mark.parametrize("argv", [
+    ("--s", "0,1,2,3", "--n", "20000"),  # 80000 rows: twenty batches
+    ("--s", "1.5", "--n", "9001"),  # one curve: no s column
+])
+def test_profile_file_is_its_stdout(capsys, tmp_path, argv):
+    # the table is written batch by batch; the bytes are those of the rows
+    # of boundary_profile, one line each
+    code, out = run(capsys, "zonoid", "profile", *argv)
+    assert code == 0
+    path = tmp_path / "profile.csv"
+    assert main(["zonoid", "profile", *argv, "--out", str(path)]) == 0
+    assert path.read_text() == out
+    svals = [float(v) for v in argv[1].split(",")]
+    n = int(argv[3])
+    lines = ["s,theta,axial,radial" if len(svals) > 1 else "theta,axial,radial"]
+    for s in svals:
+        prof = gausszonoids.boundary_profile(gausszonoids.RevolutionBody("gaussian", 2, s), n)
+        prefix = [s] if len(svals) > 1 else []
+        lines += [",".join(repr(v) for v in prefix + row) for row in prof.tolist()]
+    assert out == "\n".join(lines) + "\n"
+
+
 def _readme_block(lang: str) -> str:
     """The first ``lang`` code block of README's CLI section."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -569,6 +591,12 @@ def _finite_numbers(out):
     ("det", "mc", "--m", "1", "--k", "1", "--s", "1.7e308", "--samples", "1000", "--seed", "1"),
     ("det", "bounds", "--m", "2", "--k", "2", "--s", "1e155"),
     ("det", "bounds", "--m", "3", "--k", "2", "--s", "1e155"),
+    # the stretched volumes and the ellipsoid's radial coordinate, whose
+    # plain products overflow although the results are finite
+    ("zonoid", "volume", "--m", "3", "--s", "1.43e308"),
+    ("zonoid", "volume", "--m", "2", "--s", "8e307"),
+    ("zonoid", "volume", "--m", "1", "--s", "1e308"),
+    ("zonoid", "profile", "--kind", "ellipsoid", "--s", "1e308", "--n", "8"),
 ])
 def test_huge_offsets_stay_finite(capsys, argv):
     code, out = run(capsys, *argv)
@@ -598,6 +626,10 @@ def test_determinant_past_the_largest_float_exits_2(capsys, argv):
     ("zonoid", "support", "--s", "1.7e308"),
     ("zonoid", "support", "--kind", "normalized", "--s", "1.7e308"),
     ("zonoid", "profile", "--kind", "ellipsoid", "--s", "1.7e308", "--n", "8"),
+    # the outer ellipsoid of a determinant's column
+    ("det", "bounds", "--m", "2", "--k", "2", "--s", "1.7e308"),
+    ("det", "check", "--m", "2", "--k", "1", "--s", "1.7e308"),
+    ("det", "bounds", "--m", "3", "--k", "3", "--s", "1.7e308"),
 ])
 def test_offset_past_the_largest_stretch_exits_2(capsys, argv):
     code = main(list(argv))
@@ -621,6 +653,18 @@ def test_huge_offsets_keep_their_values(capsys):
         small["std_error"] / small["mean"], rel=1e-12
     )
     assert big["std_error"] * 1e-55 == pytest.approx(small["std_error"], rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_largest_offsets_keep_their_volumes(capsys):
+    # in one dimension both bodies are the segment [-s/2, s/2], up to
+    # e^(-s^2/2) (axial_stretch(s)/sqrt(2 pi) -> s/2)
+    report = run_json(capsys, "zonoid", "volume", "--m", "1", "--s", "1e308")
+    assert report["volume"] == report["bounds"]["upper"] == pytest.approx(1e308, rel=1e-15)
+    # lower_sharp is the limit disc's area 2 sqrt(2), stretched by
+    # lam = sqrt(pi/2) s and scaled by 1/(2 pi): s/sqrt(pi)
+    report = run_json(capsys, "zonoid", "volume", "--m", "2", "--s", "8e307")
+    assert report["bounds"]["lower_sharp"] == pytest.approx(8e307 / math.sqrt(math.pi), rel=1e-15)
 
 
 @pytest.mark.parametrize("m", [1, 3])

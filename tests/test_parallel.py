@@ -22,7 +22,7 @@ from gausszonoids import (
     sine_field,
     stream,
 )
-from gausszonoids import determinants, geometry
+from gausszonoids import determinants
 
 CFG = MCConfig(samples=10_000, seed=3)
 
@@ -61,7 +61,7 @@ RUNS = {
 def test_worker_count_changes_nothing(name, monkeypatch):
     # several chunks per run, the last one partial
     monkeypatch.setattr(montecarlo, "_CHUNK", 3_000)
-    monkeypatch.setattr(geometry, "_GRID_SLICE", 12_000)
+    monkeypatch.setattr(montecarlo, "_GRID_SLICE", 12_000)
     outputs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(montecarlo, "WORKERS", workers)
