@@ -48,8 +48,11 @@ class CommandError(Exception):
 
 
 def _jsonable(v):
-    if isinstance(v, (np.generic, np.ndarray)):
-        v = v.tolist()
+    """v with numpy scalars as Python values and non-finite floats as their
+    repr; arrays are left to :class:`_Encoder`, which converts each one as it
+    is written."""
+    if isinstance(v, np.generic):
+        v = v.item()
     if isinstance(v, float) and not math.isfinite(v):
         return repr(v)
     if isinstance(v, dict):
@@ -59,19 +62,30 @@ def _jsonable(v):
     return v
 
 
+class _Encoder(json.JSONEncoder):
+    def default(self, o):
+        if isinstance(o, np.ndarray):
+            return _jsonable(o.tolist())
+        return super().default(o)
+
+
 def _cell(v) -> str:
     return "" if v is None else repr(v)
 
 
-# CSV rows per write: bounds the text held at once
+# CSV rows or JSON tokens per write: bounds the text held at once
 _BATCH = 4096
 
 
 def _text(report):
-    """The text of a report, in pieces: a dict as one JSON object, a
-    (header, rows) pair as CSV, _BATCH rows per piece."""
+    """The text of a report, in pieces: a dict as one JSON object (the bytes
+    of ``json.dumps(..., indent=2, sort_keys=True)``), _BATCH tokens per
+    piece, a (header, rows) pair as CSV, _BATCH rows per piece."""
     if isinstance(report, dict):
-        yield json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+        tokens = _Encoder(indent=2, sort_keys=True).iterencode(_jsonable(report))
+        while piece := "".join(itertools.islice(tokens, _BATCH)):
+            yield piece
+        yield "\n"
         return
     header, rows = report
     yield ",".join(header) + "\n"

@@ -27,7 +27,7 @@ from .geometry import (
     GaussianVector, _check_s, limit_body_inradius, volume_asymptote, volume_bounds,
 )
 from .kernels import axial_stretch, ball_volume, factorial
-from .montecarlo import EstimateWithCI, MCConfig, mc_mean
+from .montecarlo import EstimateWithCI, MCConfig, families, mc_mean
 
 __all__ = [
     "FrameSpec",
@@ -85,8 +85,24 @@ def mixed_volume_coeff(m: int, k: int) -> float:
 _SUB_BLOCK = 1 << 14
 
 
+def _chi(rng: np.random.Generator, nu: int, n: int) -> np.ndarray:
+    """n draws of chi_nu: |z| at nu = 1, else sqrt(2 Gamma(nu/2)) (numpy is
+    slow at gamma shape 1/2)."""
+    if nu == 1:
+        return np.abs(rng.standard_normal(n))
+    x = rng.standard_gamma(nu / 2, n)
+    x *= 2.0
+    return np.sqrt(x, out=x)
+
+
 def expected_absdet_mc(frame: FrameSpec, cfg: MCConfig) -> EstimateWithCI:
     """Monte Carlo estimate of E sqrt(det(Gamma^T Gamma)).
+
+    Each chunk is filled in sub-blocks of _SUB_BLOCK samples, and each
+    variate is drawn from its own :func:`~gausszonoids.montecarlo.families`
+    member of the chunk's stream, in sample order, so a thread holds a few
+    sub-block arrays whatever m, k and the chunk size are, and no value
+    depends on the sub-block size.
 
     A shared frame (|c| = s) draws each sample from its exact law: rotated on
     the right, Gamma has columns sqrt(k) c + xi_1 and k - 1 centered ones, so
@@ -94,51 +110,56 @@ def expected_absdet_mc(frame: FrameSpec, cfg: MCConfig) -> EstimateWithCI:
     the others projected off it, prod_{i=1}^{k-1} chi_{m-i} (Bartlett).  By
     Legendre's duplication formula chi_{nu+1} chi_nu has the law of
     Gamma(nu), so the product is drawn as Gamma(m-2) Gamma(m-4) ..., one
-    gamma per pair of chis, times chi_{m-k+1} when k is even.  At k = 1 a
-    sample is |c + xi| - s in a form that does not cancel where c + xi rounds
-    to c, and s is added to the mean; at m = 1 there is no chi.  A product
-    past the largest float is left to mc_mean to refuse.  Other frames draw
-    m x k normals in sub-blocks of _SUB_BLOCK, in stream order, and take
-    prod |R_ii| of each frame's QR factorization.
+    gamma per pair of chis, times chi_{m-k+1} when k is even.  The families
+    are z, column 1's chi, each pair's gamma, then the leftover chi; each
+    factor is multiplied into the sample in place.  At k = 1 a sample is
+    |c + xi| - s in a form that does not cancel where c + xi rounds to c,
+    and s is added to the mean; at m = 1 there is no chi and z is the only
+    family.  A product past the largest float is left to mc_mean to refuse.
+    Other frames draw the m x k normals of each sub-block from the chunk's
+    stream and take prod |R_ii| of each frame's QR factorization.
     """
     m, k = frame.dim, frame.k
-    mats = np.stack([col.matrix.T for col in frame.columns])  # (k, m, m)
-    means = np.stack([col.mean for col in frame.columns])  # (k, m)
     s = frame.columns[0].mean_norm
-    nu = np.array([m - 1, m - k + 1][: 2 - k % 2])  # the lone chis: column 1's, the leftover
-    # gamma shapes: nu // 2 of the lone chis with nu > 1, then m - 2, m - 4, ... of the pairs
-    shape = np.concatenate([nu[nu > 1] // 2, m - 2 * np.arange(1, (k + 1) // 2)])[:, None]
-    alone = int(np.sum(nu > 1))
+    if frame.shared:
+        pairs = m - 2 * np.arange(1, (k + 1) // 2)  # the gamma shapes of the chi pairs
+        count = 1 + (m > 1) + len(pairs) + (k % 2 == 0)
 
-    def draws(rng: np.random.Generator, n: int) -> np.ndarray:
-        z = rng.standard_normal(n)
-        if m == 1:  # |s + z| - s, as below with r = chi_0 = 0
-            return z * ((s + 0.5 * z) / (0.5 * np.abs(s + z) + 0.5 * s))
-        gamma = rng.standard_gamma(shape, size=(shape.size, n))
-        # chi^2_nu = 2 Gamma(nu // 2) + z^2 for odd nu: numpy is slow at shape 1/2
-        chi2 = np.zeros((nu.size, n))
-        chi2[nu > 1] = 2.0 * gamma[:alone]
-        chi2[nu % 2 == 1] += rng.standard_normal((int(sum(nu % 2)), n)) ** 2
-        chi = np.sqrt(chi2)
-        if k > 1:
-            vol = np.hypot(z + math.sqrt(k) * s, chi[0])
+        def fill(gens: list, vol: np.ndarray):
+            z = gens[0].standard_normal(vol.size)
+            if m == 1:  # |s + z| - s, as below with r = chi_0 = 0
+                vol[:] = z * ((s + 0.5 * z) / (0.5 * np.abs(s + z) + 0.5 * s))
+                return
+            r = _chi(gens[1], m - 1, vol.size)
+            if k == 1:
+                # (z (2s + z) + r^2) / (hypot(s + z, r) + s), halved so it cannot overflow
+                half = 0.5 * np.hypot(s + z, r) + 0.5 * s
+                vol[:] = z * ((s + 0.5 * z) / half) + r * (0.5 * r / half)
+                return
+            np.hypot(z + math.sqrt(k) * s, r, out=vol)
             with np.errstate(over="ignore"):  # mc_mean refuses a volume past the largest float
-                for factor in (*gamma[alone:], *chi[1:]):  # in place: no stacked copy
-                    vol *= factor
-            return vol
-        # (z (2s + z) + r^2) / (hypot(s + z, r) + s), halved so it cannot overflow
-        half = 0.5 * np.hypot(s + z, chi[0]) + 0.5 * s
-        return z * ((s + 0.5 * z) / half) + chi[0] * (0.5 * chi[0] / half)
+                for gen, shape in zip(gens[2:], pairs):
+                    vol *= gen.standard_gamma(shape, vol.size)
+                if k % 2 == 0:
+                    vol *= _chi(gens[-1], m - k + 1, vol.size)
+
+    else:
+        count = 1
+        mats = np.stack([col.matrix.T for col in frame.columns])  # (k, m, m)
+        means = np.stack([col.mean for col in frame.columns])  # (k, m)
+
+        def fill(gens: list, vol: np.ndarray):
+            xi = gens[0].standard_normal((vol.size, k, m)) + means
+            r = np.linalg.qr(np.matmul(xi.transpose(1, 0, 2), mats).transpose(1, 2, 0), mode="r")
+            vol[:] = np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
 
     def volumes(rng: np.random.Generator, n: int) -> np.ndarray:
-        out = np.empty(n)
+        gens, out = families(rng, count), np.empty(n)
         for a in range(0, n, _SUB_BLOCK):
-            xi = rng.standard_normal((min(n, a + _SUB_BLOCK) - a, k, m)) + means
-            r = np.linalg.qr(np.matmul(xi.transpose(1, 0, 2), mats).transpose(1, 2, 0), mode="r")
-            out[a : a + len(r)] = np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
+            fill(gens, out[a : a + _SUB_BLOCK])
         return out
 
-    est = mc_mean(draws if frame.shared else volumes, cfg)
+    est = mc_mean(volumes, cfg)
     return est._replace(mean=s + est.mean) if frame.shared and k == 1 else est
 
 

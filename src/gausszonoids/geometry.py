@@ -453,7 +453,10 @@ def limit_inradius_grid(n: int = 1_000_000) -> float:
     limit support over an n-point first-quadrant grid, taken slice by slice.
 
     Each slice computes its own angles j * step, the last of n >= 2 exactly
-    pi/2: ``np.linspace(0, pi/2, n)`` bit for bit, with no array of all n."""
+    pi/2: ``np.linspace(0, pi/2, n)`` bit for bit, with no array of all n.
+    n = 1 scans the pole alone; n < 1 raises ValueError."""
+    if n < 1:
+        raise ValueError(f"the grid needs n >= 1 points, got n = {n}")
     step = 0.5 * math.pi / max(n - 1, 1)
 
     def angles(j):

@@ -4,6 +4,9 @@ the package's chunked loops.
 Streams are counter-based: chunk ``i`` (of ``_CHUNK`` samples) draws from a
 Philox generator keyed by ``(seed, i)``, so estimates are bitwise
 reproducible for a fixed (samples, seed) pair and chunks are independent.
+A sampler with several variates draws each from its own counter range of
+the chunk's key (:func:`families`), so it can fill a chunk in sub-blocks
+without its numbers depending on the sub-block size.
 
 Chunked loops (Monte Carlo chunks, tube row blocks, grid slices) run
 through :func:`parallel_map` on one thread per core in the process's
@@ -98,17 +101,30 @@ def _check_seed(seed: int):
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
-    """Generator for chunk `index` of the run keyed by `seed`."""
+    """Generator for chunk `index` of the run keyed by `seed`: Philox keyed by
+    (seed, index) from counter 0.  It is family 0 of the chunk
+    (:func:`families`)."""
     _check_seed(seed)
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def families(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
+    """`count` generators on disjoint counter ranges of the chunk stream `rng`,
+    taken before any draw from it: family 0 is `rng`, and family j has the
+    same key from counter j << 128 (Philox's ``jumped(j)``).  A sampler that
+    draws each variate from its own family, in sample order, draws the same
+    numbers however it cuts the chunk into sub-blocks."""
+    return [rng] + [np.random.Generator(rng.bit_generator.jumped(j)) for j in range(1, count)]
+
+
 def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCConfig) -> EstimateWithCI:
     """Estimate E[sample] with a standard error.
 
-    `sample(rng, n)` must return n i.i.d. finite scalar draws; a draw that
-    is not finite raises ValueError.  Each chunk scales
+    `sample(rng, n)` must return n i.i.d. finite scalar draws from the chunk's
+    :func:`stream` `rng` (or from its :func:`families`); a draw that is not
+    finite raises ValueError.  A chunk holds the draws and one scaled copy of
+    them, whose squared deviations are taken in place.  Each chunk scales
     its draws by 2^-e, e the binary exponent of its largest |draw|, before it
     sums them, and the chunks are combined on the largest e; scaling by a
     power of two changes no value, but keeps the sums and the squares of
@@ -132,7 +148,8 @@ def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCCon
         total = float(np.sum(values))
         if not math.isfinite(total):  # n finite draws below 1 in size sum to at most n
             raise ValueError("a draw is not finite: it exceeds the float range or is undefined")
-        return n, total, float(np.sum((values - total / n) ** 2)), e
+        values -= total / n  # the squared deviations, in place
+        return n, total, float(np.sum(np.square(values, out=values))), e
 
     counts, sums, devs, exps = zip(*parallel_map(moments, range(0, cfg.samples, _CHUNK)))
     n, e = cfg.samples, max(exps)  # every chunk on the scale 2^-e of the largest draw

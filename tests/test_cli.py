@@ -677,6 +677,15 @@ def test_one_column_error_survives_rounding(capsys, m):
     assert report["std_error"] == pytest.approx(1000**-0.5, rel=0.1, abs=0)
 
 
+def test_one_by_one_frame_keeps_its_numbers(capsys):
+    # a 1x1 frame draws z alone, from the chunk's stream (family 0): the
+    # value is frozen from before the variates had families of their own
+    report = run_json(capsys, "det", "mc", "--m", "1", "--k", "1", "--s", "3",
+                      "--samples", "200000", "--seed", "5")
+    assert report["mean"] == 3.0028556557125565
+    assert report["std_error"] == 0.0022343064784434595
+
+
 @pytest.mark.filterwarnings("error")
 def test_planar_bracket_is_exact_at_large_offsets(capsys):
     # the planar frame's two outer ellipses coincide, so MV is their area

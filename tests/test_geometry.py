@@ -210,6 +210,13 @@ def test_inradius_grid_scan_agrees():
     )
 
 
+def test_inradius_grid_needs_a_point():
+    assert limit_inradius_grid(1) == 1.0  # the pole alone
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            limit_inradius_grid(n)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
 def test_inradius_tol_must_be_positive_and_finite(tol):
     for search in (limit_body_inradius, limit_inradius_angle):

@@ -30,6 +30,20 @@ def test_stream_substreams_differ():
     assert not np.array_equal(a, c)
 
 
+def test_families_are_disjoint_counter_ranges():
+    # family 0 is the chunk's stream bit for bit; family j has the chunk's key
+    # from counter j << 128
+    draws = [g.standard_normal(8) for g in montecarlo.families(stream(42, 3), 4)]
+    assert draws[0].tobytes() == stream(42, 3).standard_normal(8).tobytes()
+    key = np.array([42, 3], dtype=np.uint64)
+    for j, got in enumerate(draws):
+        counter = np.array([0, 0, j, 0], dtype=np.uint64)  # 64-bit words, lowest first
+        philox = np.random.Philox(key=key, counter=counter)
+        assert got.tobytes() == np.random.Generator(philox).standard_normal(8).tobytes()
+    following = [g.standard_normal(8) for g in montecarlo.families(stream(42, 4), 4)]
+    assert len({d.tobytes() for d in draws + following}) == 8
+
+
 def test_mc_mean_reproducible(monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK", 1 << 12)
     cfg = MCConfig(samples=30_000, seed=9)

@@ -73,7 +73,8 @@ def test_worker_count_changes_nothing(name, monkeypatch):
 def test_sub_blocks_draw_the_same_numbers(monkeypatch):
     # a chunk drawn in sub-blocks is the chunk drawn at once
     cfg = MCConfig(samples=5_000, seed=8)
-    for frame in (_frame(1, 1), _frame(2, 2), _frame(4, 4), _scaled_frame(4, 4), _scaled_frame(5, 3)):
+    for frame in (_frame(1, 1), _frame(2, 2), _frame(4, 4), _scaled_frame(4, 4), _scaled_frame(5, 3),
+                  _frame(6, 5), _frame(4, 1)):
         results = []
         for size in (1 << 30, 1_000):
             monkeypatch.setattr(determinants, "_SUB_BLOCK", size)

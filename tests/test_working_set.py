@@ -1,5 +1,5 @@
-"""Grid scans and CSV tables hold a bounded working set, and slicing them
-changes no value."""
+"""Grid scans, Monte Carlo chunks and printed tables hold a bounded working
+set, and slicing them changes no value."""
 import math
 import tracemalloc
 
@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from gausszonoids import (
+    FrameSpec,
+    GaussianVector,
     GridSpec,
+    MCConfig,
     ScalarFieldSpec,
     check_inclusion,
     envelope_sandwich,
+    expected_absdet_mc,
     limit_body_inradius,
     limit_inradius_grid,
     montecarlo,
@@ -46,6 +50,11 @@ RUNS = {
     "profile": lambda path: main(
         ["zonoid", "profile", "--m", "2", "--s", "0,1,2,3", "--n", "20000", "--out", str(path)]
     ),
+    # the JSON is written curve by curve, one column converted at a time
+    "profile-json": lambda path: main(
+        ["zonoid", "profile", "--m", "2", "--s", "0,1,2,3", "--n", "20000", "--format", "json",
+         "--out", str(path)]
+    ),
 }
 
 
@@ -54,6 +63,22 @@ def test_peak_memory_is_a_slice_per_thread(name, monkeypatch, tmp_path):
     monkeypatch.setattr(montecarlo, "WORKERS", 2)
     peak = _peak(lambda: RUNS[name](tmp_path / "profile.csv"))
     assert peak <= PEAK, f"{name} held {peak / 2**20:.1f} MB"
+
+
+# a Monte Carlo chunk's draws, their scaled copy and a few sub-blocks per
+# thread, whatever the frame's size
+CHUNK_PEAK = 3 << 20
+
+
+@pytest.mark.parametrize("m", [2, 10, 60])
+def test_shared_sampler_holds_sub_blocks(m, monkeypatch):
+    monkeypatch.setattr(montecarlo, "WORKERS", 2)
+    c = np.zeros(m)
+    c[0] = 1.0
+    frame = FrameSpec(m, [GaussianVector(np.eye(m), c) for _ in range(m)])
+    assert frame.shared
+    peak = _peak(lambda: expected_absdet_mc(frame, MCConfig(200_000, seed=3)))
+    assert peak <= CHUNK_PEAK, f"{m}x{m} held {peak / 2**20:.1f} MB"
 
 
 def _mixed_field():
