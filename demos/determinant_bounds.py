@@ -40,7 +40,7 @@ print(f"  estimate     {rep.estimate.mean:.5f} +- {rep.estimate.std_error:.5f}")
 print(f"  coeff * MV   {rep.upper:.5f}  (exact planar mixed area)\n")
 
 # shifted columns: the estimate slides from the upper bound toward b^2 * upper
-b = limit_body_inradius(1e-10)
+b = limit_body_inradius()
 print("iid columns with mean s*e1, m = k = 2")
 print("  s      estimate/upper   floor b^2")
 for i, s in enumerate((0.5, 2.0, 10.0)):

@@ -21,7 +21,7 @@ from gausszonoids import (
     volume_bounds,
 )
 
-b = limit_body_inradius(1e-10)
+b = limit_body_inradius()
 print(f"universal ratio b = {b:.12f}")
 print(f"attained at angle  {limit_inradius_angle():.6f} rad on the profile circle\n")
 

@@ -11,15 +11,20 @@ from .geometry import *
 from .kernels import *
 from .montecarlo import *
 
-# The names the paper's statements use, bound to the same objects: b-infinity
-# is the limit-body inradius, n_{r,tau} the expected zero count in the r-tube
-# at noise scale tau, and the comparison field replaces each section body by
-# its outer ellipsoid.
-compute_b_infinity = geometry.limit_body_inradius
+# The names the paper's statements use, bound to the same objects: n_{r,tau}
+# is the expected zero count in the r-tube at noise scale tau, and the
+# comparison field replaces each section body by its outer ellipsoid.
 folded_abs_moment = kernels.folded_normal_mean
 n_r_tau_integral = fields.expected_zeros_integral
 n_r_tau_coarea = fields.expected_zeros_coarea
 comparison_field_sandwich = fields.envelope_sandwich
+
+
+def compute_b_infinity(tol: float | None = None) -> float:
+    """b-infinity (:func:`geometry.limit_body_inradius`), which is bisected to
+    adjacent floats and so meets every tolerance tol the paper's statement asks."""
+    return geometry.limit_body_inradius()
+
 
 __version__ = "0.1.0"
 

@@ -43,8 +43,6 @@ def _section_volume_vec(field, tau, pts, kinds):
 # scans take slices of montecarlo._GRID_SLICE points instead)
 _BLOCK = 1 << 18
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
-# bisection steps for a crossing, a turn or a break
-_STEPS = 60
 
 
 def _at(t, y):
@@ -108,7 +106,7 @@ def _row_panels(field, r, n, y):
     turning = (falls[left] != falls[right]) & (out[left] == out[right]) & (falls[left] == out[left])
     tr, tc = np.nonzero(turning)
     yt = y[tr]
-    turn = bisect(lambda t: slope(_at(t, yt))[1], edges[tc], edges[tc + 1], s[tr, tc], _STEPS)
+    turn = bisect(lambda t, i: slope(_at(t, yt[i]))[1], edges[tc], edges[tc + 1], s[tr, tc])
     at_turn = np.abs(_flat(field.phi, _at(turn, yt))) - r
     split = (at_turn >= 0.0) != out[tr, tc]
     # the edges of all rows in turn, each turn between the edges of its cell
@@ -122,7 +120,7 @@ def _row_panels(field, r, n, y):
     cut = np.nonzero(left_in != inside[i + 1])[0]
     yc = y[ri[cut]]
     at_lo = excess[i[cut]]
-    c = bisect(lambda t: np.abs(_flat(field.phi, _at(t, yc))) - r, lo[cut], hi[cut], at_lo, _STEPS)
+    c = bisect(lambda t, i: np.abs(_flat(field.phi, _at(t, yc[i]))) - r, lo[cut], hi[cut], at_lo)
     lo[cut] = np.where(left_in[cut], lo[cut], c)
     hi[cut] = np.where(left_in[cut], c, hi[cut])
     return lo, hi, ri
@@ -173,7 +171,7 @@ def _row_extrema(field, edges, ys):
     falls = slope < 0.0
     ri, ci = np.nonzero(falls[:, :-1] != falls[:, 1:])
     yt = y[ri]
-    t = bisect(lambda t: _dphi(field, _at(t, yt)), edges[ci], edges[ci + 1], slope[ri, ci], _STEPS)
+    t = bisect(lambda t, i: _dphi(field, _at(t, yt[i])), edges[ci], edges[ci + 1], slope[ri, ci])
     pts = _at(t, yt)
     phi = _flat(field.phi, pts)
     d2 = _dphi(field, pts, 1)
@@ -192,7 +190,7 @@ def _branch_value(field, fn, lo, hi, x2):
         raise GridResolutionError(
             "a critical point of phi moves too far between the probe rows of the x2 rule"
         )
-    t = bisect(lambda t: _dphi(field, _at(t, y)), lo, hi, f_lo, _STEPS)
+    t = bisect(lambda t, i: _dphi(field, _at(t, y[i])), lo, hi, f_lo)
     return fn(_at(t, y))
 
 
@@ -273,7 +271,7 @@ def _fold_breaks(field, r, n):
         point of the segments seg, by bisection."""
         lo_s, hi_s = lo[seg], hi[seg]
         return bisect(
-            lambda x2: _branch_value(field, fn, lo_s, hi_s, x2), start, stop, f_start, _STEPS
+            lambda x2, i: _branch_value(field, fn, lo_s[i], hi_s[i], x2), start, stop, f_start
         )
 
     crit = np.nonzero((d2_0 < 0.0) != (d2_1 < 0.0))[0]

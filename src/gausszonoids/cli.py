@@ -41,6 +41,8 @@ from .geometry import (
 from .montecarlo import MCConfig
 
 SWEEP_COLUMNS = ("tau", "r", "n_integral", "n_coarea", "n_mc", "se", "limit", "rel_err")
+# the gap to limit_inradius_grid() that binfty --check accepts (it reads 1.1e-13)
+_AGREEMENT = 1e-10
 
 
 class CommandError(Exception):
@@ -124,6 +126,20 @@ class Param(NamedTuple):
     help: str | None = None
 
 
+def _flag(value) -> bool:
+    """A switch: True from its flag, or JSON true or false in a manifest."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a boolean (JSON true or false)")
+    return value
+
+
+def _int(value) -> int:
+    """An integer from a flag's text or an integral manifest number."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _choice(*options):
     def cast(value):
         if value not in options:
@@ -190,12 +206,10 @@ def _params(args, name: str, schema: dict) -> dict:
 
 
 def _binfty(p):
-    tol = p["tol"]
-    value = limit_body_inradius(tol)
-    obj = {"b_infinity": value, "t_star": limit_inradius_angle(tol), "tol": tol}
+    obj = {"b_infinity": limit_body_inradius(), "t_star": limit_inradius_angle()}
     if p["check"]:
-        grid_value = limit_inradius_grid()
-        obj["check"] = {"grid_value": grid_value, "agrees": abs(grid_value - value) <= tol}
+        grid = limit_inradius_grid()
+        obj["check"] = {"grid_value": grid, "agrees": abs(grid - obj["b_infinity"]) <= _AGREEMENT}
     return obj, obj.get("check", {}).get("agrees", True)
 
 
@@ -252,13 +266,13 @@ def _inclusion(p):
 
 
 def _frame(p) -> FrameSpec:
-    """The frame of the manifest's columns, or k iid columns with mean s*e1."""
+    """The frame of the manifest's columns, or one vector with mean s*e1 k times."""
     m, cols = p["m"], p["columns"]
     if cols is None:
         c = np.zeros(m)
         c[:1] = p["s"]
-        cols = [{"c": c}] * (m if p["k"] is None else p["k"])
-    elif p["k"] is not None and p["k"] != len(cols):
+        return FrameSpec(m, [GaussianVector(np.eye(m), c)] * (m if p["k"] is None else p["k"]))
+    if p["k"] is not None and p["k"] != len(cols):
         raise CommandError("manifest k does not match the number of columns")
     vectors = []
     for i, spec in enumerate(cols):
@@ -356,15 +370,15 @@ def _mc(p, field, tube):
 
 _KIND = Param(_choice(*KINDS), "gaussian", "body kind")
 _S = Param(float, None, "mean offset s (a comma-separated list for profile)")
-_M = Param(int, ..., "dimension")
-_M2 = Param(int, 2, _M.help)  # supports and profiles do not depend on it
-_SEED = Param(int, 0, "random seed")
+_M = Param(_int, ..., "dimension")
+_M2 = Param(_int, 2, _M.help)  # supports and profiles do not depend on it
+_SEED = Param(_int, 0, "random seed")
 _FRAME = {
     "m": _M,
-    "k": Param(int, None, "columns of the frame (default m)"),
+    "k": Param(_int, None, "columns of the frame (default m)"),
     "s": Param(float, 0.0, "mean offset s*e1 of every column"),
     "columns": Param(list),  # [{"M": matrix, "c": mean}, ...]
-    "samples": Param(int, 1_000_000, "Monte Carlo samples"),
+    "samples": Param(_int, 1_000_000, "Monte Carlo samples"),
     "seed": _SEED,
 }
 _FORMAT = Param(_choice("json", "csv"), "csv", "table format")
@@ -376,12 +390,11 @@ _SWEEP = {
     "r": Param(float, None, "fixed tube half-width"),
     "format": _FORMAT,
 }
-_RESOLUTION = Param(int, None, "grid cells per axis (default: sized to the tube)")
+_RESOLUTION = Param(_int, None, "grid cells per axis (default: sized to the tube)")
 
 COMMANDS = {
     "binfty": _command(
-        _binfty, tol=Param(float, 1e-10, "width of the final bisection bracket"),
-        check=Param(bool, False, "cross-check by grid scan"),
+        _binfty, check=Param(_flag, False, "cross-check by grid scan")
     ),
     "zonoid support": _command(
         _support, m=_M2, s=_S, kind=_KIND, x=Param(float, 1.0, "axial part of the direction"),
@@ -389,26 +402,26 @@ COMMANDS = {
     ),
     "zonoid profile": _command(
         _profile, m=_M2, s=Param(_floats, None, _S.help), kind=_KIND,
-        n=Param(int, 181, "boundary points; meridian angles for inclusion"), format=_FORMAT,
+        n=Param(_int, 181, "boundary points; meridian angles for inclusion"), format=_FORMAT,
     ),
     "zonoid volume": _command(_volume, m=_M, s=_S, kind=_KIND),
     "zonoid inclusion": _command(
         _inclusion, m=_M, s=Param(float, ..., _S.help),
-        n=Param(int, 10_000, "meridian angles, offset by one uniform draw"), seed=_SEED,
+        n=Param(_int, 10_000, "meridian angles, offset by one uniform draw"), seed=_SEED,
     ),
     "det mc": _command(_det_mc, **_FRAME),
     "det bounds": _command(_det_bounds, **_FRAME),
     "det check": _command(
-        _det_check, **_FRAME, self_test=Param(bool, False, "corrupt the bounds; must FAIL")
+        _det_check, **_FRAME, self_test=Param(_flag, False, "corrupt the bounds; must FAIL")
     ),
     "grf integral": _command(partial(_sweep, _integral), **_SWEEP, resolution=_RESOLUTION),
     "grf coarea": _command(partial(_sweep, _coarea), **_SWEEP),
     "grf mc": _command(
-        partial(_sweep, _mc), **_SWEEP, samples=Param(int, 100_000, "Monte Carlo samples"),
+        partial(_sweep, _mc), **_SWEEP, samples=Param(_int, 100_000, "Monte Carlo samples"),
         seed=_SEED,
     ),
     "grf limit": _command(
-        _limit, m=Param(int, 1, "dimension of grf limit"),
+        _limit, m=Param(_int, 1, "dimension of grf limit"),
         alpha=Param(float, ..., _SWEEP["alpha"].help),
         volz0=Param(float, ..., "vol_{m-1} of the zero set"),
     ),
@@ -439,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
         flags = {k: prm for n in names for k, prm in COMMANDS[n][0].items() if prm.help}
         for key, prm in flags.items():
             opt = "--" + key.replace("_", "-")
-            store = {"action": "store_true"} if prm.cast is bool else {}
+            store = {"action": "store_true"} if prm.cast is _flag else {}
             g.add_argument(opt, dest=key, default=None, help=prm.help, **store)
     return parser
 

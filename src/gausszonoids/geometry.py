@@ -403,49 +403,41 @@ def _ring_scan(support, angles, n: int):
     return min(lows, key=lambda e: e[0]), max(highs, key=lambda e: e[0])
 
 
-def _ring_extremes(support, boundary, tol=None, angles=_QUADRANT.__getitem__, n=_QUADRANT.size):
-    """((t, h(t)) at the minimum, (greatest, its angle)) of h(t) = ``support(cos
+def _ring_extremes(support, boundary, angles=_QUADRANT.__getitem__, n=_QUADRANT.size):
+    """(the angle of the minimum, (greatest, its angle)) of h(t) = ``support(cos
     t, sin t)`` on the :func:`_ring_scan` of increasing angles that span its one
     minimum.  The least value's neighbours bracket the minimum, and bisection on
     the sign of h'(t) = -sin t * A + cos t * R, with (A, R) = ``boundary(t)`` the
-    boundary point of normal angle t, narrows the bracket below ``tol`` (by
-    default, to adjacent floats)."""
+    boundary point of normal angle t, narrows the bracket to adjacent floats."""
     (_, i), (hi, k) = _ring_scan(support, angles, n)
-    a, b = (float(v) for v in angles(np.array([max(i - 1, 0), min(i + 1, n - 1)])))
-    tol = math.ulp(b) if tol is None else tol
-    steps = max(0, math.floor(math.log2((b - a) / tol)) + 1) if b > a else 0
+    a, b = angles(np.array([max(i - 1, 0), min(i + 1, n - 1)]))
 
-    def slope(t):
+    def slope(t, _):
         ax, rad = boundary(t)
         return -np.sin(t) * ax + np.cos(t) * rad
 
     # the slope is negative left of the minimum (0 at a pole): all bisect reads of fa
-    t = float(bisect(slope, np.array([a]), np.array([b]), np.array([-1.0]), steps)[0])
-    return (t, float(support(math.cos(t), math.sin(t)))), (hi, float(angles(np.array([k]))[0]))
+    t = float(bisect(slope, np.array([a]), np.array([b]), np.array([-1.0]))[0])
+    return t, (hi, float(angles(np.array([k]))[0]))
 
 
-@lru_cache(maxsize=8)
-def _inradius_search(tol: float) -> tuple[float, float]:
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    return _ring_extremes(limit_support, _boundary_limit, tol)[0]
+@lru_cache(maxsize=None)
+def limit_inradius_angle() -> float:
+    """Angle on the unit circle where the limit support attains its minimum,
+    near 0.61044: a 1000-cell scan brackets it, bisected to adjacent floats."""
+    return _ring_extremes(limit_support, _boundary_limit)[0]
 
 
-def limit_body_inradius(tol: float = 1e-10) -> float:
+def limit_body_inradius() -> float:
     """Radius of the largest centered ball inside the limit body, the
     universal constant b-infinity: the minimum of its support function over
-    the unit circle, in the first quadrant by symmetry.  A 1000-cell scan
-    brackets the minimum, and bisection on the sign of the slope narrows the
-    bracket until it is less than ``tol`` wide.  The value is accurate to
-    O(tol^2) and sits near 0.91035.
+    the unit circle, near 0.91035.  At t = :func:`limit_inradius_angle` it
+    is cos t * A + sin t * R, with (A, R) the boundary point of normal angle t,
+    which rounds correctly there; ``limit_support`` reads 3 ulp high.
     """
-    return _inradius_search(tol)[1]
-
-
-def limit_inradius_angle(tol: float = 1e-10) -> float:
-    """Angle on the unit circle where the limit support attains its minimum,
-    the midpoint of a slope-sign bracket less than ``tol`` wide."""
-    return _inradius_search(tol)[0]
+    t = limit_inradius_angle()
+    ax, rad = _boundary_limit(t)
+    return float(math.cos(t) * ax + math.sin(t) * rad)
 
 
 def limit_inradius_grid(n: int = 1_000_000) -> float:
@@ -474,7 +466,8 @@ def _meridian_extremes(s: float, *grid):
     if s == 0.0:
         return (0.0, 1.0), (1.0, 0.0)
     support, boundary = partial(normalized_support, s), partial(_boundary_normalized, s)
-    return _ring_extremes(support, boundary, None, *grid)
+    t, greatest = _ring_extremes(support, boundary, *grid)
+    return (t, float(support(math.cos(t), math.sin(t)))), greatest
 
 
 def sandwich_constant(s) -> float:
@@ -524,8 +517,8 @@ class GaussianVector:
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=float)
         mu = np.array(self.mean, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("matrix must be square")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+            raise ValueError("matrix must be square and at least 1 x 1")
         if mu.shape != (mat.shape[0],):
             raise ValueError("mean must be a vector matching the matrix size")
         if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(mu))):

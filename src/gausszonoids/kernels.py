@@ -187,19 +187,21 @@ def factorial(n: int) -> float:
     return float(math.factorial(n))
 
 
-def bisect(f, a, b, fa, steps: int):
-    """Halve the brackets [a, b] of sign changes of f ``steps`` times, all at once.
+def bisect(f, a, b, fa):
+    """Halve the brackets [a, b] of sign changes of f, all at once, until each
+    is two adjacent floats: its midpoint, returned, rounds to one of its ends.
 
-    ``a``, ``b`` and ``fa = f(a)`` are arrays of equal shape, and ``f`` maps an
-    array of abscissae to values elementwise.  Each step keeps the half whose
-    ends have opposite signs, so the returned midpoints lie within
-    ``(b - a) / 2^(steps + 1)`` of a sign change.  Without brackets, f is never called.
+    ``a <= b`` and ``fa = f(a)`` are 1-D arrays of equal length; ``f(t, i)`` maps
+    the midpoints t of the open brackets numbered i to values elementwise.
     """
-    for _ in range(steps if np.size(a) else 0):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        same = (fm < 0.0) == (fa < 0.0)
-        a = np.where(same, mid, a)
-        fa = np.where(same, fm, fa)
-        b = np.where(same, b, mid)
-    return 0.5 * (a + b)
+    a, b, i = np.array(a, dtype=float), np.array(b, dtype=float), np.arange(np.size(a))
+    neg = np.asarray(fa) < 0.0  # the sign at a, which a keeps
+    while True:
+        mid = 0.5 * (a[i] + b[i])
+        inner = (a[i] < mid) & (mid < b[i])
+        i, mid = i[inner], mid[inner]
+        if not i.size:
+            return 0.5 * (a + b)
+        same = (f(mid, i) < 0.0) == neg[i]
+        a[i[same]] = mid[same]
+        b[i[~same]] = mid[~same]

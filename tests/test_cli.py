@@ -27,12 +27,11 @@ def run_json(capsys, *argv):
 
 
 def test_binfty_schema_and_refinement(capsys):
-    coarse = run_json(capsys, "binfty", "--tol", "1e-4")
-    fine = run_json(capsys, "binfty")
-    assert set(coarse) == {"b_infinity", "t_star", "tol"}
-    assert fine["tol"] == 1e-10
-    assert abs(coarse["b_infinity"] - fine["b_infinity"]) < 1e-4
-    assert 0.905 < fine["b_infinity"] < 0.915
+    # bisected to adjacent floats: no tolerance to set or to print
+    payload = run_json(capsys, "binfty")
+    assert payload == {"b_infinity": 0.9103459107945124, "t_star": 0.6104408432345669}
+    code, captured = _exit(capsys, ["binfty", "--tol", "1e-10"])
+    assert code == 2 and captured.out == "" and "--tol" in captured.err
 
 
 def test_binfty_check_flag(capsys):
@@ -121,14 +120,20 @@ def test_det_mc_via_manifest_columns(capsys, tmp_path):
     assert abs(payload["mean"] - 1.0) < 4 * payload["std_error"]
 
 
-def test_det_check_and_self_test(capsys):
+def test_det_check_and_self_test(capsys, tmp_path):
     args = ["det", "check", "--m", "2", "--k", "2", "--s", "1", "--samples", "50000", "--seed", "4"]
     code, out = run(capsys, *args)
     assert code == 0
     assert json.loads(out)["verdict"] == "PASS"
-    code, out = run(capsys, *args, "--self-test")
+    code, corrupted = run(capsys, *args, "--self-test")
     assert code == 1
-    assert json.loads(out)["verdict"] == "FAIL"
+    assert json.loads(corrupted)["verdict"] == "FAIL"
+    # a manifest switch is JSON true or false, and an integer key takes an
+    # integral number
+    path = tmp_path / "check.json"
+    for switch, want in ((False, (0, out)), (True, (1, corrupted))):
+        path.write_text(json.dumps({"m": 2.0, "k": 2, "s": 1, "samples": 5e4, "self_test": switch}))
+        assert run(capsys, "det", "check", "--manifest", str(path), "--seed", "4") == want
 
 
 @pytest.mark.parametrize("m, k", [(2, 2), (5, 3)])
@@ -163,7 +168,14 @@ def test_det_bounds_iid_square_needs_equal_columns(capsys, tmp_path):
     (("det", "mc"), {"m": [3], "k": 1}),
     (("det", "mc"), {"m": 2, "samples": [5]}),
     (("zonoid", "volume"), {"s": [1, 2], "m": 2}),
-    (("binfty",), {"tol": [1]}),
+    (("binfty",), {"check": "no"}),
+    # a switch is JSON true or false: "false" would run the corrupting self-test
+    (("det", "check"), {"m": 2, "samples": 1000, "self_test": "false"}),
+    (("det", "check"), {"m": 2, "samples": 1000, "self_test": 0}),
+    # an integer key refuses a fraction and a boolean, which int() would take
+    (("det", "mc"), {"m": 2.7, "samples": 1000}),
+    (("det", "mc"), {"m": True, "samples": 1000}),
+    (("grf", "mc"), {"taus": [0.1], "samples": 1000.5}),
 ])
 def test_manifest_value_of_the_wrong_type_exits_2(capsys, tmp_path, argv, manifest):
     path = tmp_path / "bad.json"
@@ -185,14 +197,6 @@ def test_flag_the_action_does_not_read_exits_2(capsys, argv, unread):
     code = main([*argv, *unread])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and unread[0] in captured.err
-
-
-def test_binfty_tol_must_be_positive_and_finite(capsys):
-    for tol in ("0", "-1", "inf", "nan"):
-        code = main(["binfty", "--tol", tol])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "tol must be positive and finite" in captured.err
 
 
 def test_manifest_rejects_unknown_key(capsys, tmp_path):
@@ -556,6 +560,15 @@ def test_dimension_whose_factorial_overflows_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "overflows a float (170! is the largest that fits)" in captured.err
+
+
+@pytest.mark.parametrize("m, k", [("0", None), ("-1", None), ("2", "0")])
+def test_frame_without_columns_exits_2(capsys, m, k):
+    # the --m/--k/--s frame builds its one vector before it counts columns
+    argv = ["det", "mc", "--m", m, "--samples", "1000"] + (["--k", k] if k else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "error:" in captured.err
 
 
 def _finite_numbers(out):

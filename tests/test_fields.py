@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, special
 
 import gausszonoids as gz
+from test_kernels import scalar_bisect
 from gausszonoids import (
     GridResolutionError,
     GridSpec,
@@ -373,11 +374,23 @@ def test_tube_rows_take_one_pass():
     # 0.999999 but within 0.47 cells of it: each of the four cells holding
     # one is split at its turn into two panels that cross r once.  phi is
     # evaluated once at the n + 1 edges, at the 12 nodes of each panel, at
-    # 60 bisection steps per crossing and per turn, and at each turn
-    n, turns, crossings = 4100, 4, 8
+    # each turn, and at every bisection step of the rule (test_kernels), to
+    # adjacent floats, of each turn and each crossing
+    n, r, turns = 4100, 0.999999, 4
     counted, points = _counted(SIN2)
-    expected_zeros_integral(counted, TubeSpec(0.1, 0.999999), GridSpec(n))
-    assert sum(points) == n + 1 + 12 * (n + turns) + 61 * turns + 60 * crossings
+    expected_zeros_integral(counted, TubeSpec(0.1, r), GridSpec(n))
+
+    def at(fn, t):
+        return float(fn(np.array([[t]])).ravel()[0])
+
+    edges, steps = np.linspace(0.0, 2.0 * math.pi, n + 1), 0
+    for c in np.floor((0.25 + 0.5 * np.arange(turns)) * math.pi / (edges[1] - edges[0])):
+        lo, hi = edges[int(c)], edges[int(c) + 1]
+        turn, k = scalar_bisect(lambda t: at(SIN2.phi, t) * at(SIN2.grad, t), lo, hi)
+        crossing = lambda t: abs(at(SIN2.phi, t)) - r
+        steps += k + scalar_bisect(crossing, lo, turn)[1] + scalar_bisect(crossing, turn, hi)[1]
+    assert 40 * 3 * turns <= steps <= 60 * 3 * turns
+    assert sum(points) == n + 1 + 12 * (n + turns) + turns + steps
     # r = inf keeps the cells whole and evaluates no edge: phi is evaluated
     # on the pointwise check's n points and at the nodes of the n cells
     counted, points = _counted(SIN2)
@@ -502,8 +515,7 @@ def test_mc_null_field_counts_its_own_zeros():
 
 def _scan_and_bisect_counts(field, tube, n, xi):
     """Reference zero counts: a sign scan of X over the cells that meet the
-    inflated tube, a 40-step bisection of every root, and the test
-    |phi(root)| < r."""
+    inflated tube, a bisection of every root, and the test |phi(root)| < r."""
     tau, r = tube.tau, tube.r
     gmax = gz.fields._grad_max(field)
     h = 2.0 * math.pi / n
@@ -517,14 +529,16 @@ def _scan_and_bisect_counts(field, tube, n, xi):
     left = t[keep]
     right = left + h
 
-    def noisy(x1, x2):
-        return lambda u: field.phi(u[:, None]) + tau * (x1 * np.cos(u) + x2 * np.sin(u))
+    def noisy(x1, x2):  # X at u, for the samples i of x1 and x2
+        return lambda u, i=slice(None): field.phi(u[:, None]) + tau * (
+            x1[i] * np.cos(u) + x2[i] * np.sin(u)
+        )
 
     x1, x2 = xi[:, 0:1], xi[:, 1:2]
     xl = noisy(x1, x2)(left)
     xr = noisy(x1, x2)(right)
     ia, ib = np.nonzero(xl * xr < 0.0)
-    root = gz.kernels.bisect(noisy(xi[ia, 0], xi[ia, 1]), left[ib], right[ib], xl[ia, ib], 40)
+    root = gz.kernels.bisect(noisy(xi[ia, 0], xi[ia, 1]), left[ib], right[ib], xl[ia, ib])
     if math.isfinite(r):
         ia = ia[np.abs(field.phi(root[:, None])) < r]
     return np.bincount(ia, minlength=xi.shape[0])

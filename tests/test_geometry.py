@@ -201,7 +201,8 @@ def test_limit_boundary_radius_roundtrip():
 def test_inradius_value_and_bracket():
     b = limit_body_inradius()
     assert 0.905 < b < 0.915
-    assert b == pytest.approx(0.910345910794512, abs=1e-10)
+    # b-infinity = 0.91034591079451240524 from mpmath at 40 digits, rounded
+    assert b == 0.9103459107945124
 
 
 def test_inradius_grid_scan_agrees():
@@ -217,18 +218,11 @@ def test_inradius_grid_needs_a_point():
             limit_inradius_grid(n)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
-def test_inradius_tol_must_be_positive_and_finite(tol):
-    for search in (limit_body_inradius, limit_inradius_angle):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            search(tol)
-
-
 def test_inradius_angle():
     t = limit_inradius_angle()
     assert t == pytest.approx(0.61044, abs=1e-4)
-    # root of the ring slope, from mpmath at 30 digits
-    assert t == pytest.approx(0.6104408432345670, abs=1e-9)
+    # root of the ring slope, from mpmath at 40 digits
+    assert t == pytest.approx(0.61044084323456695351, rel=1e-15)
     # stationarity: the ring derivative vanishes at the argmin
     h = 1e-5
     ring = lambda a: limit_support(math.cos(a), math.sin(a))
@@ -448,6 +442,8 @@ def test_gaussian_vector_validation():
         GaussianVector(np.zeros((2, 2)), np.zeros(2))  # singular
     with pytest.raises(ValueError):
         GaussianVector(np.eye(2), np.zeros(3))  # shape mismatch
+    with pytest.raises(ValueError, match="at least 1 x 1"):
+        GaussianVector(np.eye(0), np.zeros(0))  # no singular value to test
     gv = GaussianVector(np.eye(2), np.array([1.0, 0.0]))
     assert gv.dim == 2
     assert gv.mean_norm == 1.0

@@ -174,34 +174,60 @@ def test_kernels_reject_nonfinite():
         limit_support(math.inf, 1.0)
 
 
-def test_bisect_matches_scalar_loop():
-    # the scalar loop the vectorized routine replaced, step for step
-    def f(t):
-        return np.abs(np.sin(2.0 * t)) - 0.3
+def scalar_bisect(f, a, b):
+    """The rule one bracket at a time: halve [a, b] until its midpoint is one
+    of its ends.  That midpoint, and the number of evaluations of f."""
+    fa, steps = f(a), 0
+    while a < (mid := 0.5 * (a + b)) < b:
+        fm, steps = f(mid), steps + 1
+        if (fm < 0) == (fa < 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return mid, steps
 
-    def scalar(a, b, steps):
-        fa = float(f(np.array([a]))[0])
-        for _ in range(steps):
-            mid = 0.5 * (a + b)
-            fm = float(f(np.array([mid]))[0])
-            if (fm < 0) == (fa < 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        return 0.5 * (a + b)
+
+def _counted_bisect(f, a, b):
+    """bisect on f, and how often it evaluated each bracket."""
+    calls = []
+
+    def counted(t, i):
+        calls.append(i)
+        return f(t, i)
+
+    got = bisect(counted, a, b, f(a, np.arange(a.size)))
+    return got, np.bincount(np.concatenate(calls), minlength=a.size).tolist()
+
+
+def test_bisect_matches_scalar_loop():
+    # each bracket ends where the scalar loop ends, after its own steps
+    def f(t, i=None):
+        return np.abs(np.sin(2.0 * t)) - 0.3
 
     a = np.array([0.1, 1.4, 1.7, 3.2, 4.8])
     b = a + 0.2
-    for steps in (0, 7, 40, 60):
-        got = bisect(f, a, b, f(a), steps)
-        assert got.tolist() == [scalar(x, y, steps) for x, y in zip(a, b)]
-    roots = bisect(f, a, b, f(a), 60)
-    assert np.all(np.abs(f(roots)) < 1e-15)
+    got, steps = _counted_bisect(f, a, b)
+    want = [scalar_bisect(lambda t: float(f(np.array([t]))[0]), x, y) for x, y in zip(a, b)]
+    assert got.tolist() == [root for root, _ in want]
+    assert steps == [n for _, n in want]
+    assert all(40 <= n <= 60 for n in steps)
+    assert np.all(np.abs(f(got)) < 1e-15)
+
+
+def test_bisect_ends_within_one_ulp_of_a_tiny_root():
+    # floats are dense near 0: the root 1e-300 takes over a thousand halvings
+    # of [0, 1], and the bracket beside it stops after its own
+    roots = np.array([1e-300, 0.3])
+    got, steps = _counted_bisect(lambda t, i: t - roots[i], np.zeros(2), np.ones(2))
+    assert abs(got[0] - roots[0]) <= math.ulp(roots[0])
+    assert abs(got[1] - roots[1]) <= math.ulp(roots[1])
+    assert steps == [scalar_bisect(lambda t: t - r, 0.0, 1.0)[1] for r in roots]
+    assert steps[0] > 1000 and steps[1] < 60
 
 
 def test_bisect_without_brackets_never_calls_f():
-    def f(t):
+    def f(t, i):
         raise AssertionError("f called without brackets")
 
     empty = np.zeros(0)
-    assert bisect(f, empty, empty, empty, 60).shape == (0,)
+    assert bisect(f, empty, empty, empty).shape == (0,)

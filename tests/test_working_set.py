@@ -55,6 +55,11 @@ RUNS = {
         ["zonoid", "profile", "--m", "2", "--s", "0,1,2,3", "--n", "20000", "--format", "json",
          "--out", str(path)]
     ),
+    # the --m/--k/--s frame repeats one vector, not one identity matrix per column
+    "det-mc-160": lambda path: main(
+        ["det", "mc", "--m", "160", "--k", "160", "--s", "1", "--samples", "200000",
+         "--out", str(path)]
+    ),
 }
 
 
