@@ -40,7 +40,7 @@ def _section_volume_vec(field, tau, pts, kinds):
 
 # scan points per block of tube rows, and nodes per volume evaluation of a
 # block: bounds the memory of each thread of the tube integral (the grid
-# scans take slices of montecarlo._GRID_SLICE points instead)
+# scans take slices of montecarlo._CHUNK points instead)
 _BLOCK = 1 << 18
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
 

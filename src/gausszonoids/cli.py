@@ -140,6 +140,14 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """A float from a flag's text or a manifest number; JSON true and false
+    are not numbers."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _choice(*options):
     def cast(value):
         if value not in options:
@@ -151,7 +159,7 @@ def _choice(*options):
 
 def _floats(text) -> list:
     if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
+        return [_float(v) for v in text]
     return [float(tok) for tok in str(text).split(",") if tok != ""]
 
 
@@ -369,14 +377,14 @@ def _mc(p, field, tube):
 # -- the command table ---------------------------------------------------------
 
 _KIND = Param(_choice(*KINDS), "gaussian", "body kind")
-_S = Param(float, None, "mean offset s (a comma-separated list for profile)")
+_S = Param(_float, None, "mean offset s (a comma-separated list for profile)")
 _M = Param(_int, ..., "dimension")
 _M2 = Param(_int, 2, _M.help)  # supports and profiles do not depend on it
 _SEED = Param(_int, 0, "random seed")
 _FRAME = {
     "m": _M,
     "k": Param(_int, None, "columns of the frame (default m)"),
-    "s": Param(float, 0.0, "mean offset s*e1 of every column"),
+    "s": Param(_float, 0.0, "mean offset s*e1 of every column"),
     "columns": Param(list),  # [{"M": matrix, "c": mean}, ...]
     "samples": Param(_int, 1_000_000, "Monte Carlo samples"),
     "seed": _SEED,
@@ -386,8 +394,8 @@ _FIELD = Param(_field_from_id, "sin2", "sinK or sinK-2d")
 _SWEEP = {
     "field": _FIELD,
     "taus": Param(_floats, None, "comma-separated noise scales"),
-    "alpha": Param(float, 1.0, "tube rule r = alpha*tau"),
-    "r": Param(float, None, "fixed tube half-width"),
+    "alpha": Param(_float, 1.0, "tube rule r = alpha*tau"),
+    "r": Param(_float, None, "fixed tube half-width"),
     "format": _FORMAT,
 }
 _RESOLUTION = Param(_int, None, "grid cells per axis (default: sized to the tube)")
@@ -397,8 +405,8 @@ COMMANDS = {
         _binfty, check=Param(_flag, False, "cross-check by grid scan")
     ),
     "zonoid support": _command(
-        _support, m=_M2, s=_S, kind=_KIND, x=Param(float, 1.0, "axial part of the direction"),
-        yr=Param(float, 0.0, "radial part of the direction"),
+        _support, m=_M2, s=_S, kind=_KIND, x=Param(_float, 1.0, "axial part of the direction"),
+        yr=Param(_float, 0.0, "radial part of the direction"),
     ),
     "zonoid profile": _command(
         _profile, m=_M2, s=Param(_floats, None, _S.help), kind=_KIND,
@@ -406,7 +414,7 @@ COMMANDS = {
     ),
     "zonoid volume": _command(_volume, m=_M, s=_S, kind=_KIND),
     "zonoid inclusion": _command(
-        _inclusion, m=_M, s=Param(float, ..., _S.help),
+        _inclusion, m=_M, s=Param(_float, ..., _S.help),
         n=Param(_int, 10_000, "meridian angles, offset by one uniform draw"), seed=_SEED,
     ),
     "det mc": _command(_det_mc, **_FRAME),
@@ -422,12 +430,12 @@ COMMANDS = {
     ),
     "grf limit": _command(
         _limit, m=Param(_int, 1, "dimension of grf limit"),
-        alpha=Param(float, ..., _SWEEP["alpha"].help),
-        volz0=Param(float, ..., "vol_{m-1} of the zero set"),
+        alpha=Param(_float, ..., _SWEEP["alpha"].help),
+        volz0=Param(_float, ..., "vol_{m-1} of the zero set"),
     ),
     "grf sandwich": _command(
-        _sandwich, field=_FIELD, tau=Param(float, ..., "noise scale"), resolution=_RESOLUTION,
-        r=Param(float, math.inf, "tube half-width"),
+        _sandwich, field=_FIELD, tau=Param(_float, ..., "noise scale"), resolution=_RESOLUTION,
+        r=Param(_float, math.inf, "tube half-width"),
     ),
 }
 

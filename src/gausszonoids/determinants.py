@@ -27,7 +27,7 @@ from .geometry import (
     GaussianVector, _check_s, limit_body_inradius, volume_asymptote, volume_bounds,
 )
 from .kernels import axial_stretch, ball_volume, factorial
-from .montecarlo import EstimateWithCI, MCConfig, families, mc_mean
+from .montecarlo import EstimateWithCI, MCConfig, mc_mean
 
 __all__ = [
     "FrameSpec",
@@ -81,10 +81,6 @@ def mixed_volume_coeff(m: int, k: int) -> float:
     return factorial(m) / ((2 * math.pi) ** (k / 2) * factorial(m - k) * ball_volume(m - k))
 
 
-# samples per sub-block of a Monte Carlo chunk: bounds each thread's memory
-_SUB_BLOCK = 1 << 14
-
-
 def _chi(rng: np.random.Generator, nu: int, n: int) -> np.ndarray:
     """n draws of chi_nu: |z| at nu = 1, else sqrt(2 Gamma(nu/2)) (numpy is
     slow at gamma shape 1/2)."""
@@ -98,11 +94,8 @@ def _chi(rng: np.random.Generator, nu: int, n: int) -> np.ndarray:
 def expected_absdet_mc(frame: FrameSpec, cfg: MCConfig) -> EstimateWithCI:
     """Monte Carlo estimate of E sqrt(det(Gamma^T Gamma)).
 
-    Each chunk is filled in sub-blocks of _SUB_BLOCK samples, and each
-    variate is drawn from its own :func:`~gausszonoids.montecarlo.families`
-    member of the chunk's stream, in sample order, so a thread holds a few
-    sub-block arrays whatever m, k and the chunk size are, and no value
-    depends on the sub-block size.
+    Each chunk of :func:`~gausszonoids.montecarlo.mc_mean` is filled in one
+    pass, its variates drawn one after another from the chunk's stream.
 
     A shared frame (|c| = s) draws each sample from its exact law: rotated on
     the right, Gamma has columns sqrt(k) c + xi_1 and k - 1 centered ones, so
@@ -110,54 +103,45 @@ def expected_absdet_mc(frame: FrameSpec, cfg: MCConfig) -> EstimateWithCI:
     the others projected off it, prod_{i=1}^{k-1} chi_{m-i} (Bartlett).  By
     Legendre's duplication formula chi_{nu+1} chi_nu has the law of
     Gamma(nu), so the product is drawn as Gamma(m-2) Gamma(m-4) ..., one
-    gamma per pair of chis, times chi_{m-k+1} when k is even.  The families
-    are z, column 1's chi, each pair's gamma, then the leftover chi; each
-    factor is multiplied into the sample in place.  At k = 1 a sample is
+    gamma per pair of chis, times chi_{m-k+1} when k is even.  A chunk draws
+    z, column 1's chi, each pair's gamma, then the leftover chi, and
+    multiplies each factor into the sample in place.  At k = 1 a sample is
     |c + xi| - s in a form that does not cancel where c + xi rounds to c,
-    and s is added to the mean; at m = 1 there is no chi and z is the only
-    family.  A product past the largest float is left to mc_mean to refuse.
-    Other frames draw the m x k normals of each sub-block from the chunk's
-    stream and take prod |R_ii| of each frame's QR factorization.
+    and s is added to the mean; at m = 1 there is no chi and a chunk draws
+    z alone.  A product past the largest float is left to mc_mean to refuse.
+    Other frames draw the m x k normals of each chunk and take prod |R_ii|
+    of each frame's QR factorization.
     """
     m, k = frame.dim, frame.k
     s = frame.columns[0].mean_norm
     if frame.shared:
         pairs = m - 2 * np.arange(1, (k + 1) // 2)  # the gamma shapes of the chi pairs
-        count = 1 + (m > 1) + len(pairs) + (k % 2 == 0)
 
-        def fill(gens: list, vol: np.ndarray):
-            z = gens[0].standard_normal(vol.size)
+        def volumes(rng: np.random.Generator, n: int) -> np.ndarray:
+            z = rng.standard_normal(n)
             if m == 1:  # |s + z| - s, as below with r = chi_0 = 0
-                vol[:] = z * ((s + 0.5 * z) / (0.5 * np.abs(s + z) + 0.5 * s))
-                return
-            r = _chi(gens[1], m - 1, vol.size)
+                return z * ((s + 0.5 * z) / (0.5 * np.abs(s + z) + 0.5 * s))
+            r = _chi(rng, m - 1, n)
             if k == 1:
                 # (z (2s + z) + r^2) / (hypot(s + z, r) + s), halved so it cannot overflow
                 half = 0.5 * np.hypot(s + z, r) + 0.5 * s
-                vol[:] = z * ((s + 0.5 * z) / half) + r * (0.5 * r / half)
-                return
-            np.hypot(z + math.sqrt(k) * s, r, out=vol)
+                return z * ((s + 0.5 * z) / half) + r * (0.5 * r / half)
+            vol = np.hypot(z + math.sqrt(k) * s, r)
             with np.errstate(over="ignore"):  # mc_mean refuses a volume past the largest float
-                for gen, shape in zip(gens[2:], pairs):
-                    vol *= gen.standard_gamma(shape, vol.size)
+                for shape in pairs:
+                    vol *= rng.standard_gamma(shape, n)
                 if k % 2 == 0:
-                    vol *= _chi(gens[-1], m - k + 1, vol.size)
+                    vol *= _chi(rng, m - k + 1, n)
+            return vol
 
     else:
-        count = 1
         mats = np.stack([col.matrix.T for col in frame.columns])  # (k, m, m)
         means = np.stack([col.mean for col in frame.columns])  # (k, m)
 
-        def fill(gens: list, vol: np.ndarray):
-            xi = gens[0].standard_normal((vol.size, k, m)) + means
+        def volumes(rng: np.random.Generator, n: int) -> np.ndarray:
+            xi = rng.standard_normal((n, k, m)) + means
             r = np.linalg.qr(np.matmul(xi.transpose(1, 0, 2), mats).transpose(1, 2, 0), mode="r")
-            vol[:] = np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
-
-    def volumes(rng: np.random.Generator, n: int) -> np.ndarray:
-        gens, out = families(rng, count), np.empty(n)
-        for a in range(0, n, _SUB_BLOCK):
-            fill(gens, out[a : a + _SUB_BLOCK])
-        return out
+            return np.prod(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), axis=-1)
 
     est = mc_mean(volumes, cfg)
     return est._replace(mean=s + est.mean) if frame.shared and k == 1 else est

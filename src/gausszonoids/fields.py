@@ -146,6 +146,11 @@ class TubeSpec:
             raise ValueError("r must be positive (math.inf allowed)")
 
 
+# the most cells per axis of any grid, and of the grids on the circle that
+# the tube integral and the zero-count scan choose
+_MAX_CELLS_1D = 1 << 22
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Quadrature grid: cells along x1, the n of a row.
@@ -161,13 +166,15 @@ class GridSpec:
 
     The sandwich's pointwise check runs on the n^dim grid of the points
     2 pi j / n, j < n, along each axis, one slice of flat indices at a time.
+    A resolution runs from 16 to _MAX_CELLS_1D, the cap of
+    :func:`grid_for_tube` on the circle.
     """
 
     resolution: int = 4096
 
     def __post_init__(self):
-        if self.resolution < 16:
-            raise ValueError("resolution must be >= 16")
+        if not 16 <= self.resolution <= _MAX_CELLS_1D:
+            raise ValueError(f"resolution must be between 16 and {_MAX_CELLS_1D}")
 
 
 # -- pointwise section body --------------------------------------------------
@@ -227,9 +234,6 @@ def _grad_max(field: ScalarFieldSpec, n: int = 8192) -> float:
 
 # the resolution rule: a grid has at least this many cells across the tube
 _CELLS_ACROSS = 8
-# the most cells of a grid on the circle, for the tube integral and the
-# zero-count scan alike
-_MAX_CELLS_1D = 1 << 22
 
 
 def _max_spacing(r: float, gmax: float) -> float:
@@ -393,9 +397,9 @@ def concentration_limit(dim: int, alpha: float, vol_zero_set: float) -> float:
     return front * math.erf(math.sqrt(m / 2.0) * alpha) * vol_zero_set
 
 
-# noisy-field values per block of the zero-count scan: 1 MB, sized to stay in
-# a core's L2 cache
-_SCAN_BLOCK = 1 << 17
+# noisy-field values per block of the zero-count scan: 256 KB, held once per
+# worker thread, as each scans a chunk of its own
+_SCAN_BLOCK = 1 << 15
 
 
 def _scan_cells(field: ScalarFieldSpec, tube: TubeSpec) -> int:
@@ -422,7 +426,8 @@ def _zero_counter(field: ScalarFieldSpec, tube: TubeSpec, n: int):
     a panel exactly when it has a root inside the tube.  Consecutive panels
     share their ends, so X is evaluated once at each distinct end: its
     deterministic parts once per run, and its noise for a block of samples
-    from one matrix product, which is compared with -phi (the sign of X).  A
+    (whose normals are drawn in turn from the chunk's stream) from one
+    matrix product, which is compared with -phi (the sign of X).  A
     sample counts the sign changes between adjacent ends that bound a panel,
     not those across the gaps between the tube's components, as one product
     with 0/1 weights: the sums are integers below 2^24, exact in float32."""
@@ -436,10 +441,9 @@ def _zero_counter(field: ScalarFieldSpec, tube: TubeSpec, n: int):
     rows = max(1, _SCAN_BLOCK // max(1, ends.size))
 
     def sample(rng, n_draw):
-        xi = rng.standard_normal((n_draw, 2))
-        counts = np.zeros(n_draw, dtype=np.int64)
+        counts = np.empty(n_draw)
         for r0 in range(0, n_draw, rows):
-            neg = xi[r0 : r0 + rows] @ noise < level
+            neg = rng.standard_normal((min(rows, n_draw - r0), 2)) @ noise < level
             counts[r0 : r0 + rows] = (neg[:, 1:] != neg[:, :-1]) @ panel
         return counts
 

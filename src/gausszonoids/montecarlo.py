@@ -4,9 +4,8 @@ the package's chunked loops.
 Streams are counter-based: chunk ``i`` (of ``_CHUNK`` samples) draws from a
 Philox generator keyed by ``(seed, i)``, so estimates are bitwise
 reproducible for a fixed (samples, seed) pair and chunks are independent.
-A sampler with several variates draws each from its own counter range of
-the chunk's key (:func:`families`), so it can fill a chunk in sub-blocks
-without its numbers depending on the sub-block size.
+A sampler fills its chunk in one pass, drawing its variates in a fixed
+order from the chunk's stream.
 
 Chunked loops (Monte Carlo chunks, tube row blocks, grid slices) run
 through :func:`parallel_map` on one thread per core in the process's
@@ -14,7 +13,8 @@ affinity mask; ``taskset`` restricts them.  Each loop reduces its per-chunk
 results in chunk order, so no result depends on how many cores there are.
 Every grid scan (the sandwich's pointwise check, the meridian scans of the
 inclusion check, of b(s) and of the grid inradius) runs through
-:func:`grid_map`, one slice of flat indices per task.
+:func:`grid_map`, one slice of ``_CHUNK`` flat indices per task, and
+:func:`mc_mean` cuts its chunks the same way.
 """
 from __future__ import annotations
 
@@ -56,22 +56,16 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
         return list(pool.map(fn, items))
 
 
-# flat indices per slice of a grid scan: each task builds the points of one
-# slice only, which bounds the memory of each thread
-_GRID_SLICE = 1 << 15
+# samples per chunk of a Monte Carlo run, and flat indices per slice of a
+# grid scan: one parallel task each (and one stream per chunk), so each
+# thread holds one chunk's or one slice's arrays at a time
+_CHUNK = 1 << 14
 
 
 def grid_map(fn: Callable, n: int) -> list:
-    """``fn(j)`` for the slices j of _GRID_SLICE consecutive flat indices
-    (int64 arrays) that cover 0 .. n - 1, in order, on the parallel_map
-    threads."""
-    return parallel_map(
-        lambda k: fn(np.arange(k, min(k + _GRID_SLICE, n))), range(0, n, _GRID_SLICE)
-    )
-
-
-# samples per chunk of a Monte Carlo run: one stream and one parallel task each
-_CHUNK = 1 << 16
+    """``fn(j)`` for the slices j of _CHUNK consecutive flat indices (int64
+    arrays) that cover 0 .. n - 1, in order, on the parallel_map threads."""
+    return parallel_map(lambda k: fn(np.arange(k, min(k + _CHUNK, n))), range(0, n, _CHUNK))
 
 
 @dataclass(frozen=True)
@@ -102,45 +96,35 @@ def _check_seed(seed: int):
 
 def stream(seed: int, index: int) -> np.random.Generator:
     """Generator for chunk `index` of the run keyed by `seed`: Philox keyed by
-    (seed, index) from counter 0.  It is family 0 of the chunk
-    (:func:`families`)."""
+    (seed, index) from counter 0."""
     _check_seed(seed)
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def families(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """`count` generators on disjoint counter ranges of the chunk stream `rng`,
-    taken before any draw from it: family 0 is `rng`, and family j has the
-    same key from counter j << 128 (Philox's ``jumped(j)``).  A sampler that
-    draws each variate from its own family, in sample order, draws the same
-    numbers however it cuts the chunk into sub-blocks."""
-    return [rng] + [np.random.Generator(rng.bit_generator.jumped(j)) for j in range(1, count)]
 
 
 def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCConfig) -> EstimateWithCI:
     """Estimate E[sample] with a standard error.
 
     `sample(rng, n)` must return n i.i.d. finite scalar draws from the chunk's
-    :func:`stream` `rng` (or from its :func:`families`); a draw that is not
-    finite raises ValueError.  A chunk holds the draws and one scaled copy of
-    them, whose squared deviations are taken in place.  Each chunk scales
-    its draws by 2^-e, e the binary exponent of its largest |draw|, before it
-    sums them, and the chunks are combined on the largest e; scaling by a
-    power of two changes no value, but keeps the sums and the squares of
-    draws from the largest float down to the smallest normal ones finite and
-    nonzero.  Per-chunk sums use numpy's pairwise summation; cross-chunk
-    accumulation uses math.fsum, so the result does not depend on summation
-    order beyond the fixed chunking, nor on how many threads
-    :func:`parallel_map` runs the chunks on.  The variance keeps each chunk's
-    squared deviations from its own mean and adds the spread of the chunk
-    means (Chan, Golub & LeVeque), so it does not cancel when the mean is
-    large against the spread.
+    :func:`stream` `rng`; a draw that is not finite raises ValueError.  The
+    chunks are the slices of :func:`grid_map`, and a chunk holds the draws
+    and one scaled copy of them, whose squared deviations are taken in
+    place.  Each chunk scales its draws by 2^-e, e the binary exponent of
+    its largest |draw|, before it sums them, and the chunks are combined on
+    the largest e; scaling by a power of two changes no value, but keeps the
+    sums and the squares of draws from the largest float down to the
+    smallest normal ones finite and nonzero.  Per-chunk sums use numpy's
+    pairwise summation; cross-chunk accumulation uses math.fsum, so the
+    result does not depend on summation order beyond the fixed chunking,
+    nor on how many threads :func:`parallel_map` runs the chunks on.  The
+    variance keeps each chunk's squared deviations from its own mean and
+    adds the spread of the chunk means (Chan, Golub & LeVeque), so it does
+    not cancel when the mean is large against the spread.
     """
 
-    def moments(start: int) -> tuple[int, float, float, int]:
-        n = min(_CHUNK, cfg.samples - start)
-        values = np.asarray(sample(stream(cfg.seed, start // _CHUNK), n), dtype=float)
+    def moments(j: np.ndarray) -> tuple[int, float, float, int]:
+        n = j.size  # j: the indices of the chunk's samples
+        values = np.asarray(sample(stream(cfg.seed, int(j[0]) // _CHUNK), n), dtype=float)
         if values.shape != (n,):
             raise ValueError(f"sample() returned shape {values.shape}, expected ({n},)")
         e = binary_exponent(values)
@@ -151,7 +135,7 @@ def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCCon
         values -= total / n  # the squared deviations, in place
         return n, total, float(np.sum(np.square(values, out=values))), e
 
-    counts, sums, devs, exps = zip(*parallel_map(moments, range(0, cfg.samples, _CHUNK)))
+    counts, sums, devs, exps = zip(*grid_map(moments, cfg.samples))
     n, e = cfg.samples, max(exps)  # every chunk on the scale 2^-e of the largest draw
     sums = [math.ldexp(t, x - e) for t, x in zip(sums, exps)]
     mean = math.fsum(sums) / n

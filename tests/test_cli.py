@@ -176,6 +176,9 @@ def test_det_bounds_iid_square_needs_equal_columns(capsys, tmp_path):
     (("det", "mc"), {"m": 2.7, "samples": 1000}),
     (("det", "mc"), {"m": True, "samples": 1000}),
     (("grf", "mc"), {"taus": [0.1], "samples": 1000.5}),
+    # a float key refuses a boolean, which float() would take as 0 or 1
+    (("zonoid", "volume"), {"m": 3, "s": True}),
+    (("grf", "coarea"), {"taus": [True], "alpha": 0.5}),
 ])
 def test_manifest_value_of_the_wrong_type_exits_2(capsys, tmp_path, argv, manifest):
     path = tmp_path / "bad.json"
@@ -267,6 +270,12 @@ def test_grid_resolution_error_exits_2(capsys):
     code, out = run(capsys, "grf", "integral", "--taus", "1e-5", "--r", "1e-4",
                     "--resolution", "64")
     assert code == 2
+
+
+def test_resolution_past_the_grid_cap_exits_2(capsys):
+    # 2^45 cells would not fit in memory; refuse before allocating
+    code, out = run(capsys, "grf", "integral", "--taus", "0.1", "--resolution", "35184372088832")
+    assert code == 2 and out == ""
 
 
 def test_integral_sizes_2d_grid(capsys):
@@ -691,12 +700,15 @@ def test_one_column_error_survives_rounding(capsys, m):
 
 
 def test_one_by_one_frame_keeps_its_numbers(capsys):
-    # a 1x1 frame draws z alone, from the chunk's stream (family 0): the
-    # value is frozen from before the variates had families of their own
+    # a 1x1 frame draws z alone from each chunk's stream: the value is frozen
+    # at chunks of 2^14 samples
     report = run_json(capsys, "det", "mc", "--m", "1", "--k", "1", "--s", "3",
                       "--samples", "200000", "--seed", "5")
-    assert report["mean"] == 3.0028556557125565
-    assert report["std_error"] == 0.0022343064784434595
+    assert report["mean"] == 3.0030993061008657
+    assert report["std_error"] == 0.0022391336559528753
+    # E|3 + z| = 3 erf(3/sqrt(2)) + sqrt(2/pi) e^(-9/2)
+    exact = 3 * math.erf(3 / math.sqrt(2)) + math.sqrt(2 / math.pi) * math.exp(-4.5)
+    assert abs(report["mean"] - exact) <= 4 * report["std_error"]
 
 
 @pytest.mark.filterwarnings("error")

@@ -66,6 +66,10 @@ def test_tube_and_grid_validation():
     TubeSpec(1e-3, math.inf)  # whole domain is fine
     with pytest.raises(ValueError):
         GridSpec(resolution=8)
+    # the cap of the circle's grids holds for every grid
+    GridSpec(gz.fields._MAX_CELLS_1D)
+    with pytest.raises(ValueError):
+        GridSpec(gz.fields._MAX_CELLS_1D + 1)
 
 
 # --- local section bodies ------------------------------------------------

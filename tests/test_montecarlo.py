@@ -14,6 +14,7 @@ from gausszonoids import (
     montecarlo,
     stream,
 )
+from gausszonoids import determinants
 
 
 def test_stream_is_deterministic():
@@ -30,18 +31,60 @@ def test_stream_substreams_differ():
     assert not np.array_equal(a, c)
 
 
-def test_families_are_disjoint_counter_ranges():
-    # family 0 is the chunk's stream bit for bit; family j has the chunk's key
-    # from counter j << 128
-    draws = [g.standard_normal(8) for g in montecarlo.families(stream(42, 3), 4)]
-    assert draws[0].tobytes() == stream(42, 3).standard_normal(8).tobytes()
-    key = np.array([42, 3], dtype=np.uint64)
-    for j, got in enumerate(draws):
-        counter = np.array([0, 0, j, 0], dtype=np.uint64)  # 64-bit words, lowest first
-        philox = np.random.Philox(key=key, counter=counter)
-        assert got.tobytes() == np.random.Generator(philox).standard_normal(8).tobytes()
-    following = [g.standard_normal(8) for g in montecarlo.families(stream(42, 4), 4)]
-    assert len({d.tobytes() for d in draws + following}) == 8
+def _shared_frame(m, k, s):
+    c = np.zeros(m)
+    c[0] = s
+    return FrameSpec(m, [GaussianVector(np.eye(m), c) for _ in range(k)])
+
+
+def _chi(rng, nu, n):
+    return np.sqrt(2.0 * rng.standard_gamma(nu / 2, n))
+
+
+def _shared_5x4(rng, n):
+    # z, column 1's chi_4, the pair chi_3 chi_2 as one Gamma(3), the leftover chi_2
+    z = rng.standard_normal(n)
+    col1 = np.hypot(z + 2.0 * 0.7, _chi(rng, 4, n))
+    pair = rng.standard_gamma(3.0, n)
+    return col1 * pair * _chi(rng, 2, n)
+
+
+def _shared_3x1(rng, n):
+    # |c + xi| for |c| = 0.7: z, then chi_2
+    z = rng.standard_normal(n)
+    return np.hypot(0.7 + z, _chi(rng, 2, n))
+
+
+_MEANS_5x3 = np.array([[1.0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0], [0, 0, 1.0, 0, 0]])
+
+
+def _qr_5x3(rng, n):
+    # the k x m normals of each sample in turn; sqrt det of the Gram matrix
+    gamma = (rng.standard_normal((n, 3, 5)) + _MEANS_5x3).transpose(0, 2, 1)
+    return np.sqrt(np.linalg.det(gamma.transpose(0, 2, 1) @ gamma))
+
+
+def test_chunks_draw_their_variates_in_order(monkeypatch):
+    # chunk i of a run is one pass over stream(seed, i): the variates of
+    # each frame come in a fixed order, whatever the chunk size
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1_000)
+    samplers = []
+    monkeypatch.setattr(
+        determinants, "mc_mean", lambda sample, cfg: samplers.append(sample) or mc_mean(sample, cfg)
+    )
+    qr_frame = FrameSpec(5, [GaussianVector(np.eye(5), c) for c in _MEANS_5x3])
+    for frame, by_hand in (
+        (_shared_frame(5, 4, 0.7), _shared_5x4),
+        (_shared_frame(3, 1, 0.7), _shared_3x1),
+        (qr_frame, _qr_5x3),
+    ):
+        est = expected_absdet_mc(frame, MCConfig(samples=2_500, seed=7))
+        hand = [by_hand(stream(7, i), n) for i, n in enumerate((1_000, 1_000, 500))]
+        assert est.mean == pytest.approx(np.mean(np.concatenate(hand)), rel=1e-13)
+    # the 5 x 4 sampler's own products, in the same order: the same bytes
+    for i in range(3):
+        want = _shared_5x4(stream(7, i), 1_000)
+        assert samplers[0](stream(7, i), 1_000).tobytes() == want.tobytes()
 
 
 def test_mc_mean_reproducible(monkeypatch):

@@ -61,7 +61,6 @@ RUNS = {
 def test_worker_count_changes_nothing(name, monkeypatch):
     # several chunks per run, the last one partial
     monkeypatch.setattr(montecarlo, "_CHUNK", 3_000)
-    monkeypatch.setattr(montecarlo, "_GRID_SLICE", 12_000)
     outputs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(montecarlo, "WORKERS", workers)
@@ -70,21 +69,9 @@ def test_worker_count_changes_nothing(name, monkeypatch):
     assert outputs[2] == outputs[0]
 
 
-def test_sub_blocks_draw_the_same_numbers(monkeypatch):
-    # a chunk drawn in sub-blocks is the chunk drawn at once
-    cfg = MCConfig(samples=5_000, seed=8)
-    for frame in (_frame(1, 1), _frame(2, 2), _frame(4, 4), _scaled_frame(4, 4), _scaled_frame(5, 3),
-                  _frame(6, 5), _frame(4, 1)):
-        results = []
-        for size in (1 << 30, 1_000):
-            monkeypatch.setattr(determinants, "_SUB_BLOCK", size)
-            results.append(repr(expected_absdet_mc(frame, cfg)))
-        assert results[0] == results[1]
-
-
 def test_shared_frames_factorize_nothing(monkeypatch):
     # a shared frame draws each |det| from its exact law, so no frame is
-    # built or factorized; a frame that is not shared takes one QR per sub-block
+    # built or factorized; a frame that is not shared takes one QR per chunk
     def one_block(sample, cfg):
         return EstimateWithCI(float(np.mean(sample(stream(2, 0), 500))), 0.0, 500)
 

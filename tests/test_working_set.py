@@ -70,7 +70,7 @@ def test_peak_memory_is_a_slice_per_thread(name, monkeypatch, tmp_path):
     assert peak <= PEAK, f"{name} held {peak / 2**20:.1f} MB"
 
 
-# a Monte Carlo chunk's draws, their scaled copy and a few sub-blocks per
+# a Monte Carlo chunk's variates, its draws and their scaled copy per
 # thread, whatever the frame's size
 CHUNK_PEAK = 3 << 20
 
@@ -114,16 +114,16 @@ def _full_grid_extremes(field, tau, n):
     )
 
 
-@pytest.mark.parametrize("field, tau, r, n, grid_slice", [
-    (sine_field(2), 0.05, math.inf, 70_001, None),  # three slices, the last partial
+@pytest.mark.parametrize("field, tau, r, n, chunk", [
+    (sine_field(2), 0.05, math.inf, 70_001, None),  # five slices, the last partial
     (sine_field(5), 0.3, math.inf, 3_001, 1_000),
-    (sine_field(2, dim=2), 0.05, math.inf, 190, None),  # 36100 points: two slices
+    (sine_field(2, dim=2), 0.05, math.inf, 190, None),  # 36100 points: three slices
     (_mixed_field(), 0.1, 0.2, 515, 4_096),
 ])
-def test_sliced_sandwich_is_the_full_grid(field, tau, r, n, grid_slice, monkeypatch):
-    if grid_slice is not None:
-        monkeypatch.setattr(montecarlo, "_GRID_SLICE", grid_slice)
-    assert (n**field.dim) % montecarlo._GRID_SLICE != 0
+def test_sliced_sandwich_is_the_full_grid(field, tau, r, n, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    assert (n**field.dim) % montecarlo._CHUNK != 0
     rep = envelope_sandwich(field, tau, GridSpec(n), r=r)
     got = (rep.max_lower_violation, rep.max_upper_violation, rep.min_ratio, rep.max_ratio)
     assert got == _full_grid_extremes(field, tau, n)
