@@ -51,4 +51,4 @@ for i, s in enumerate((0.5, 2.0, 10.0)):
 # closed-form bracket for iid square frames, no sampling at all
 sq = iid_square_bounds(2, np.eye(2), 2.0)
 print(f"\nclosed-form bracket at s = 2: [{sq.lower:.5f}, {sq.upper:.5f}], "
-      f"large-s slope {sq.asymptote:.5f}")
+      f"large-s slope {sq.asymptote_slope:.5f}")

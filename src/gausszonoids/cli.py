@@ -148,6 +148,18 @@ def _float(value) -> float:
     return float(value)
 
 
+def _numbers(value):
+    """A manifest number, or nested lists of them, each cast by _float."""
+    return [_numbers(v) for v in value] if isinstance(value, list) else _float(value)
+
+
+def _columns(cols) -> list:
+    """Manifest columns [{"M": matrix, "c": mean}, ...], each entry cast by _float."""
+    if not all(isinstance(c, dict) and set(c) <= {"M", "c"} for c in cols):
+        raise ValueError("it is not a list of objects with keys M, c")
+    return [{key: _numbers(v) for key, v in col.items()} for col in cols]
+
+
 def _choice(*options):
     def cast(value):
         if value not in options:
@@ -282,12 +294,8 @@ def _frame(p) -> FrameSpec:
         return FrameSpec(m, [GaussianVector(np.eye(m), c)] * (m if p["k"] is None else p["k"]))
     if p["k"] is not None and p["k"] != len(cols):
         raise CommandError("manifest k does not match the number of columns")
-    vectors = []
-    for i, spec in enumerate(cols):
-        if not isinstance(spec, dict) or set(spec) - {"M", "c"}:
-            raise CommandError(f"column {i} must be an object with keys M, c")
-        vectors.append(GaussianVector(spec.get("M", np.eye(m)), spec.get("c", np.zeros(m))))
-    return FrameSpec(m, vectors)
+    eye, zero = np.eye(m), np.zeros(m)
+    return FrameSpec(m, [GaussianVector(c.get("M", eye), c.get("c", zero)) for c in cols])
 
 
 def _cfg(p) -> MCConfig:
@@ -305,8 +313,7 @@ def _det_bounds(p):
     cols = frame.columns
     iid = all(c.mean_norm == 0.0 and np.array_equal(c.matrix, cols[0].matrix) for c in cols)
     if frame.k == frame.dim and iid:
-        sq = iid_square_bounds(frame.dim, cols[0].matrix, 0.0)
-        obj["iid_square"] = dict(zip(("lower", "upper", "asymptote_slope"), sq))
+        obj["iid_square"] = iid_square_bounds(frame.dim, cols[0].matrix, 0.0)._asdict()
     return obj, True
 
 
@@ -385,7 +392,7 @@ _FRAME = {
     "m": _M,
     "k": Param(_int, None, "columns of the frame (default m)"),
     "s": Param(_float, 0.0, "mean offset s*e1 of every column"),
-    "columns": Param(list),  # [{"M": matrix, "c": mean}, ...]
+    "columns": Param(_columns),
     "samples": Param(_int, 1_000_000, "Monte Carlo samples"),
     "seed": _SEED,
 }

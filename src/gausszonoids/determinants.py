@@ -292,7 +292,7 @@ def check_determinant_bounds(frame: FrameSpec, cfg: MCConfig) -> DeterminantBoun
 class IIDSquareBounds(NamedTuple):
     lower: float
     upper: float
-    asymptote: float
+    asymptote_slope: float
 
 
 def iid_square_bounds(dim: int, matrix, s) -> IIDSquareBounds:
@@ -300,7 +300,7 @@ def iid_square_bounds(dim: int, matrix, s) -> IIDSquareBounds:
     matrix @ (c + xi) with a common offset |c| = s.
 
     E|det| = m! |det matrix| vol(gaussian body), so the volume bounds scale
-    through; ``asymptote`` is the limit of E|det|/s as s -> inf.
+    through; ``asymptote_slope`` is the limit of E|det|/s as s -> inf.
     """
     m = int(dim)
     if m < 1:
@@ -313,5 +313,5 @@ def iid_square_bounds(dim: int, matrix, s) -> IIDSquareBounds:
     return IIDSquareBounds(
         lower=scale * vb.lower_sharp,
         upper=scale * vb.upper,
-        asymptote=scale * volume_asymptote(m),
+        asymptote_slope=scale * volume_asymptote(m),
     )

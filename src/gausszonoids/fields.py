@@ -31,7 +31,7 @@ from ._tube import (
     _tube_rows,
     _x2_quad,
 )
-from .geometry import gaussian_support, gaussian_volume, limit_body_inradius
+from .geometry import GaussianVector, gaussian_volume, limit_body_inradius
 from .kernels import SQRT_2PI, ball_volume, factorial
 from .montecarlo import EstimateWithCI, MCConfig, grid_map, mc_mean
 
@@ -205,12 +205,8 @@ def section_support(field: ScalarFieldSpec, p, tau: float, u) -> float:
     if u.shape != (field.dim,) or not np.all(np.isfinite(u)):
         raise ValueError("u must be a finite vector of the field dimension")
     g = np.asarray(field.grad(p), dtype=float).reshape(field.dim)
-    gn = float(np.linalg.norm(g))
     scale = math.exp(-float(field.phi(p)) ** 2 / (2.0 * tau * tau)) / SQRT_2PI
-    unit = g / gn if gn > 0 else np.zeros_like(g)  # at gn = 0 the body is the ball
-    x = float(u @ unit)
-    yr = float(np.linalg.norm(u - x * unit))
-    return scale * float(gaussian_support(gn / tau, x, yr))
+    return scale * GaussianVector(np.eye(field.dim), g / tau).support(u)
 
 
 # -- tube integrals ----------------------------------------------------------
@@ -334,7 +330,7 @@ def expected_zeros_integral(
     """Expected zero count in the tube {|phi| < r}, by direct quadrature of
     the section-body volume: m! * integral vol_m(zeta(p)) dp."""
     (total,) = _tube_integral(field, tube, grid, ("gaussian",))
-    return math.factorial(field.dim) * total
+    return factorial(field.dim) * total
 
 
 _GL24_X, _GL24_W = np.polynomial.legendre.leggauss(24)
@@ -380,7 +376,7 @@ def expected_zeros_coarea(field: ScalarFieldSpec, tube: TubeSpec) -> float:
             half_total += half * w * math.exp(-m * v * v / (2.0 * tau * tau)) * term
 
     # the level integrand is even in v
-    return float(math.factorial(m) * (2.0 * math.pi) ** (m / 2 - 1.0) * 2.0 * half_total)
+    return float(factorial(m) * (2.0 * math.pi) ** (m / 2 - 1.0) * 2.0 * half_total)
 
 
 def concentration_limit(dim: int, alpha: float, vol_zero_set: float) -> float:
@@ -536,7 +532,7 @@ def envelope_sandwich(
     pointwise = low_viol <= slack and up_viol <= slack
 
     count, count_up = (
-        math.factorial(m) * total for total in _tube_integral(field, tube, grid, _BODIES)
+        factorial(m) * total for total in _tube_integral(field, tube, grid, _BODIES)
     )
     tol = slack * max(1.0, count_up)
     counts_ok = bm * count_up - tol <= count <= count_up + tol

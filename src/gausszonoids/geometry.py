@@ -32,6 +32,7 @@ from .kernels import (
     axial_stretch,
     ball_volume,
     bisect,
+    erf_inv,
     gauss_tail,
     limit_support,
     scaled_norm,
@@ -213,10 +214,10 @@ def gaussian_volume(dim: int, s):
     Dimensions 1 and 2 use cheaper forms of the same function (hyp1f1 costs
     about five times as much per point as the Bessel pair):
     ``2 axial_stretch(s)/sqrt(2 pi)`` and ``(z + 1/2) i0e(z) + z i1e(z)`` with
-    z = s^2/2.  Every term is positive, so all three are accurate to a few
-    ulps up to large s.  For m >= 2 and s >= _LINEAR_S the volume is
-    ``volume_asymptote(m) * s``, which is within c_m/s^2 < 1e-16 relative
-    of it, where the closed forms for m >= 2 lose digits and then overflow.
+    z = s^2/2.  Against mpmath the relative error is below 1e-15 for m = 1, 2
+    and below 2e-14 for m = 3 to 20 (47 ulp at m = 3, scipy's ``hyp1f1``).
+    For m >= 2 and s >= _LINEAR_S it is ``volume_asymptote(m) * s``, within
+    c_m/s^2 < 1e-16 relative, where the closed forms lose digits and overflow.
     """
     m = int(dim)
     s = np.asarray(s, dtype=float)
@@ -380,7 +381,7 @@ def limit_boundary_radius(x):
         raise ValueError("limit profile is defined for |x| <= 1")
     interior = np.abs(x) < 1
     safe = np.where(interior, x, 0.0)
-    out = np.where(interior, np.exp(-(special.erfinv(safe) ** 2)), 0.0)
+    out = np.where(interior, np.exp(-(erf_inv(safe) ** 2)), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -403,14 +404,14 @@ def _ring_scan(support, angles, n: int):
     return min(lows, key=lambda e: e[0]), max(highs, key=lambda e: e[0])
 
 
-def _ring_extremes(support, boundary, angles=_QUADRANT.__getitem__, n=_QUADRANT.size):
-    """(the angle of the minimum, (greatest, its angle)) of h(t) = ``support(cos
-    t, sin t)`` on the :func:`_ring_scan` of increasing angles that span its one
-    minimum.  The least value's neighbours bracket the minimum, and bisection on
-    the sign of h'(t) = -sin t * A + cos t * R, with (A, R) = ``boundary(t)`` the
-    boundary point of normal angle t, narrows the bracket to adjacent floats."""
-    (_, i), (hi, k) = _ring_scan(support, angles, n)
-    a, b = angles(np.array([max(i - 1, 0), min(i + 1, n - 1)]))
+def _ring_minimum(support, boundary):
+    """(t, h(t)) at the one minimum of h(t) = ``support(cos t, sin t)`` on [0,
+    pi/2].  The least value of the _QUADRANT scan and its neighbours bracket
+    it, and bisection on the sign of h'(t) = -sin t * A + cos t * R, with (A, R)
+    = ``boundary(t)`` the boundary point of normal angle t, narrows the bracket
+    to adjacent floats, where h is within 2 ulp of its minimum."""
+    (_, i), _ = _ring_scan(support, _QUADRANT.__getitem__, _QUADRANT.size)
+    a, b = _QUADRANT[[max(i - 1, 0), min(i + 1, _QUADRANT.size - 1)]]
 
     def slope(t, _):
         ax, rad = boundary(t)
@@ -418,14 +419,14 @@ def _ring_extremes(support, boundary, angles=_QUADRANT.__getitem__, n=_QUADRANT.
 
     # the slope is negative left of the minimum (0 at a pole): all bisect reads of fa
     t = float(bisect(slope, np.array([a]), np.array([b]), np.array([-1.0]))[0])
-    return t, (hi, float(angles(np.array([k]))[0]))
+    return t, float(support(math.cos(t), math.sin(t)))
 
 
 @lru_cache(maxsize=None)
 def limit_inradius_angle() -> float:
     """Angle on the unit circle where the limit support attains its minimum,
     near 0.61044: a 1000-cell scan brackets it, bisected to adjacent floats."""
-    return _ring_extremes(limit_support, _boundary_limit)[0]
+    return _ring_minimum(limit_support, _boundary_limit)[0]
 
 
 def limit_body_inradius() -> float:
@@ -460,14 +461,10 @@ def limit_inradius_grid(n: int = 1_000_000) -> float:
     return _ring_scan(limit_support, angles, n)[0][0]
 
 
-def _meridian_extremes(s: float, *grid):
-    # the normalized support at (cos t, sin t) is h_G/h_E at the direction
-    # inverse-stretched from it; at s = 0 both bodies are the ball
-    if s == 0.0:
-        return (0.0, 1.0), (1.0, 0.0)
-    support, boundary = partial(normalized_support, s), partial(_boundary_normalized, s)
-    t, greatest = _ring_extremes(support, boundary, *grid)
-    return (t, float(support(math.cos(t), math.sin(t)))), greatest
+def _meridian_minimum(s: float):
+    if s == 0.0:  # both bodies are the ball
+        return 0.0, 1.0
+    return _ring_minimum(partial(normalized_support, s), partial(_boundary_normalized, s))
 
 
 def sandwich_constant(s) -> float:
@@ -477,12 +474,12 @@ def sandwich_constant(s) -> float:
     Both supports are homogeneous of degree 1, and the normalized support at
     (cos t, sin t) is their ratio at the direction with the mean axis shrunk
     by axial_stretch(s), so b(s) is the minimum of ``normalized_support(s, cos
-    t, sin t)`` over t in [0, pi/2].  A 1000-cell scan brackets it and
-    bisection on the sign of its slope finds it to full precision.  b(0) = 1,
+    t, sin t)`` over t in [0, pi/2]: a 1000-cell scan brackets it, and bisection
+    on its slope narrows it to adjacent floats, within 2 ulp of mpmath.  b(0) = 1,
     and b falls strictly to :func:`limit_body_inradius` as s grows:
     1 - b(s) ~ 0.02 s^4 near 0, and b(s) - b-infinity ~ 0.195/s^2.
     """
-    return _meridian_extremes(_check_s(s))[0][1]
+    return _meridian_minimum(_check_s(s))[1]
 
 
 def mean_stretch_matrix(c: np.ndarray) -> np.ndarray:
@@ -578,9 +575,7 @@ class InclusionReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["worst_direction"] = {"x": self.worst_direction.x, "yr": self.worst_direction.yr}
-        return d
+        return dict(self.__dict__, worst_direction=self.worst_direction._asdict())
 
 
 def check_inclusion(dim: int, s, n_dirs: int = 10_000, seed: int = 0) -> InclusionReport:
@@ -588,11 +583,10 @@ def check_inclusion(dim: int, s, n_dirs: int = 10_000, seed: int = 0) -> Inclusi
 
     The ratio depends on the meridian angle only: at the direction with the
     mean axis shrunk by axial_stretch(s) from (cos t, sin t), it is
-    ``normalized_support(s, cos t, sin t)``, t in [0, pi/2] by symmetry.  The
-    check scans it at the pole, on the equator and at the angles (j + U)
-    (pi/2)/n_dirs, j < n_dirs, with U one uniform draw of ``stream(seed, 0)``,
-    and bisects the minimum to full precision: ``min_ratio_lower`` is
-    :func:`sandwich_constant` for every seed and n_dirs.  In one dimension
+    ``normalized_support(s, cos t, sin t)``, t in [0, pi/2] by symmetry.  Its
+    least value is :func:`sandwich_constant`; only the greatest is scanned, at
+    the pole, on the equator and at the angles (j + U) (pi/2)/n_dirs, j <
+    n_dirs, with U one uniform draw of ``stream(seed, 0)``.  In one dimension
     (only the poles) and at s = 0 (two balls) the ratio is 1.  Both extremes
     must lie in [inradius - 1e-12, 1 + 1e-12]; a violation does not raise, it
     is returned as a failing report with the worst direction as witness.
@@ -609,8 +603,10 @@ def check_inclusion(dim: int, s, n_dirs: int = 10_000, seed: int = 0) -> Inclusi
     def angles(j):  # index 0 is the pole, n_dirs + 1 the equator
         return np.clip((j - 1 + u) * step, 0.0, 0.5 * math.pi)
 
-    (t_lo, lo), (hi, t_hi) = _meridian_extremes(0.0 if dim == 1 else s, angles, n_dirs + 2)
-    t = t_hi if 1.0 - hi < lo - b else t_lo
+    ratio = partial(normalized_support, s) if dim > 1 and s else lambda x, yr: np.ones_like(x)
+    t_lo, lo = _meridian_minimum(s if dim > 1 else 0.0)
+    _, (hi, k) = _ring_scan(ratio, angles, n_dirs + 2)
+    t = float(angles(np.array([k]))[0]) if 1.0 - hi < lo - b else t_lo
     x, yr = math.cos(t) / float(axial_stretch(s)), math.sin(t)
     return InclusionReport(
         dim=int(dim),

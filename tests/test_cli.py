@@ -179,6 +179,14 @@ def test_det_bounds_iid_square_needs_equal_columns(capsys, tmp_path):
     # a float key refuses a boolean, which float() would take as 0 or 1
     (("zonoid", "volume"), {"m": 3, "s": True}),
     (("grf", "coarea"), {"taus": [True], "alpha": 0.5}),
+    # nor does an entry of a column's mean or matrix
+    (("det", "mc"), {"m": 2, "columns": [{"c": [True, False]}, {"c": [0, 1]}]}),
+    (("det", "mc"), {"m": 2, "columns": [{"M": [[True, 0], [0, 1]]}, {"c": [0, 1]}]}),
+    # a manifest that is not an object, columns that do not fit, a kind that is none
+    (("det", "mc"), [1, 2]),
+    (("det", "mc"), {"m": 3, "k": 2, "columns": [{"c": [1, 0, 0]}]}),
+    (("det", "mc"), {"m": 2, "columns": [{"c": [0, 1], "mean": [0, 1]}]}),
+    (("zonoid", "volume"), {"kind": "cube", "m": 3, "s": 1}),
 ])
 def test_manifest_value_of_the_wrong_type_exits_2(capsys, tmp_path, argv, manifest):
     path = tmp_path / "bad.json"
@@ -200,6 +208,17 @@ def test_flag_the_action_does_not_read_exits_2(capsys, argv, unread):
     code = main([*argv, *unread])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and unread[0] in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("zonoid", "inclusion", "--m", "3"),
+    ("grf", "integral", "--taus", ","),
+    ("grf", "coarea", "--field", "cos2", "--taus", "0.1"),
+    ("zonoid", "profile", "--s", ","),
+])
+def test_flags_without_a_usable_value_exit_2(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2 and out == ""
 
 
 def test_manifest_rejects_unknown_key(capsys, tmp_path):

@@ -302,7 +302,7 @@ def test_iid_square_bounds_bracket_mc():
     # asymptote: E|det| / s approaches the slope for large s
     est50 = expected_absdet_mc(iid_frame(2, 2, s=50.0, matrix=mat), MCConfig(samples=200_000, seed=13))
     sq50 = iid_square_bounds(2, mat, 50.0)
-    assert est50.mean / 50.0 == pytest.approx(sq50.asymptote, rel=0.02)
+    assert est50.mean / 50.0 == pytest.approx(sq50.asymptote_slope, rel=0.02)
 
 
 def test_estimator_reproducible():

@@ -17,6 +17,7 @@ from gausszonoids import (
     ellipsoid_support,
     gaussian_gradient,
     gaussian_support,
+    gaussian_volume,
     limit_body_inradius,
     limit_boundary_radius,
     limit_inradius_angle,
@@ -313,6 +314,25 @@ def _check_volumes_against(mp):
             assert got == pytest.approx(expect, rel=1e-13), (m, s)
 
 
+def test_volume_closed_forms_are_within_their_stated_error():
+    """The closed forms against 1F1 of the Euler integral at 40 digits: the
+    Bessel forms of m = 1, 2 within 1e-15, and scipy's hyp1f1 of m >= 3
+    within 2e-14 (it reads 47 ulp at m = 3)."""
+    mp = pytest.importorskip("mpmath")
+    offsets = np.concatenate([[0.0], np.geomspace(1e-4, 1e12, 100), np.linspace(0.5, 10, 24)])
+    half = mp.mpf(1) / 2
+    with mp.workdps(40):
+        for m in (1, 2, 3, 4, 5, 7, 10, 20):
+            a = mp.mpf(m - 1) / 2
+            front = mp.pi**a / mp.gamma(a + 1) / (2 * mp.pi) ** (mp.mpf(m) / 2)
+            for s, got in zip(offsets, gaussian_volume(m, offsets)):
+                ss = mp.mpf(s) ** 2
+                core = mp.beta(half, a + 1) * mp.hyp1f1(half, a + 3 * half, -m * ss / 2)
+                core += ss * mp.beta(half, a + 2) * mp.hyp1f1(half, a + 5 * half, -m * ss / 2)
+                err = abs(mp.mpf(float(got)) / (front * core) - 1)
+                assert err <= (1e-15 if m <= 2 else 2e-14), (m, s, float(err))
+
+
 def test_volume_ellipsoid():
     # stretched ball / sqrt(2 pi): vol = stretch * kappa_m / (2 pi)^(m/2)
     for m, s in ((2, 1.0), (3, 2.0)):
@@ -396,6 +416,23 @@ def test_sandwich_constant_falls_from_one_to_b_infinity():
     assert sandwich_constant(1e300) == pytest.approx(b_inf, rel=1e-15)
 
 
+def test_quadrant_scan_brackets_the_one_minimum():
+    """What the 1001-angle bracket of b(s) rests on: the slope -sin t * A +
+    cos t * R of the support on the unit circle changes sign once between pi/8
+    and 3 pi/8, and the least support of the quadrant lies between them.  Below
+    s ~ 0.002 the body is the ball to within rounding, and the slope is noise."""
+    t = np.linspace(math.pi / 8, 3 * math.pi / 8, 20_001)
+    q = np.linspace(0.0, math.pi / 2, 20_001)
+    bodies = [RevolutionBody("normalized", 2, float(s)) for s in np.geomspace(0.01, 1e300, 200)]
+    for body in [*bodies, RevolutionBody("limit", 2)]:
+        ax, rad = body.boundary(t)
+        slope = -np.sin(t) * ax + np.cos(t) * rad
+        assert slope[0] < 0.0 < slope[-1], body
+        assert np.count_nonzero(np.diff(slope > 0.0)) == 1, body
+        least = q[np.argmin(body.support(np.cos(q), np.sin(q)))]
+        assert math.pi / 8 < least < 3 * math.pi / 8, body
+
+
 @pytest.mark.parametrize("s", [0.5, 1.0, 50.0, 1e300])
 def test_inclusion_minimum_is_the_sandwich_constant(s):
     b = sandwich_constant(s)
@@ -403,7 +440,7 @@ def test_inclusion_minimum_is_the_sandwich_constant(s):
         for seed in (0, 3):
             for n in (1, 2, 3, 10, 1000):
                 rep = check_inclusion(m, s, n_dirs=n, seed=seed)
-                assert rep.passed and rep.min_ratio_lower == pytest.approx(b, rel=1e-15)
+                assert rep.passed and rep.min_ratio_lower == b
                 assert rep.max_ratio_upper == pytest.approx(1.0, abs=1e-15)
 
 
