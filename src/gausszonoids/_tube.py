@@ -17,7 +17,6 @@ import numpy as np
 
 from .geometry import BODY_KINDS
 from .kernels import bisect
-from .montecarlo import parallel_map
 
 
 class GridResolutionError(ValueError):
@@ -26,21 +25,37 @@ class GridResolutionError(ValueError):
     x2 on T^2 cannot pair or converge for the field."""
 
 
-def _section_volume_vec(field, tau, pts, kinds):
-    """Section volumes on a batch of points, one array per kind of BODY_KINDS
-    in kinds: the body of offset |grad phi|/tau times (2 pi)^(-m/2) exp(-m
-    phi^2/(2 tau^2)).  The field and its gradient are evaluated once for all."""
+def _section_offsets(field, tau, pts):
+    """phi, and the offsets s = |grad phi|/tau of the section bodies, on a
+    batch of points; the field and its gradient are evaluated once for all."""
     m = field.dim
     phi = np.asarray(field.phi(pts), dtype=float)
     g = np.asarray(field.grad(pts), dtype=float)
-    s = np.linalg.norm(g, axis=-1) / tau
+    if m > 2:
+        return phi, np.linalg.norm(g, axis=-1) / tau
+    # the norm's float operations, with no reduction over a short axis
+    sq = g[..., 0] * g[..., 0]
+    if m == 2:
+        sq = sq + g[..., 1] * g[..., 1]
+    return phi, np.sqrt(sq) / tau
+
+
+def _section_volumes(m, tau, phi, s, kinds):
+    """Section volumes in R^m at values phi and offsets s, one array per kind
+    of BODY_KINDS in kinds: the body of offset s times (2 pi)^(-m/2) exp(-m
+    phi^2/(2 tau^2))."""
     scale = (2.0 * math.pi) ** (-m / 2) * np.exp(-m * phi * phi / (2.0 * tau * tau))
     return [scale * BODY_KINDS[kind].volume(m, s) for kind in kinds]
 
 
+def _section_volume_vec(field, tau, pts, kinds):
+    """Section volumes on a batch of points (:func:`_section_volumes`)."""
+    return _section_volumes(field.dim, tau, *_section_offsets(field, tau, pts), kinds)
+
+
 # scan points per block of tube rows, and nodes per volume evaluation of a
-# block: bounds the memory of each thread of the tube integral (the grid
-# scans take slices of montecarlo._CHUNK points instead)
+# block: bounds the memory of the tube integral (the grid scans take slices
+# of montecarlo._SLICE points instead)
 _BLOCK = 1 << 18
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
 
@@ -133,9 +148,9 @@ def _tube_rows(field, tube, grid, kinds, rows):
 
     Each row is cut into ``grid.resolution`` cells, split at its turns and
     clipped to the tube in one pass (:func:`_row_panels`), and each panel
-    gets 12-point Gauss-Legendre.  Blocks of rows are scanned,
-    bisected and evaluated together, one block per task of
-    :func:`parallel_map`, and each row adds up its panels in order."""
+    gets 12-point Gauss-Legendre.  Blocks of rows are scanned, bisected and
+    evaluated together, one block after another, and each row adds up its
+    panels in order."""
     n = grid.resolution
     step = _BLOCK // _GL12_X.size
 
@@ -153,7 +168,7 @@ def _tube_rows(field, tube, grid, kinds, rows):
                     sums[i, j] += float(np.sum(part))
         return sums
 
-    return np.concatenate(parallel_map(block_rows, list(_row_blocks(rows, n))), axis=1)
+    return np.concatenate([block_rows(y) for y in _row_blocks(rows, n)], axis=1)
 
 
 # the breaks of the x2 rule on T^2: rows that probe for them, and halvings of

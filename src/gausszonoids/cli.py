@@ -20,6 +20,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 from functools import partial
@@ -71,8 +72,16 @@ class _Encoder(json.JSONEncoder):
         return super().default(o)
 
 
-def _cell(v) -> str:
-    return "" if v is None else repr(v)
+def _cells(column) -> list:
+    """The cells of one column of a CSV batch: one repr for a column that
+    repeats one object (the s of a profile curve), else a repr per value;
+    None is an empty cell."""
+    first = column[0]
+    if all(map(operator.is_, column, itertools.repeat(first))):
+        return ["" if first is None else repr(first)] * len(column)
+    if None in column:
+        return ["" if v is None else repr(v) for v in column]
+    return list(map(repr, column))
 
 
 # CSV rows or JSON tokens per write: bounds the text held at once
@@ -82,18 +91,18 @@ _BATCH = 4096
 def _text(report):
     """The text of a report, in pieces: a dict as one JSON object (the bytes
     of ``json.dumps(..., indent=2, sort_keys=True)``), _BATCH tokens per
-    piece, a (header, rows) pair as CSV, _BATCH rows per piece."""
+    piece, a (header, batches) pair as CSV, one piece per batch of rows,
+    which is given as a list of its columns."""
     if isinstance(report, dict):
         tokens = _Encoder(indent=2, sort_keys=True).iterencode(_jsonable(report))
         while piece := "".join(itertools.islice(tokens, _BATCH)):
             yield piece
         yield "\n"
         return
-    header, rows = report
+    header, batches = report
     yield ",".join(header) + "\n"
-    rows = iter(rows)
-    while batch := list(itertools.islice(rows, _BATCH)):
-        yield "".join(",".join(_cell(v) for v in row) + "\n" for row in batch)
+    for columns in batches:
+        yield "\n".join(map(",".join, zip(*map(_cells, columns)))) + "\n"
 
 
 def _emit(report, out: str | None):
@@ -259,16 +268,18 @@ def _profile(p):
     if p["format"] == "json":
         curves = [dict(zip(header, (s, *prof.T))) for s, prof in curves]
         return {"kind": p["kind"], "curves": curves}, True
-    rows = ((s, *r) for s, prof in curves for r in _table_rows(prof))
     if len(curves) == 1:  # one curve: no s column
-        header, rows = header[1:], (r[1:] for r in rows)
-    return (header, rows), True
+        return (header[1:], _curve_batches(curves, False)), True
+    return (header, _curve_batches(curves, True)), True
 
 
-def _table_rows(table: np.ndarray):
-    """The rows of a float array as lists of floats, made _BATCH at a time."""
-    for k in range(0, len(table), _BATCH):
-        yield from table[k : k + _BATCH].tolist()
+def _curve_batches(curves, with_s: bool):
+    """The CSV batches of profile curves: the columns of _BATCH rows at a
+    time as lists of floats, after the curve's s repeated, with_s."""
+    for s, prof in curves:
+        for k in range(0, len(prof), _BATCH):
+            columns = prof[k : k + _BATCH].T.tolist()
+            yield [[s] * len(columns[0]), *columns] if with_s else columns
 
 
 def _volume(p):
@@ -365,7 +376,7 @@ def _sweep(route, p):
         rows.append(row)
     if p["format"] == "json":
         return {"field": field.name, "rows": rows}, True
-    return (SWEEP_COLUMNS, [[row[c] for c in SWEEP_COLUMNS] for row in rows]), True
+    return (SWEEP_COLUMNS, [[[row[c] for row in rows] for c in SWEEP_COLUMNS]]), True
 
 
 def _integral(p, field, tube):

@@ -29,6 +29,8 @@ from .kernels import (
     SQRT_2PI,
     SQRT_HALF_PI,
     SQRT_PI,
+    _axial_stretch,
+    _limit_support,
     axial_stretch,
     ball_volume,
     bisect,
@@ -138,12 +140,17 @@ def normalized_support(s, x, yr):
     """
     s = _check_s(s, positive=True)
     x, yr = _check_dir(x, yr)
-    lam = float(axial_stretch(s))
-    d = np.hypot(x, lam * yr)
-    safe = np.where(d > 0, d, 1.0)
-    beta = x * s / safe
-    out = np.where(d > 0, d / lam * axial_stretch(beta), 0.0)
+    with np.errstate(invalid="ignore"):
+        h = _normalized_support(s, float(axial_stretch(s)), x, yr)
+    out = np.where((x == 0.0) & (yr == 0.0), 0.0, h)
     return out if out.ndim else float(out)
+
+
+def _normalized_support(s, lam, x, yr):
+    """:func:`normalized_support` of two float arrays of one shape, unchecked
+    and NaN at the zero direction; lam is axial_stretch(s)."""
+    d = np.hypot(x, lam * yr)
+    return d / lam * _axial_stretch(x * s / d)
 
 
 def gaussian_gradient(s, x, yr):
@@ -222,7 +229,7 @@ def gaussian_volume(dim: int, s):
     m = int(dim)
     s = np.asarray(s, dtype=float)
     if m == 1:  # 2 * lam would overflow from s = 7.2e307
-        return 2.0 * (axial_stretch(s) / SQRT_2PI)
+        return 2.0 * (_axial_stretch(s) / SQRT_2PI)
     far = s >= _LINEAR_S
     if np.any(far):
         near = gaussian_volume(m, np.where(far, 0.0, s))
@@ -244,7 +251,7 @@ def _stretched_volume(m: int, s, vol):
     scaled by 1/sqrt(2 pi).  The product runs at an eighth of its scale,
     which rounds as the plain one does, so that it stays finite for vol <= 8
     (the ball and the limit body) up to the largest stretch."""
-    return 8.0 * (axial_stretch(s) * 0.125 * vol / (2 * math.pi) ** (m / 2))
+    return 8.0 * (_axial_stretch(s) * 0.125 * vol / (2 * math.pi) ** (m / 2))
 
 
 class BodyKind(NamedTuple):
@@ -255,8 +262,9 @@ class BodyKind(NamedTuple):
     volume: Callable  # (dim, s) -> volume, vectorized over s
 
 
-# The entries look axial_stretch and limit_support up when called, so a
-# wrapper bound to those module names sees every call.
+# The limit entry looks limit_support up when called, so a wrapper bound to
+# that module name sees its calls; the grid scans and the volumes call the
+# unchecked kernels _limit_support and _axial_stretch, which it does not see.
 BODY_KINDS = {
     # the zonoid of c + xi, with s = |c|; volume :func:`gaussian_volume`
     "gaussian": BodyKind(
@@ -392,7 +400,7 @@ _QUADRANT = np.linspace(0.0, math.pi / 2, 1001)
 def _ring_scan(support, angles, n: int):
     """((least, j), (greatest, j)) of ``support(cos t, sin t)`` at t =
     ``angles(j)``, j < n, scanned slice by slice (:func:`grid_map`); a tie
-    goes to the lowest j, whatever the number of threads."""
+    goes to the lowest j, whatever the slice size."""
 
     def extremes(j):
         t = angles(j)
@@ -458,7 +466,7 @@ def limit_inradius_grid(n: int = 1_000_000) -> float:
             t[j == n - 1] = 0.5 * math.pi
         return t
 
-    return _ring_scan(limit_support, angles, n)[0][0]
+    return _ring_scan(_limit_support, angles, n)[0][0]
 
 
 def _meridian_minimum(s: float):
@@ -544,7 +552,7 @@ class GaussianVector:
         # at s = 0 every direction is radial and the body is the ball
         unit = self.mean / s if s > 0 else np.zeros(self.dim)
         x = v @ unit
-        yr = np.linalg.norm(np.atleast_2d(v - np.multiply.outer(x, unit)), axis=-1)
+        yr = scaled_norm(np.atleast_2d(v - np.multiply.outer(x, unit)), axis=-1)
         h = gaussian_support(s, np.atleast_1d(x), yr)
         return float(h[0]) if u.ndim == 1 else np.asarray(h).reshape(u.shape[:-1])
 
@@ -603,11 +611,12 @@ def check_inclusion(dim: int, s, n_dirs: int = 10_000, seed: int = 0) -> Inclusi
     def angles(j):  # index 0 is the pole, n_dirs + 1 the equator
         return np.clip((j - 1 + u) * step, 0.0, 0.5 * math.pi)
 
-    ratio = partial(normalized_support, s) if dim > 1 and s else lambda x, yr: np.ones_like(x)
+    lam = float(axial_stretch(s))
+    ratio = partial(_normalized_support, s, lam) if dim > 1 and s else lambda x, yr: np.ones_like(x)
     t_lo, lo = _meridian_minimum(s if dim > 1 else 0.0)
     _, (hi, k) = _ring_scan(ratio, angles, n_dirs + 2)
     t = float(angles(np.array([k]))[0]) if 1.0 - hi < lo - b else t_lo
-    x, yr = math.cos(t) / float(axial_stretch(s)), math.sin(t)
+    x, yr = math.cos(t) / lam, math.sin(t)
     return InclusionReport(
         dim=int(dim),
         s=s,

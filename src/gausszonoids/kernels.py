@@ -55,11 +55,13 @@ def binary_exponent(values) -> int:
 
 
 def scaled_norm(v, axis=None):
-    """``np.linalg.norm(v, axis=axis)``, taken of v scaled by a power of two
-    so that its squares cannot overflow; the scaling changes no value."""
+    """``np.linalg.norm(v, axis=axis)``, taken of each vector scaled by the
+    power of two of its largest entry, so that its squares can neither
+    overflow nor all underflow; the scaling changes no value."""
     v = np.asarray(v, dtype=float)
-    e = binary_exponent(v)
-    return np.ldexp(np.linalg.norm(np.ldexp(v, -e), axis=axis), e)
+    e = np.frexp(np.max(np.abs(v), axis=axis, keepdims=True, initial=0.0))[1]
+    norm = np.linalg.norm(np.ldexp(v, -e), axis=axis, keepdims=True)
+    return np.squeeze(np.ldexp(norm, e), axis=axis)
 
 
 def erf(t):
@@ -113,7 +115,11 @@ def axial_stretch(s):
     at 0 is 1).  Even in ``s``, strictly increasing on s >= 0, and asymptotic
     to ``sqrt(pi/2)*|s|``.
     """
-    s = _finite("s", s)
+    return _axial_stretch(_finite("s", s))
+
+
+def _axial_stretch(s):
+    """:func:`axial_stretch` of a float array, unchecked."""
     return gauss_tail(s) + SQRT_HALF_PI * s * special.erf(s / math.sqrt(2.0))
 
 
@@ -133,22 +139,24 @@ def limit_support(x, z):
     circle is the universal constant returned by
     :func:`gausszonoids.geometry.limit_body_inradius` (about 0.9103).
     """
-    x = _finite("x", x)
-    z = _finite("z", z)
-    x, z = np.broadcast_arrays(x, z)
-    # scale out the larger coordinate so the exponent ratio never hits 0/0,
-    # even for subnormal inputs
-    scale = np.maximum(np.abs(x), np.abs(z))
-    pos = scale > 0
-    xs = x / np.where(pos, scale, 1.0)
-    zs = np.abs(z) / np.where(pos, scale, 1.0)
-    zsafe = np.where(zs > 0, zs, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = np.where(zs > 0, xs / (SQRT_PI * zsafe), np.where(xs >= 0, np.inf, -np.inf))
-        core = zs * np.exp(-xs * xs / (math.pi * zsafe * zsafe)) + xs * special.erf(t)
-    core = np.where(zs > 0, core, np.abs(xs))
-    out = np.where(pos, scale * core, 0.0)
+    x, z = np.broadcast_arrays(_finite("x", x), _finite("z", z))
+    out = np.where((x == 0.0) & (z == 0.0), 0.0, _limit_support(x, z))
     return out if out.ndim else float(out)
+
+
+def _limit_support(x, z):
+    """:func:`limit_support` of two float arrays of one shape, unchecked and
+    NaN at the zero direction.
+
+    The larger coordinate is scaled out, so the exponent ratio never hits
+    0/0, even for subnormal inputs.  At z = 0 the ratio x/(sqrt(pi) |z|) is
+    +-inf and the value |x|, with no case of its own."""
+    scale = np.maximum(np.abs(x), np.abs(z))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        xs = x / scale
+        zs = np.abs(z) / scale
+        core = zs * np.exp(-xs * xs / (math.pi * zs * zs)) + xs * special.erf(xs / (SQRT_PI * zs))
+    return scale * core
 
 
 def erf_log_slope(t):

@@ -1,5 +1,4 @@
-"""Chunked, reproducible Monte Carlo driver, and the parallel map that runs
-the package's chunked loops.
+"""Chunked, reproducible Monte Carlo driver, and the slicing of grid scans.
 
 Streams are counter-based: chunk ``i`` (of ``_CHUNK`` samples) draws from a
 Philox generator keyed by ``(seed, i)``, so estimates are bitwise
@@ -7,22 +6,20 @@ reproducible for a fixed (samples, seed) pair and chunks are independent.
 A sampler fills its chunk in one pass, drawing its variates in a fixed
 order from the chunk's stream.
 
-Chunked loops (Monte Carlo chunks, tube row blocks, grid slices) run
-through :func:`parallel_map` on one thread per core in the process's
-affinity mask; ``taskset`` restricts them.  Each loop reduces its per-chunk
-results in chunk order, so no result depends on how many cores there are.
-Every grid scan (the sandwich's pointwise check, the meridian scans of the
-inclusion check, of b(s) and of the grid inradius) runs through
-:func:`grid_map`, one slice of ``_CHUNK`` flat indices per task, and
-:func:`mc_mean` cuts its chunks the same way.
+Chunked loops (Monte Carlo chunks, tube row blocks, grid slices) are plain
+loops, run in order on the calling thread, which reuses the heap pages of
+each chunk for the next.  Every grid scan (the sandwich's pointwise check,
+the meridian scans of the inclusion check, of b(s) and of the grid
+inradius) runs through :func:`grid_map`, one slice of ``_SLICE`` flat
+indices at a time, and :func:`mc_mean` cuts its chunks of ``_CHUNK``
+samples the same way.  Only the Monte Carlo draws depend on a size, that of
+their chunks.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,41 +28,19 @@ from .kernels import binary_exponent
 __all__ = ["MCConfig", "EstimateWithCI", "stream", "mc_mean"]
 
 
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-# worker threads of parallel_map: the cores this process may run on
-WORKERS = _cores()
-
-
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """``[fn(x) for x in items]``, run on up to WORKERS threads.
-
-    The results come back in input order, and the first exception raised by
-    ``fn`` (in input order) reaches the caller.  numpy releases the
-    interpreter lock inside its array loops, so chunks of array work overlap.
-    """
-    workers = min(WORKERS, len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-# samples per chunk of a Monte Carlo run, and flat indices per slice of a
-# grid scan: one parallel task each (and one stream per chunk), so each
-# thread holds one chunk's or one slice's arrays at a time
+# samples per chunk of a Monte Carlo run, one stream each
 _CHUNK = 1 << 14
+# flat indices per slice of a grid scan: each slice reuses the heap pages of
+# the one before (a 10^6-point scan takes about 50 minor page faults, where
+# slices of 2^14 points took 12-18 thousand, fresh pages for every slice)
+_SLICE = 1 << 13
 
 
-def grid_map(fn: Callable, n: int) -> list:
-    """``fn(j)`` for the slices j of _CHUNK consecutive flat indices (int64
-    arrays) that cover 0 .. n - 1, in order, on the parallel_map threads."""
-    return parallel_map(lambda k: fn(np.arange(k, min(k + _CHUNK, n))), range(0, n, _CHUNK))
+def grid_map(fn: Callable, n: int, size: int | None = None) -> list:
+    """``[fn(j) ...]`` for the slices j of ``size`` (default _SLICE)
+    consecutive flat indices (int64 arrays) that cover 0 .. n - 1, in order."""
+    size = size or _SLICE
+    return [fn(np.arange(k, min(k + size, n))) for k in range(0, n, size)]
 
 
 @dataclass(frozen=True)
@@ -107,17 +82,16 @@ def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCCon
 
     `sample(rng, n)` must return n i.i.d. finite scalar draws from the chunk's
     :func:`stream` `rng`; a draw that is not finite raises ValueError.  The
-    chunks are the slices of :func:`grid_map`, and a chunk holds the draws
-    and one scaled copy of them, whose squared deviations are taken in
-    place.  Each chunk scales its draws by 2^-e, e the binary exponent of
-    its largest |draw|, before it sums them, and the chunks are combined on
-    the largest e; scaling by a power of two changes no value, but keeps the
-    sums and the squares of draws from the largest float down to the
-    smallest normal ones finite and nonzero.  Per-chunk sums use numpy's
-    pairwise summation; cross-chunk accumulation uses math.fsum, so the
-    result does not depend on summation order beyond the fixed chunking,
-    nor on how many threads :func:`parallel_map` runs the chunks on.  The
-    variance keeps each chunk's squared deviations from its own mean and
+    chunks are the slices of :func:`grid_map` of _CHUNK samples, and a chunk
+    holds the draws and one scaled copy of them, whose squared deviations
+    are taken in place.  Each chunk scales its draws by 2^-e, e the binary
+    exponent of its largest |draw|, before it sums them, and the chunks are
+    combined on the largest e; scaling by a power of two changes no value,
+    but keeps the sums and the squares of draws from the largest float down
+    to the smallest normal ones finite and nonzero.  Per-chunk sums use
+    numpy's pairwise summation; cross-chunk accumulation uses math.fsum, so
+    the result does not depend on summation order beyond the fixed chunking.
+    The variance keeps each chunk's squared deviations from its own mean and
     adds the spread of the chunk means (Chan, Golub & LeVeque), so it does
     not cancel when the mean is large against the spread.
     """
@@ -135,7 +109,7 @@ def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCCon
         values -= total / n  # the squared deviations, in place
         return n, total, float(np.sum(np.square(values, out=values))), e
 
-    counts, sums, devs, exps = zip(*grid_map(moments, cfg.samples))
+    counts, sums, devs, exps = zip(*grid_map(moments, cfg.samples, _CHUNK))
     n, e = cfg.samples, max(exps)  # every chunk on the scale 2^-e of the largest draw
     sums = [math.ldexp(t, x - e) for t, x in zip(sums, exps)]
     mean = math.fsum(sums) / n

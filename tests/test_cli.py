@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gausszonoids
+from gausszonoids import cli
 from gausszonoids.cli import COMMANDS, main
 
 
@@ -575,6 +576,25 @@ def test_table_cells_are_plain_floats(capsys, argv):
         for cell in filter(None, cells):
             assert "np." not in cell
             float(cell)
+
+
+def test_columns_print_as_their_rows():
+    # equal values with other reprs (0.0 and -0.0, 1 and 1.0, two NaN objects)
+    # are cells of their own; only one object repeated takes one repr
+    nan, one = float("nan"), 1.0
+    columns = [
+        [0.0, -0.0, 0.0],
+        [1, 1.0, True],
+        [nan, float("nan"), nan],
+        [None, 2.5, None],
+        [None, None, None],
+        [one, one, one],
+        [-0.0, -0.0, -0.0],
+    ]
+    rows = list(zip(*columns))
+    want = "".join(",".join("" if v is None else repr(v) for v in row) + "\n" for row in rows)
+    text = "".join(cli._text((("a", "b", "c", "d", "e", "f", "g"), [columns])))
+    assert text == "a,b,c,d,e,f,g\n" + want
 
 
 @pytest.mark.parametrize("argv", [

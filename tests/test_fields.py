@@ -100,6 +100,16 @@ def test_section_support_on_zero_set_orthogonal_direction():
     assert got == pytest.approx(1 / (2 * math.pi), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_section_support_of_a_huge_direction():
+    # homogeneous of degree 1 past |u| = 1.3e154, where the squares of the
+    # radial part of u would overflow
+    p = np.array([0.3, 0.1])
+    big = section_support(SIN2_2D, p, 0.1, np.array([1e200, 1e200]))
+    unit = section_support(SIN2_2D, p, 0.1, np.array([1.0, 1.0]))
+    assert abs(big - 1e200 * unit) <= np.spacing(big)
+
+
 def test_section_volume_positive_and_even():
     vol_plus = section_volume(SIN2, np.array([0.2]), 0.5)
     vol_minus = section_volume(SIN2, np.array([-0.2]), 0.5)

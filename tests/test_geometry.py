@@ -500,6 +500,21 @@ def test_gaussian_vector_support_matches_reduced_form():
     assert gv.support(u) == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_gaussian_vector_support_of_a_huge_direction():
+    # |u| = 1.4e200: the squares of its radial part overflow unless they are
+    # scaled, and the support is homogeneous of degree 1
+    gv = GaussianVector(np.eye(2), np.array([1.0, 0.0]))
+    big, unit = gv.support(np.array([1e200, 1e200])), gv.support(np.array([1.0, 1.0]))
+    assert abs(big - 1e200 * unit) <= np.spacing(big)
+    # each direction of a batch is scaled on its own, so a huge one does not
+    # push the squares of a tiny one below the least float
+    many = gv.support(np.array([[1e200, 1e200], [3e300, -4e300], [1e-300, 1e-300]]))
+    assert many[0] == big
+    assert abs(many[1] - 1e300 * gv.support(np.array([3.0, -4.0]))) <= np.spacing(many[1])
+    assert abs(many[2] - 1e-300 * unit) <= np.spacing(many[2])
+
+
 def test_body_validation():
     with pytest.raises(ValueError):
         RevolutionBody("gaussian", 0, 1.0)

@@ -53,7 +53,7 @@ def test_every_exported_name_still_imports():
 
 def test_internal_helpers_stay_out_of_the_surface():
     # imported by name where they are used, not part of the public surface
-    assert kernels.bisect and montecarlo.parallel_map
+    assert kernels.bisect and montecarlo.grid_map
     assert "bisect" not in gausszonoids.__all__
-    assert "parallel_map" not in gausszonoids.__all__
+    assert "grid_map" not in gausszonoids.__all__
     assert {"BODY_KINDS", "gaussian_volume"} <= set(gausszonoids.__all__)

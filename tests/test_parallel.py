@@ -1,6 +1,5 @@
-"""The chunked loops give the same bytes on any number of worker threads."""
-import math
-
+"""The chunked loops give the same bytes at any grid slice size, and on a
+rerun."""
 import numpy as np
 import pytest
 
@@ -58,15 +57,13 @@ RUNS = {
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_worker_count_changes_nothing(name, monkeypatch):
-    # several chunks per run, the last one partial
+def test_slice_size_changes_nothing(name, monkeypatch):
+    # several Monte Carlo chunks per run, the last one partial; the grid
+    # scans at the default slice and at 3,000 points, the last slice partial
     monkeypatch.setattr(montecarlo, "_CHUNK", 3_000)
-    outputs = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(montecarlo, "WORKERS", workers)
-        outputs.append(repr(RUNS[name]()))
-    assert outputs[1] == outputs[0]
-    assert outputs[2] == outputs[0]
+    first = repr(RUNS[name]())
+    monkeypatch.setattr(montecarlo, "_SLICE", 3_000)
+    assert repr(RUNS[name]()) == first
 
 
 def test_shared_frames_factorize_nothing(monkeypatch):
@@ -87,22 +84,19 @@ def test_shared_frames_factorize_nothing(monkeypatch):
     assert calls == ["qr"]
 
 
-def test_parallel_map_keeps_input_order(monkeypatch):
-    monkeypatch.setattr(montecarlo, "WORKERS", 3)
-    assert montecarlo.parallel_map(lambda x: x * x, range(50)) == [x * x for x in range(50)]
-    assert montecarlo.parallel_map(math.sqrt, []) == []
+def test_chunk_errors_reach_the_caller():
+    # the slices run in order, and none after the first that raises
+    seen = []
 
-
-def test_worker_errors_reach_the_caller(monkeypatch):
-    monkeypatch.setattr(montecarlo, "WORKERS", 2)
-
-    def fail_on_three(x):
-        if x == 3:
-            raise KeyError(x)
-        return x
+    def fail_on_three(j):
+        seen.append(int(j[0]))
+        if j[0] == 30:
+            raise KeyError(30)
+        return j
 
     with pytest.raises(KeyError):
-        montecarlo.parallel_map(fail_on_three, range(8))
+        montecarlo.grid_map(fail_on_three, 80, 10)
+    assert seen == [0, 10, 20, 30]
 
     with pytest.raises(ValueError, match="shape"):
         mc_mean(lambda rng, n: np.ones((n, 1)), CFG)

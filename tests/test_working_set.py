@@ -20,12 +20,12 @@ from gausszonoids import (
     montecarlo,
     sine_field,
 )
-from gausszonoids import geometry
+from gausszonoids import fields, geometry
 from gausszonoids._tube import _section_volume_vec
 from gausszonoids.cli import main
 
 # the most memory any one of these runs may hold at once, in bytes: a slice
-# of grid points per thread, not a grid
+# of grid points, not a grid
 PEAK = 8 << 20
 
 
@@ -64,20 +64,18 @@ RUNS = {
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_peak_memory_is_a_slice_per_thread(name, monkeypatch, tmp_path):
-    monkeypatch.setattr(montecarlo, "WORKERS", 2)
+def test_peak_memory_is_a_slice_per_thread(name, tmp_path):
     peak = _peak(lambda: RUNS[name](tmp_path / "profile.csv"))
     assert peak <= PEAK, f"{name} held {peak / 2**20:.1f} MB"
 
 
-# a Monte Carlo chunk's variates, its draws and their scaled copy per
-# thread, whatever the frame's size
+# a Monte Carlo chunk's variates, its draws and their scaled copy, whatever
+# the frame's size
 CHUNK_PEAK = 3 << 20
 
 
 @pytest.mark.parametrize("m", [2, 10, 60])
-def test_shared_sampler_holds_sub_blocks(m, monkeypatch):
-    monkeypatch.setattr(montecarlo, "WORKERS", 2)
+def test_shared_sampler_holds_sub_blocks(m):
     c = np.zeros(m)
     c[0] = 1.0
     frame = FrameSpec(m, [GaussianVector(np.eye(m), c) for _ in range(m)])
@@ -114,19 +112,52 @@ def _full_grid_extremes(field, tau, n):
     )
 
 
-@pytest.mark.parametrize("field, tau, r, n, chunk", [
-    (sine_field(2), 0.05, math.inf, 70_001, None),  # five slices, the last partial
+@pytest.mark.parametrize("field, tau, r, n, size", [
+    (sine_field(2), 0.05, math.inf, 70_001, None),  # nine slices, the last partial
     (sine_field(5), 0.3, math.inf, 3_001, 1_000),
-    (sine_field(2, dim=2), 0.05, math.inf, 190, None),  # 36100 points: three slices
+    (sine_field(2, dim=2), 0.05, math.inf, 190, None),  # 36100 points: five slices
     (_mixed_field(), 0.1, 0.2, 515, 4_096),
 ])
-def test_sliced_sandwich_is_the_full_grid(field, tau, r, n, chunk, monkeypatch):
-    if chunk is not None:
-        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-    assert (n**field.dim) % montecarlo._CHUNK != 0
+def test_sliced_sandwich_is_the_full_grid(field, tau, r, n, size, monkeypatch):
+    if size is not None:
+        monkeypatch.setattr(montecarlo, "_SLICE", size)
+    assert (n**field.dim) % montecarlo._SLICE != 0
     rep = envelope_sandwich(field, tau, GridSpec(n), r=r)
     got = (rep.max_lower_violation, rep.max_upper_violation, rep.min_ratio, rep.max_ratio)
     assert got == _full_grid_extremes(field, tau, n)
+
+
+def _bumped_field():
+    # depends on x2 only for x2 in [3, 3.2): the slices holding those rows
+    # repeat no row, every other slice repeats its first
+    def phi(p):
+        return np.sin(p[..., 0]) + 0.01 * ((p[..., 1] >= 3.0) & (p[..., 1] < 3.2))
+
+    def grad(p):
+        return np.stack([np.cos(p[..., 0]), 0.0 * p[..., 1]], axis=-1)
+
+    return ScalarFieldSpec(2, phi, grad, name="bumped")
+
+
+@pytest.mark.parametrize("field, n, row_slices", [
+    (sine_field(2, dim=2), 256, 8),  # each slice of 32 rows repeats its first
+    (_mixed_field(), 256, 0),
+    (_bumped_field(), 512, 30),  # the rows of x2 in [3, 3.2) fall in two slices
+])
+def test_sandwich_of_repeated_rows_is_the_full_grid(field, n, row_slices, monkeypatch):
+    # the volumes of a slice of whole rows that repeat the first are taken on
+    # the first row alone, and the extremes are those of the full grid
+    sizes = []
+    real = fields._section_volumes
+    monkeypatch.setattr(
+        fields, "_section_volumes",
+        lambda m, tau, phi, s, kinds: sizes.append(phi.size) or real(m, tau, phi, s, kinds),
+    )
+    rep = envelope_sandwich(field, 0.1, GridSpec(n), r=0.2)
+    got = (rep.max_lower_violation, rep.max_upper_violation, rep.min_ratio, rep.max_ratio)
+    assert got == _full_grid_extremes(field, 0.1, n)
+    assert sizes.count(n) == row_slices
+    assert len(sizes) == n * n // montecarlo._SLICE
 
 
 # at n = 26 and 76, (n - 1) * step rounds below pi/2
