@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .geometry import BODY_KINDS
+from .geometry import _SECTION_VOLUMES
 from .kernels import bisect
 
 
@@ -25,32 +25,23 @@ class GridResolutionError(ValueError):
     x2 on T^2 cannot pair or converge for the field."""
 
 
-def _section_offsets(field, tau, pts):
-    """phi, and the offsets s = |grad phi|/tau of the section bodies, on a
-    batch of points; the field and its gradient are evaluated once for all."""
+def _section_volume_vec(field, tau, pts, kinds):
+    """Section volumes on a batch of points, one array per kind of
+    _SECTION_VOLUMES in kinds: the body of offset |grad phi|/tau times
+    (2 pi)^(-m/2) exp(-m phi^2/(2 tau^2)).  The field and its gradient are
+    evaluated once for all."""
     m = field.dim
     phi = np.asarray(field.phi(pts), dtype=float)
     g = np.asarray(field.grad(pts), dtype=float)
     if m > 2:
-        return phi, np.linalg.norm(g, axis=-1) / tau
-    # the norm's float operations, with no reduction over a short axis
-    sq = g[..., 0] * g[..., 0]
-    if m == 2:
-        sq = sq + g[..., 1] * g[..., 1]
-    return phi, np.sqrt(sq) / tau
-
-
-def _section_volumes(m, tau, phi, s, kinds):
-    """Section volumes in R^m at values phi and offsets s, one array per kind
-    of BODY_KINDS in kinds: the body of offset s times (2 pi)^(-m/2) exp(-m
-    phi^2/(2 tau^2))."""
+        s = np.linalg.norm(g, axis=-1) / tau
+    else:  # the norm's float operations, with no reduction over a short axis
+        sq = g[..., 0] * g[..., 0]
+        if m == 2:
+            sq = sq + g[..., 1] * g[..., 1]
+        s = np.sqrt(sq) / tau
     scale = (2.0 * math.pi) ** (-m / 2) * np.exp(-m * phi * phi / (2.0 * tau * tau))
-    return [scale * BODY_KINDS[kind].volume(m, s) for kind in kinds]
-
-
-def _section_volume_vec(field, tau, pts, kinds):
-    """Section volumes on a batch of points (:func:`_section_volumes`)."""
-    return _section_volumes(field.dim, tau, *_section_offsets(field, tau, pts), kinds)
+    return [scale * _SECTION_VOLUMES[kind](m, s) for kind in kinds]
 
 
 # scan points per block of tube rows, and nodes per volume evaluation of a

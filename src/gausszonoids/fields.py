@@ -27,9 +27,7 @@ from ._tube import (
     GridResolutionError,
     _fold_breaks,
     _row_panels,
-    _section_offsets,
     _section_volume_vec,
-    _section_volumes,
     _tube_rows,
     _x2_quad,
 )
@@ -167,9 +165,7 @@ class GridSpec:
     r = inf the cells are whole and no edge is evaluated.
 
     The sandwich's pointwise check runs on the n^dim grid of the points
-    2 pi j / n, j < n, along each axis, one slice of flat indices at a time;
-    on T^2 a slice of whole rows that repeat its first row in phi and |grad
-    phi| (a field of x1 alone) takes the section volumes of that row only.
+    2 pi j / n, j < n, along each axis, one slice of flat indices at a time.
     A resolution runs from 16 to _MAX_CELLS_1D, the cap of
     :func:`grid_for_tube` on the circle.
     """
@@ -519,13 +515,7 @@ def envelope_sandwich(
     def extremes(j):
         # the flat index j of the grid t^m is the point (t[j mod n], t[j div n])
         pts = np.stack([j % n, j // n][:m], axis=-1) * step
-        phi, s = _section_offsets(field, tau, pts)
-        if m == 2 and j[0] % n == 0 and j.size % n == 0:
-            # whole rows: where each repeats the first in phi and s, as for a
-            # field of x1 alone, their volumes and extremes are the first's
-            if all((v.reshape(-1, n) == v[:n]).all() for v in (phi, s)):
-                phi, s = phi[:n], s[:n]
-        vol_body, vol_ell = _section_volumes(m, tau, phi, s, _BODIES)
+        vol_body, vol_ell = _section_volume_vec(field, tau, pts, _BODIES)
         pos = vol_ell > 1e-300
         ratio = vol_body[pos] / vol_ell[pos]
         return (

@@ -229,7 +229,7 @@ def gaussian_volume(dim: int, s):
     m = int(dim)
     s = np.asarray(s, dtype=float)
     if m == 1:  # 2 * lam would overflow from s = 7.2e307
-        return 2.0 * (_axial_stretch(s) / SQRT_2PI)
+        return 2.0 * (axial_stretch(s) / SQRT_2PI)
     far = s >= _LINEAR_S
     if np.any(far):
         near = gaussian_volume(m, np.where(far, 0.0, s))
@@ -245,13 +245,13 @@ def gaussian_volume(dim: int, s):
     )
 
 
-def _stretched_volume(m: int, s, vol):
-    """``axial_stretch(s) * vol / (2 pi)^(m/2)``: the volume of a body of
-    volume vol in R^m, stretched by axial_stretch(s) along its axis and
-    scaled by 1/sqrt(2 pi).  The product runs at an eighth of its scale,
-    which rounds as the plain one does, so that it stays finite for vol <= 8
-    (the ball and the limit body) up to the largest stretch."""
-    return 8.0 * (_axial_stretch(s) * 0.125 * vol / (2 * math.pi) ** (m / 2))
+def _stretched_volume(m: int, lam, vol):
+    """``lam * vol / (2 pi)^(m/2)``: the volume of a body of volume vol in
+    R^m, stretched by lam = axial_stretch(s) along its axis and scaled by
+    1/sqrt(2 pi).  The product runs at an eighth of its scale, which rounds
+    as the plain one does, so that it stays finite for vol <= 8 (the ball and
+    the limit body) up to the largest stretch."""
+    return 8.0 * (lam * 0.125 * vol / (2 * math.pi) ** (m / 2))
 
 
 class BodyKind(NamedTuple):
@@ -262,9 +262,9 @@ class BodyKind(NamedTuple):
     volume: Callable  # (dim, s) -> volume, vectorized over s
 
 
-# The limit entry looks limit_support up when called, so a wrapper bound to
-# that module name sees its calls; the grid scans and the volumes call the
-# unchecked kernels _limit_support and _axial_stretch, which it does not see.
+# The entries look axial_stretch and limit_support up when called, so a
+# wrapper bound to those module names sees every call; the grid scans and
+# _SECTION_VOLUMES call the unchecked kernels, which it does not see.
 BODY_KINDS = {
     # the zonoid of c + xi, with s = |c|; volume :func:`gaussian_volume`
     "gaussian": BodyKind(
@@ -293,10 +293,19 @@ BODY_KINDS = {
     "ellipsoid": BodyKind(
         ellipsoid_support,
         _boundary_ellipsoid,
-        lambda m, s: _stretched_volume(m, s, ball_volume(m)),
+        lambda m, s: _stretched_volume(m, axial_stretch(s), ball_volume(m)),
     ),
 }
 KINDS = tuple(BODY_KINDS)
+
+# The gaussian and ellipsoid volumes of BODY_KINDS at a float array of finite
+# offsets s >= 0, unchecked: the section volumes of fields take them.
+_SECTION_VOLUMES = {
+    "gaussian": lambda m, s: (
+        2.0 * (_axial_stretch(s) / SQRT_2PI) if m == 1 else gaussian_volume(m, s)
+    ),
+    "ellipsoid": lambda m, s: _stretched_volume(m, _axial_stretch(s), ball_volume(m)),
+}
 
 
 @dataclass(frozen=True)
@@ -363,7 +372,7 @@ def volume_bounds(dim: int, s) -> VolumeBounds:
     upper = float(BODY_KINDS["ellipsoid"].volume(m, s))
     lower = limit_body_inradius() ** m * upper
     limit = BODY_KINDS["limit"].volume(m, s)
-    lower_sharp = float(_stretched_volume(m, s, limit))
+    lower_sharp = float(_stretched_volume(m, axial_stretch(s), limit))
     return VolumeBounds(lower=lower, lower_sharp=lower_sharp, upper=upper)
 
 

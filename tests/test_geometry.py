@@ -31,6 +31,7 @@ from gausszonoids import (
     volume_asymptote,
     volume_bounds,
 )
+from gausszonoids.geometry import BODY_KINDS
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -339,6 +340,16 @@ def test_volume_ellipsoid():
         assert volume(RevolutionBody("ellipsoid", m, s)) == pytest.approx(
             axial_stretch(s) * ball_volume(m) / (2 * math.pi) ** (m / 2), rel=1e-11
         )
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_public_volumes_refuse_a_non_finite_offset(s):
+    # the unchecked section volumes of fields do not reach the public forms
+    with pytest.raises(ValueError):
+        gaussian_volume(1, s)
+    for m in (1, 2, 3):
+        with pytest.raises(ValueError):
+            BODY_KINDS["ellipsoid"].volume(m, s)
 
 
 # -- the sandwich ------------------------------------------------------------------

@@ -20,7 +20,7 @@ from gausszonoids import (
     montecarlo,
     sine_field,
 )
-from gausszonoids import fields, geometry
+from gausszonoids import geometry
 from gausszonoids._tube import _section_volume_vec
 from gausszonoids.cli import main
 
@@ -125,39 +125,6 @@ def test_sliced_sandwich_is_the_full_grid(field, tau, r, n, size, monkeypatch):
     rep = envelope_sandwich(field, tau, GridSpec(n), r=r)
     got = (rep.max_lower_violation, rep.max_upper_violation, rep.min_ratio, rep.max_ratio)
     assert got == _full_grid_extremes(field, tau, n)
-
-
-def _bumped_field():
-    # depends on x2 only for x2 in [3, 3.2): the slices holding those rows
-    # repeat no row, every other slice repeats its first
-    def phi(p):
-        return np.sin(p[..., 0]) + 0.01 * ((p[..., 1] >= 3.0) & (p[..., 1] < 3.2))
-
-    def grad(p):
-        return np.stack([np.cos(p[..., 0]), 0.0 * p[..., 1]], axis=-1)
-
-    return ScalarFieldSpec(2, phi, grad, name="bumped")
-
-
-@pytest.mark.parametrize("field, n, row_slices", [
-    (sine_field(2, dim=2), 256, 8),  # each slice of 32 rows repeats its first
-    (_mixed_field(), 256, 0),
-    (_bumped_field(), 512, 30),  # the rows of x2 in [3, 3.2) fall in two slices
-])
-def test_sandwich_of_repeated_rows_is_the_full_grid(field, n, row_slices, monkeypatch):
-    # the volumes of a slice of whole rows that repeat the first are taken on
-    # the first row alone, and the extremes are those of the full grid
-    sizes = []
-    real = fields._section_volumes
-    monkeypatch.setattr(
-        fields, "_section_volumes",
-        lambda m, tau, phi, s, kinds: sizes.append(phi.size) or real(m, tau, phi, s, kinds),
-    )
-    rep = envelope_sandwich(field, 0.1, GridSpec(n), r=0.2)
-    got = (rep.max_lower_violation, rep.max_upper_violation, rep.min_ratio, rep.max_ratio)
-    assert got == _full_grid_extremes(field, 0.1, n)
-    assert sizes.count(n) == row_slices
-    assert len(sizes) == n * n // montecarlo._SLICE
 
 
 # at n = 26 and 76, (n - 1) * step rounds below pi/2
