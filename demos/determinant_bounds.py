@@ -17,7 +17,7 @@ from gausszonoids import (
     check_determinant_bounds,
     expected_absdet_mc,
     folded_normal_mean,
-    iid_square_bounds,
+    gaussian_volume,
     limit_body_inradius,
 )
 
@@ -48,7 +48,10 @@ for i, s in enumerate((0.5, 2.0, 10.0)):
     rep = check_determinant_bounds(frame, MCConfig(samples=300_000, seed=20 + i))
     print(f"  {s:<5}  {rep.estimate.mean / rep.upper:.5f}          {b**2:.5f}")
 
-# closed-form bracket for iid square frames, no sampling at all
-sq = iid_square_bounds(2, np.eye(2), 2.0)
-print(f"\nclosed-form bracket at s = 2: [{sq.lower:.5f}, {sq.upper:.5f}], "
-      f"large-s slope {sq.asymptote_slope:.5f}")
+# iid square frames: E|det| = m! |det M| vol G(s), exact, no bracket needed
+mat = np.array([[1.0, 0.2], [0.1, 0.9]])
+frame = FrameSpec(2, [GaussianVector(mat, np.array([2.0, 0.0]))] * 2)
+est = expected_absdet_mc(frame, cfg)
+exact = 2 * abs(np.linalg.det(mat)) * float(gaussian_volume(2, 2.0))
+print(f"\niid square frame M(c + xi), |c| = 2: mc {est.mean:.5f} +- {est.std_error:.5f}   "
+      f"exact {exact:.5f}")

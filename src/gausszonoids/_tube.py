@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .geometry import _SECTION_VOLUMES
+from .geometry import BODY_KINDS
 from .kernels import bisect
 
 
@@ -27,21 +27,18 @@ class GridResolutionError(ValueError):
 
 def _section_volume_vec(field, tau, pts, kinds):
     """Section volumes on a batch of points, one array per kind of
-    _SECTION_VOLUMES in kinds: the body of offset |grad phi|/tau times
-    (2 pi)^(-m/2) exp(-m phi^2/(2 tau^2)).  The field and its gradient are
-    evaluated once for all."""
+    BODY_KINDS in kinds: the body of offset |grad phi|/tau times (2 pi)^(-m/2)
+    exp(-m phi^2/(2 tau^2)).  The field and its gradient are evaluated once
+    for all, and the squares of the gradient are added in order."""
     m = field.dim
     phi = np.asarray(field.phi(pts), dtype=float)
     g = np.asarray(field.grad(pts), dtype=float)
-    if m > 2:
-        s = np.linalg.norm(g, axis=-1) / tau
-    else:  # the norm's float operations, with no reduction over a short axis
-        sq = g[..., 0] * g[..., 0]
-        if m == 2:
-            sq = sq + g[..., 1] * g[..., 1]
-        s = np.sqrt(sq) / tau
+    sq = g[..., 0] * g[..., 0]
+    for i in range(1, m):
+        sq += g[..., i] * g[..., i]
+    s = np.sqrt(sq) / tau
     scale = (2.0 * math.pi) ** (-m / 2) * np.exp(-m * phi * phi / (2.0 * tau * tau))
-    return [scale * _SECTION_VOLUMES[kind](m, s) for kind in kinds]
+    return [scale * BODY_KINDS[kind].volume(m, s) for kind in kinds]
 
 
 # scan points per block of tube rows, and nodes per volume evaluation of a

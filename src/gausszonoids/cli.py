@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .determinants import (
-    FrameSpec, check_determinant_bounds, determinant_bracket, expected_absdet_mc, iid_square_bounds,
+    FrameSpec, check_determinant_bounds, determinant_bracket, expected_absdet_mc,
 )
 from .fields import (
     GridSpec, TubeSpec, concentration_limit, envelope_sandwich, expected_zeros_coarea,
@@ -319,13 +319,7 @@ def _det_mc(p):
 
 
 def _det_bounds(p):
-    frame = _frame(p)
-    obj = determinant_bracket(frame, _cfg(p)).as_dict()
-    cols = frame.columns
-    iid = all(c.mean_norm == 0.0 and np.array_equal(c.matrix, cols[0].matrix) for c in cols)
-    if frame.k == frame.dim and iid:
-        obj["iid_square"] = iid_square_bounds(frame.dim, cols[0].matrix, 0.0)._asdict()
-    return obj, True
+    return determinant_bracket(_frame(p), _cfg(p)).as_dict(), True
 
 
 def _det_check(p):

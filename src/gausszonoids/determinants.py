@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import special
 
-from .geometry import (
-    GaussianVector, _check_s, limit_body_inradius, volume_asymptote, volume_bounds,
-)
+from .geometry import GaussianVector, _check_s, limit_body_inradius
 from .kernels import axial_stretch, ball_volume, factorial
 from .montecarlo import EstimateWithCI, MCConfig, mc_mean
 
@@ -39,8 +37,6 @@ __all__ = [
     "determinant_bracket",
     "DeterminantBoundsReport",
     "check_determinant_bounds",
-    "IIDSquareBounds",
-    "iid_square_bounds",
 ]
 
 
@@ -286,32 +282,4 @@ def check_determinant_bounds(frame: FrameSpec, cfg: MCConfig) -> DeterminantBoun
     se_upper = math.hypot(est.std_error, alpha * mv_se)
     return DeterminantBoundsReport(
         **vars(bracket), estimate=est, se_lower=se_lower, se_upper=se_upper
-    )
-
-
-class IIDSquareBounds(NamedTuple):
-    lower: float
-    upper: float
-    asymptote_slope: float
-
-
-def iid_square_bounds(dim: int, matrix, s) -> IIDSquareBounds:
-    """Closed-form bracket for E|det Gamma| when all m columns are
-    matrix @ (c + xi) with a common offset |c| = s.
-
-    E|det| = m! |det matrix| vol(gaussian body), so the volume bounds scale
-    through; ``asymptote_slope`` is the limit of E|det|/s as s -> inf.
-    """
-    m = int(dim)
-    if m < 1:
-        raise ValueError("dim must be >= 1")
-    mat = np.asarray(matrix, dtype=float)
-    if mat.shape != (m, m) or not np.all(np.isfinite(mat)):
-        raise ValueError("matrix must be a finite m x m map")
-    scale = factorial(m) * abs(float(np.linalg.det(mat)))
-    vb = volume_bounds(m, s)
-    return IIDSquareBounds(
-        lower=scale * vb.lower_sharp,
-        upper=scale * vb.upper,
-        asymptote_slope=scale * volume_asymptote(m),
     )

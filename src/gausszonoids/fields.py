@@ -381,16 +381,20 @@ def expected_zeros_coarea(field: ScalarFieldSpec, tube: TubeSpec) -> float:
 
 def concentration_limit(dim: int, alpha: float, vol_zero_set: float) -> float:
     """Limit of the expected zero count in the shrinking tube r = alpha*tau:
-    (m-1)! kappa_{m-1} / (2 pi)^(m-1) * erf(sqrt(m/2) alpha) * vol_{m-1}(Z)."""
+    (m-1)! kappa_{m-1} / (2 pi)^(m-1) * erf(sqrt(m/2) alpha) * vol_{m-1}(Z).
+    A limit past the largest float raises ValueError."""
     m = int(dim)
     if m < 1:
         raise ValueError("dim must be >= 1")
     if not alpha > 0:
         raise ValueError("alpha must be positive (math.inf allowed)")
-    if not vol_zero_set >= 0:
-        raise ValueError("vol_zero_set must be nonnegative")
+    if not 0 <= vol_zero_set < math.inf:
+        raise ValueError("vol_zero_set must be finite and nonnegative")
     front = factorial(m - 1) * ball_volume(m - 1) / (2.0 * math.pi) ** (m - 1)
-    return front * math.erf(math.sqrt(m / 2.0) * alpha) * vol_zero_set
+    limit = front * math.erf(math.sqrt(m / 2.0) * alpha) * vol_zero_set
+    if not math.isfinite(limit):
+        raise ValueError(f"the limit exceeds the largest float (m = {m})")
+    return limit
 
 
 # noisy-field values per block of the zero-count scan: 256 KB

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -97,6 +97,29 @@ def _check_s(s, positive=False):
     return s
 
 
+def _homogeneous(support):
+    """A support function support(s, x, yr), positively homogeneous of
+    degree 1 in the direction, taken at the checked direction scaled by 2^-k
+    and scaled back by 2^k, as :func:`gausszonoids.kernels.scaled_norm` does:
+    2^k, k >= 0, is the least power of two above the larger of |x| and yr,
+    so the products of the direction with s and the axial stretch stay
+    finite.  A power of two changes no value, and directions below 1 are
+    taken as they are.  A support past the largest float raises ValueError."""
+
+    @wraps(support)
+    def scaled(s, x, yr):
+        x, yr = _check_dir(x, yr)
+        k = np.maximum(np.frexp(np.maximum(np.abs(x), yr))[1], 0)
+        with np.errstate(over="ignore"):
+            out = np.ldexp(support(s, np.ldexp(x, -k), np.ldexp(yr, -k)), k)
+        if not np.all(np.isfinite(out)):
+            raise ValueError("the support exceeds the largest float")
+        return out if out.ndim else float(out)
+
+    return scaled
+
+
+@_homogeneous
 def gaussian_support(s, x, yr):
     """Support function of the Gaussian zonoid with mean offset s >= 0.
 
@@ -109,27 +132,24 @@ def gaussian_support(s, x, yr):
     returns 0.  At s = 0 the body is the ball of radius 1/sqrt(2 pi).
     """
     s = _check_s(s)
-    x, yr = _check_dir(x, yr)
     sigma = np.hypot(x, yr)
     safe = np.where(sigma > 0, sigma, 1.0)
     w = x * s / safe
     h = sigma / SQRT_2PI * gauss_tail(w) + 0.5 * x * s * special.erf(
         w / math.sqrt(2.0)
     )
-    out = np.where(sigma > 0, h, 0.0)
-    return out if out.ndim else float(out)
+    return np.where(sigma > 0, h, 0.0)
 
 
+@_homogeneous
 def ellipsoid_support(s, x, yr):
     """Support of the outer ellipsoid: axis semi-length axial_stretch(s)/sqrt(2 pi),
     radial semi-length 1/sqrt(2 pi)."""
     s = _check_s(s)
-    x, yr = _check_dir(x, yr)
-    lam = float(axial_stretch(s))
-    out = np.hypot(lam * x, yr) / SQRT_2PI
-    return out if out.ndim else float(out)
+    return np.hypot(float(axial_stretch(s)) * x, yr) / SQRT_2PI
 
 
+@_homogeneous
 def normalized_support(s, x, yr):
     """Support of the normalized zonoid (inverse-stretched, rescaled), s > 0.
 
@@ -139,11 +159,9 @@ def normalized_support(s, x, yr):
     :func:`gausszonoids.kernels.limit_support` as s -> inf.
     """
     s = _check_s(s, positive=True)
-    x, yr = _check_dir(x, yr)
     with np.errstate(invalid="ignore"):
         h = _normalized_support(s, float(axial_stretch(s)), x, yr)
-    out = np.where((x == 0.0) & (yr == 0.0), 0.0, h)
-    return out if out.ndim else float(out)
+    return np.where((x == 0.0) & (yr == 0.0), 0.0, h)
 
 
 def _normalized_support(s, lam, x, yr):
@@ -225,11 +243,15 @@ def gaussian_volume(dim: int, s):
     and below 2e-14 for m = 3 to 20 (47 ulp at m = 3, scipy's ``hyp1f1``).
     For m >= 2 and s >= _LINEAR_S it is ``volume_asymptote(m) * s``, within
     c_m/s^2 < 1e-16 relative, where the closed forms lose digits and overflow.
+    An offset that is not finite and nonnegative raises ValueError.
     """
     m = int(dim)
     s = np.asarray(s, dtype=float)
+    # the least s is NaN if any s is: NaN and negative offsets fail the first test
+    if not (s.min(initial=0.0) >= 0.0 and s.max(initial=0.0) < math.inf):
+        raise ValueError("mean offsets s must be finite and nonnegative")
     if m == 1:  # 2 * lam would overflow from s = 7.2e307
-        return 2.0 * (axial_stretch(s) / SQRT_2PI)
+        return 2.0 * (_axial_stretch(s) / SQRT_2PI)
     far = s >= _LINEAR_S
     if np.any(far):
         near = gaussian_volume(m, np.where(far, 0.0, s))
@@ -263,8 +285,8 @@ class BodyKind(NamedTuple):
 
 
 # The entries look axial_stretch and limit_support up when called, so a
-# wrapper bound to those module names sees every call; the grid scans and
-# _SECTION_VOLUMES call the unchecked kernels, which it does not see.
+# wrapper bound to those module names sees every call; the grid scans call
+# the unchecked kernels, which it does not see.
 BODY_KINDS = {
     # the zonoid of c + xi, with s = |c|; volume :func:`gaussian_volume`
     "gaussian": BodyKind(
@@ -297,15 +319,6 @@ BODY_KINDS = {
     ),
 }
 KINDS = tuple(BODY_KINDS)
-
-# The gaussian and ellipsoid volumes of BODY_KINDS at a float array of finite
-# offsets s >= 0, unchecked: the section volumes of fields take them.
-_SECTION_VOLUMES = {
-    "gaussian": lambda m, s: (
-        2.0 * (_axial_stretch(s) / SQRT_2PI) if m == 1 else gaussian_volume(m, s)
-    ),
-    "ellipsoid": lambda m, s: _stretched_volume(m, _axial_stretch(s), ball_volume(m)),
-}
 
 
 @dataclass(frozen=True)

@@ -149,8 +149,8 @@ def test_det_bounds_prints_the_check_bracket(capsys, m, k):
 
 
 def test_det_bounds_iid_square_needs_equal_columns(capsys, tmp_path):
-    # centered columns with different matrices: no iid bracket, and the
-    # exact upper bound (the mixed area) meets the determinant estimate
+    # centered columns with different matrices: the exact upper bound (the
+    # mixed area) meets the determinant estimate
     manifest = tmp_path / "frame.json"
     manifest.write_text(json.dumps({
         "m": 2, "columns": [{"M": [[1, 0], [0, 1]], "c": [0, 0]},
@@ -160,8 +160,11 @@ def test_det_bounds_iid_square_needs_equal_columns(capsys, tmp_path):
     assert "iid_square" not in bounds
     mc = run_json(capsys, "det", "mc", "--manifest", str(manifest), "--samples", "100000")
     assert abs(mc["mean"] - bounds["bounds"]["upper"]) < 4 * mc["std_error"]
-    iid = run_json(capsys, "det", "bounds", "--m", "2")
-    assert iid["iid_square"]["upper"] == pytest.approx(iid["bounds"]["upper"], rel=1e-12)
+    # centered iid columns: the upper bound is the exact mean m! vol G(0)
+    iid = run_json(capsys, "det", "bounds", "--m", "3")
+    assert "iid_square" not in iid
+    exact = math.factorial(3) * gausszonoids.gaussian_volume(3, 0.0)
+    assert iid["bounds"]["upper"] == pytest.approx(exact, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("argv, manifest", [

@@ -20,13 +20,13 @@ from gausszonoids import (
     expected_absdet_mc,
     folded_normal_mean,
     gaussian_volume,
-    iid_square_bounds,
     limit_body_inradius,
     mixed_area,
     mixed_volume_coeff,
     mixed_volume_ellipsoids_mc,
     stream,
     volume,
+    volume_asymptote,
 )
 from gausszonoids.cli import main
 
@@ -55,8 +55,6 @@ def test_dimension_constants_stop_at_170():
     assert math.isfinite(mixed_volume_coeff(170, 1))
     with pytest.raises(ValueError, match="171! overflows a float"):
         mixed_volume_coeff(171, 1)
-    with pytest.raises(ValueError, match="171! overflows a float"):
-        iid_square_bounds(171, np.eye(171), 0.0)
 
 
 def test_folded_moment_identity():
@@ -293,16 +291,15 @@ def test_shifted_frame_sits_inside_the_bracket():
     assert b**2 - 4 * rep.se_upper / rep.upper <= ratio <= 1 + 4 * rep.se_upper / rep.upper
 
 
-def test_iid_square_bounds_bracket_mc():
+def test_iid_square_mean_meets_mc():
+    # m iid columns M(c + xi), |c| = s: E|det| = m! |det M| vol G(s) exactly
     mat = np.array([[1.0, 0.2], [0.1, 0.9]])
-    s = 1.5
-    sq = iid_square_bounds(2, mat, s)
-    est = expected_absdet_mc(iid_frame(2, 2, s=s, matrix=mat), MCConfig(samples=400_000, seed=12))
-    assert sq.lower - 4 * est.std_error <= est.mean <= sq.upper + 4 * est.std_error
+    scale = 2.0 * abs(np.linalg.det(mat))
+    est = expected_absdet_mc(iid_frame(2, 2, s=1.5, matrix=mat), MCConfig(samples=400_000, seed=12))
+    assert abs(est.mean - scale * gaussian_volume(2, 1.5)) < 4 * est.std_error
     # asymptote: E|det| / s approaches the slope for large s
     est50 = expected_absdet_mc(iid_frame(2, 2, s=50.0, matrix=mat), MCConfig(samples=200_000, seed=13))
-    sq50 = iid_square_bounds(2, mat, 50.0)
-    assert est50.mean / 50.0 == pytest.approx(sq50.asymptote_slope, rel=0.02)
+    assert est50.mean / 50.0 == pytest.approx(scale * volume_asymptote(2), rel=0.02)
 
 
 def test_estimator_reproducible():

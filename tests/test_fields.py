@@ -119,12 +119,25 @@ def test_section_volume_positive_and_even():
 
 # --- the three routes ----------------------------------------------------
 
-@pytest.mark.parametrize("m", [1, 2])
+def _every_axis_field(m):
+    """phi = sum_j 0.3 sin(x_j + j)/(j + 1) on T^m: every component of its
+    gradient is nonzero at almost every point."""
+    shift = np.arange(m, dtype=float)
+    amp = 0.3 / (shift + 1.0)
+    return gz.ScalarFieldSpec(
+        m, lambda p: np.sum(amp * np.sin(p + shift), axis=-1), lambda p: amp * np.cos(p + shift)
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8])
 @pytest.mark.parametrize("kind", ["gaussian", "ellipsoid"])
 def test_section_volumes_are_the_body_volumes(m, kind):
-    # (2 pi)^(-m/2) e^{-m phi^2/(2 tau^2)} vol(body of offset |grad phi|/tau)
-    field, tau = sine_field(2, dim=m), 0.3
+    # (2 pi)^(-m/2) e^{-m phi^2/(2 tau^2)} vol(body of offset |grad phi|/tau);
+    # the squares of the gradient are summed in order, numpy's norm in its own
+    # order (pairwise from 8 terms), so the offsets agree to rounding only
+    field, tau = _every_axis_field(m), 0.3
     pts = gz.stream(17, 0).uniform(0.0, 2.0 * math.pi, (40, m))
+    assert np.all(field.grad(pts) != 0.0)
     (got,) = gz.fields._section_volume_vec(field, tau, pts, (kind,))
     phi = field.phi(pts)
     s = np.linalg.norm(field.grad(pts), axis=-1) / tau
@@ -682,6 +695,12 @@ def test_concentration_limit_values():
         concentration_limit(0, 1.0, 1.0)
     with pytest.raises(ValueError):
         concentration_limit(1, -1.0, 1.0)
+    for vol in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="vol_zero_set must be finite and nonnegative"):
+            concentration_limit(1, 1.0, vol)
+    # finite factors whose product passes the largest float
+    with pytest.raises(ValueError, match="exceeds the largest float"):
+        concentration_limit(100, 1.0, 1e300)
 
 
 def test_concentration_limit_stops_where_the_factorial_overflows():

@@ -342,14 +342,40 @@ def test_volume_ellipsoid():
         )
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
 def test_public_volumes_refuse_a_non_finite_offset(s):
-    # the unchecked section volumes of fields do not reach the public forms
-    with pytest.raises(ValueError):
-        gaussian_volume(1, s)
+    # the section volumes of fields read these forms too; gaussian_volume
+    # refuses a negative offset as well, before any arithmetic on it
+    for m in (1, 2, 3, 8):
+        for bad in (s, -1.0, -1e160, np.array([1.0, s])):
+            with pytest.raises(ValueError):
+                gaussian_volume(m, bad)
     for m in (1, 2, 3):
         with pytest.raises(ValueError):
             BODY_KINDS["ellipsoid"].volume(m, s)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["gaussian", "normalized", "ellipsoid"])
+def test_supports_are_homogeneous_bit_for_bit(kind):
+    # h(2^k u) = 2^k h(u) wherever that is finite; a support past the
+    # largest float raises, with no overflow warning first
+    support = BODY_KINDS[kind].support
+    t = np.linspace(0.0, math.pi / 2, 91)
+    x = np.concatenate([np.cos(t), [2.0, -1.5, 0.3, 0.0, 1.0, 1e-300]])
+    yr = np.concatenate([np.sin(t), [0.0, 0.7, 1e-3, 1.9, 1.0, 0.0]])
+    for s in (1.0, 1e155, 1e308):
+        h = support(s, x, yr)
+        for k in (1, 2, 100):
+            with np.errstate(over="ignore"):
+                want = np.ldexp(h, k)
+            finite = np.isfinite(want)
+            got = support(s, np.ldexp(x[finite], k), np.ldexp(yr[finite], k))
+            np.testing.assert_array_equal(got, want[finite])
+            if not np.all(finite):
+                with pytest.raises(ValueError, match="exceeds the largest float"):
+                    support(s, np.ldexp(x, k), np.ldexp(yr, k))
 
 
 # -- the sandwich ------------------------------------------------------------------

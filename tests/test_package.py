@@ -17,7 +17,7 @@ limit_inradius_angle limit_inradius_grid mean_stretch_matrix GaussianVector
 InclusionReport check_inclusion FrameSpec mixed_volume_coeff expected_absdet_mc
 mixed_area mixed_volume_ellipsoids_mc DeterminantBracket
 determinant_bracket DeterminantBoundsReport check_determinant_bounds
-IIDSquareBounds iid_square_bounds AxisProfile ScalarFieldSpec sine_field
+AxisProfile ScalarFieldSpec sine_field
 TubeSpec GridSpec GridResolutionError section_volume section_support
 expected_zeros_integral expected_zeros_coarea grid_for_tube concentration_limit
 mc_zero_count_circle SandwichReport envelope_sandwich compute_b_infinity
