@@ -366,14 +366,19 @@ def expected_zeros_coarea(field: ScalarFieldSpec, tube: TubeSpec) -> float:
         step *= 2.0
     breaks.append(r_eff)
 
-    half_total = 0.0
+    weights, sigs = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         for x, w in zip(_GL24_X, _GL24_W):
             v = mid + half * x
-            sig = np.asarray(axis.slopes_at_level(v), dtype=float)
-            term = float(np.sum(gaussian_volume(m, sig / tau) / sig))
-            half_total += half * w * math.exp(-m * v * v / (2.0 * tau * tau)) * term
+            weights.append(half * w * math.exp(-m * v * v / (2.0 * tau * tau)))
+            sigs.append(np.asarray(axis.slopes_at_level(v), dtype=float).ravel())
+    # one volume call for the roots of every level, summed level by level
+    sig = np.concatenate(sigs)
+    terms = np.split(gaussian_volume(m, sig / tau) / sig, np.cumsum([x.size for x in sigs])[:-1])
+    half_total = 0.0
+    for weight, term in zip(weights, terms):
+        half_total += weight * float(np.sum(term))
 
     # the level integrand is even in v
     return float(factorial(m) * (2.0 * math.pi) ** (m / 2 - 1.0) * 2.0 * half_total)

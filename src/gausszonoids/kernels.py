@@ -6,7 +6,8 @@ Conventions used throughout the package:
 * ``ball_volume(m)`` is the Lebesgue volume of the unit ball in R^m.
 
 Everything here is elementary, a range-checked wrapper over
-``scipy.special``, or the one bisection routine the package uses.  The
+``scipy.special``, or one of the two array routines the package shares:
+the bisection and the piecewise evaluation of an elementwise function.  The
 scalar functions accept scalars or numpy arrays and reject NaN/Inf at the API
 boundary (the documented continuous extensions excepted).
 """
@@ -113,14 +114,54 @@ def axial_stretch(s):
     factor by which shifting a standard Gaussian by ``s`` along an axis
     stretches the zonoid's support in that direction (normalized so the value
     at 0 is 1).  Even in ``s``, strictly increasing on s >= 0, and asymptotic
-    to ``sqrt(pi/2)*|s|``.
+    to ``sqrt(pi/2)*|s|``, which it equals in floats from |s| = 8.38 on.
     """
     return _axial_stretch(_finite("s", s))
 
 
-def _axial_stretch(s):
-    """:func:`axial_stretch` of a float array, unchecked."""
-    return gauss_tail(s) + SQRT_HALF_PI * s * special.erf(s / math.sqrt(2.0))
+# the |s| from which axial_stretch(s) is sqrt(pi/2)*|s| bit for bit: there
+# erf(s/sqrt 2) rounds to +-1 and exp(-s^2/2) is below half an ulp of the
+# sum (both hold from 8.3744 on)
+_LINEAR_STRETCH = 8.38
+
+
+def _axial_stretch(s, scale=1.0):
+    """``scale * axial_stretch(s)`` of a float array, unchecked.  scale is a
+    power of two, so it changes no bits; at 1/4 the stretch of every finite
+    s is finite.
+
+    The linear range |s| >= _LINEAR_STRETCH is ``sqrt(pi/2)*|s|`` with no exp
+    or erf; the rest takes the full formula, whose exp needs no clip there."""
+    gain = SQRT_HALF_PI * scale
+
+    def near(s):
+        lam = np.exp(-0.5 * (s * s))
+        if scale != 1.0:
+            lam *= scale
+        slope = special.erf(s / math.sqrt(2.0))
+        slope *= gain * s
+        lam += slope
+        return lam
+
+    return piecewise(s, _LINEAR_STRETCH, lambda s: gain * np.abs(s), near)
+
+
+def piecewise(x, edge, f_far, f_near):
+    """``f_far(x)`` where |x| >= edge and ``f_near(x)`` elsewhere (NaN
+    included), for elementwise f_far and f_near.  A batch on one side is
+    passed whole, found by its least and greatest x with no mask."""
+    x = np.asarray(x)
+    lo, hi = x.min(initial=math.inf), x.max(initial=-math.inf)
+    if -edge < lo and hi < edge:
+        return f_near(x)
+    if lo >= edge or hi <= -edge:
+        return f_far(x)
+    far = np.abs(x) >= edge
+    out = np.empty_like(x)
+    out[far] = f_far(x[far])
+    near = ~far
+    out[near] = f_near(x[near])
+    return out
 
 
 def axial_stretch_deriv(s):

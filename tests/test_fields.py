@@ -508,6 +508,30 @@ def test_1d_values_frozen():
     assert rep.count_upper == pytest.approx(3.9999999999999956, rel=1e-13)
 
 
+@pytest.mark.parametrize("field", [SIN2, SIN2_2D, sine_field(3, dim=2), sine_field(5)])
+def test_coarea_is_the_level_by_level_sum_bit_for_bit(field):
+    # the route evaluates the volumes of every level's roots in one call;
+    # written out here is its sum with one call per level
+    m, (nodes, weights) = field.dim, np.polynomial.legendre.leggauss(24)
+    for tau, r in ((0.1, 0.1), (0.03, 0.5), (0.003, 0.003)):
+        r_eff = min(r, 14.0 * tau / math.sqrt(m))
+        breaks, step = [0.0], 0.5 * tau / math.sqrt(m)
+        while step < r_eff:
+            breaks.append(step)
+            step *= 2.0
+        breaks.append(r_eff)
+        total = 0.0
+        for a, b in zip(breaks[:-1], breaks[1:]):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            for x, w in zip(nodes, weights):
+                v = mid + half * x
+                sig = field.axis.slopes_at_level(v)
+                term = float(np.sum(gz.geometry.gaussian_volume(m, sig / tau) / sig))
+                total += half * w * math.exp(-m * v * v / (2.0 * tau * tau)) * term
+        want = float(math.factorial(m) * (2.0 * math.pi) ** (m / 2 - 1.0) * 2.0 * total)
+        assert expected_zeros_coarea(field, TubeSpec(tau, r)) == want
+
+
 def test_coarea_needs_axis_and_room():
     bare = gz.ScalarFieldSpec(1, SIN2.phi, SIN2.grad)
     with pytest.raises(ValueError):

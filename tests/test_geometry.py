@@ -1,8 +1,12 @@
 """Bodies of revolution: supports, gradients, volumes, and the sandwich."""
+import importlib.util
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 from gausszonoids import (
     KINDS,
@@ -31,7 +35,8 @@ from gausszonoids import (
     volume_asymptote,
     volume_bounds,
 )
-from gausszonoids.geometry import BODY_KINDS
+from gausszonoids.geometry import _M2_SERIES, _M2_SERIES_S, BODY_KINDS
+from gausszonoids.kernels import SQRT_HALF_PI
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -334,6 +339,75 @@ def test_volume_closed_forms_are_within_their_stated_error():
                 assert err <= (1e-15 if m <= 2 else 2e-14), (m, s, float(err))
 
 
+@pytest.mark.filterwarnings("error")
+def test_one_dimensional_volume_is_finite_up_to_the_largest_float():
+    # the segment 2*axial_stretch(s)/sqrt(2 pi), about s: below 1.43e308 the
+    # plain formula is finite and gives the bits, above it no longer is
+    s = np.geomspace(1.0, 1.79e308, 20_001)
+    s = np.concatenate([s, [1.43e308, 1.5e308, np.finfo(float).max]])
+    with np.errstate(over="ignore"):
+        stretch = np.exp(-0.5 * np.minimum(s, 64.0) ** 2) + SQRT_HALF_PI * s * special.erf(
+            s / math.sqrt(2.0)
+        )
+        want = 2.0 * (stretch / SQRT_2PI)
+    got = gaussian_volume(1, s)
+    finite = np.isfinite(want)
+    assert 0 < np.count_nonzero(~finite) and s[~finite].min() > 1.4e308
+    np.testing.assert_array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
+    np.testing.assert_allclose(got[~finite], s[~finite], rtol=1e-15)  # the largest float too
+    # in 1-D the outer ellipsoid is the same segment, and as finite
+    np.testing.assert_array_equal(BODY_KINDS["ellipsoid"].volume(1, s), got)
+
+
+def _m2_script():
+    pytest.importorskip("mpmath")
+    path = Path(__file__).resolve().parents[1] / "tools" / "m2_volume_series.py"
+    spec = importlib.util.spec_from_file_location("m2_volume_series", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_m2_series_coefficients_are_the_script_output():
+    script = _m2_script()
+    assert _M2_SERIES == script.coefficients()
+    exact = script.exact_coefficients()
+    assert exact[:3] == [Fraction(1, 4), Fraction(1, 64), Fraction(3, 512)]
+    # dyadic rationals, so the frozen floats are exact, and all positive
+    assert [Fraction(c) for c in _M2_SERIES] == exact[1:]
+    assert all(c > 0 for c in _M2_SERIES)
+
+
+def test_m2_volume_series_is_within_its_ulp_bound():
+    """On z = s^2/2 in [30, 5e15] the series is within 2.5 ulp of mpmath at
+    the exact s, and no worse than the Bessel pair it replaces there."""
+    script = _m2_script()
+    z = np.concatenate([np.geomspace(30.0, 5e15, 1200), np.linspace(30.0, 60.0, 300)])
+    s = np.sqrt(2.0 * z)
+    assert s.min() >= _M2_SERIES_S
+    zz = 0.5 * s * s
+    bessel = (zz + 0.5) * special.i0e(zz) + zz * special.i1e(zz)
+    want = [script.reference_volume(si) for si in s]
+    mpf = script.mpmath.mpf
+
+    def ulps(got):
+        return max(float(abs(mpf(float(g)) - w) / math.ulp(float(w))) for g, w in zip(got, want))
+
+    series, pair = ulps(gaussian_volume(2, s)), ulps(bessel)
+    assert series <= 2.5, series
+    assert series <= pair, (series, pair)
+
+
+def test_m2_volume_increases_across_z_30():
+    # the Bessel pair below s = sqrt(60), the series from it on
+    s = _M2_SERIES_S * (1.0 + 1e-6 * np.arange(-2000, 2001))
+    v = gaussian_volume(2, s)
+    assert np.all(np.diff(v) > 0)
+    below, at = math.nextafter(_M2_SERIES_S, 0.0), _M2_SERIES_S
+    assert 0.5 * below * below < 30.0 <= 0.5 * at * at
+    assert gaussian_volume(2, at) == pytest.approx(gaussian_volume(2, below), rel=1e-15)
+
+
 def test_volume_ellipsoid():
     # stretched ball / sqrt(2 pi): vol = stretch * kappa_m / (2 pi)^(m/2)
     for m, s in ((2, 1.0), (3, 2.0)):
@@ -347,13 +421,13 @@ def test_volume_ellipsoid():
 def test_public_volumes_refuse_a_non_finite_offset(s):
     # the section volumes of fields read these forms too; gaussian_volume
     # refuses a negative offset as well, before any arithmetic on it
+    # refuses a negative offset as well, before any arithmetic on it, and so
+    # does the ellipsoid's, which used to take -s for s
     for m in (1, 2, 3, 8):
         for bad in (s, -1.0, -1e160, np.array([1.0, s])):
-            with pytest.raises(ValueError):
-                gaussian_volume(m, bad)
-    for m in (1, 2, 3):
-        with pytest.raises(ValueError):
-            BODY_KINDS["ellipsoid"].volume(m, s)
+            for vol in (gaussian_volume, BODY_KINDS["ellipsoid"].volume):
+                with pytest.raises(ValueError, match="must be finite and nonnegative"):
+                    vol(m, bad)
 
 
 @pytest.mark.filterwarnings("error")

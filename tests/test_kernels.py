@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special
 
 from gausszonoids import (
     axial_stretch,
@@ -15,7 +16,7 @@ from gausszonoids import (
     folded_normal_mean,
     limit_support,
 )
-from gausszonoids.kernels import bisect
+from gausszonoids.kernels import SQRT_HALF_PI, _axial_stretch, bisect
 
 
 def simpson_erf(t: float, tol: float = 1e-14) -> float:
@@ -113,6 +114,45 @@ def test_axial_stretch_matches_folded_mean():
         assert axial_stretch(s) == pytest.approx(
             math.sqrt(math.pi / 2) * folded_normal_mean(s, 1.0), rel=1e-14
         )
+
+
+def _axial_stretch_full(s):
+    """The full formula at every s, with the exp and erf of each."""
+    return np.exp(-0.5 * np.minimum(np.abs(s), 64.0) ** 2) + SQRT_HALF_PI * s * special.erf(
+        s / math.sqrt(2.0)
+    )
+
+
+def _same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert bad.size == 0, f"{bad.size} differ, first at s = {bad[:5]}"
+
+
+def test_axial_stretch_linear_range_is_the_full_formula_bit_for_bit():
+    # from |s| = 8.38 on the kernel skips exp and erf; 10^6 offsets across
+    # that edge, then a geometric grid to the last finite stretch
+    near_edge = np.linspace(8.0, 9.0, 500_000)
+    far = np.geomspace(8.0, 1.4e308, 100_000)
+    edges = [8.3744, 8.38, math.nextafter(8.38, 0.0), math.nextafter(8.38, 9.0), 0.0, -0.0]
+    s = np.concatenate([near_edge, -near_edge, far, -far, edges])
+    want = _axial_stretch_full(s)
+    _same_bits(_axial_stretch(s), want)
+    _same_bits(axial_stretch(s), want)
+    # at a power-of-two scale, as the 1-D volume takes it
+    _same_bits(_axial_stretch(s, 0.25), 0.25 * want)
+    # 0-d inputs keep their return type
+    for v in (0.0, 1.0, 8.38, -8.38, 50.0, -1e300):
+        _same_bits(axial_stretch(v), _axial_stretch_full(np.asarray(v)))
+        _same_bits(_axial_stretch(np.asarray(v)), _axial_stretch_full(np.asarray(v)))
+    # the unchecked kernel passes inf and NaN through as the formula does
+    odd = np.array([math.inf, -math.inf, math.nan])
+    _same_bits(_axial_stretch(odd), _axial_stretch_full(odd))
+    for v in odd:
+        with pytest.raises(ValueError):
+            axial_stretch(v)
 
 
 def test_axial_stretch_deriv_by_finite_differences():
