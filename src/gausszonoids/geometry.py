@@ -34,7 +34,6 @@ from .kernels import (
     axial_stretch,
     ball_volume,
     bisect,
-    erf_inv,
     gauss_tail,
     limit_support,
     piecewise,
@@ -167,9 +166,17 @@ def normalized_support(s, x, yr):
 
 def _normalized_support(s, lam, x, yr):
     """:func:`normalized_support` of two float arrays of one shape, unchecked
-    and NaN at the zero direction; lam is axial_stretch(s)."""
+    and NaN at the zero direction; lam is axial_stretch(s).  A batch where
+    some d/lam is subnormal takes every quotient at d scaled by 2^k, with 2^k
+    d in the binade below lam's, so that neither over- nor underflows, and
+    scales the product back."""
     d = np.hypot(x, lam * yr)
-    return d / lam * _axial_stretch(x * s / d)
+    a = _axial_stretch(x * s / d)
+    q = d / lam
+    if q.min(initial=math.inf) >= _TINY:
+        return q * a
+    k = np.frexp(lam)[1] - np.frexp(d)[1] - 1
+    return np.ldexp(np.ldexp(d, k) / lam * a, -k)
 
 
 def gaussian_gradient(s, x, yr):
@@ -216,11 +223,9 @@ def _boundary_normalized(s, theta):
 
 def _boundary_limit(theta):
     x, z = np.cos(theta), np.sin(theta)
-    pole = z == 0
-    safe = np.where(pole, 1.0, z)
-    ax = np.where(pole, np.sign(x), special.erf(x / (SQRT_PI * safe)))
-    rad = np.where(pole, 0.0, np.exp(-x * x / (math.pi * safe * safe)))
-    return ax, rad
+    # at a pole x/(sqrt(pi) z) is +-inf, so erf gives +-1 and exp 0
+    with np.errstate(divide="ignore", over="ignore"):
+        return special.erf(x / (SQRT_PI * z)), np.exp(-x * x / (math.pi * z * z))
 
 
 # the offset from which gaussian_volume is linear in s (for m >= 2)
@@ -244,6 +249,7 @@ _M2_SERIES = (
     11.486164502542096,
 )
 _INV_SQRT_PI = 1.0 / SQRT_PI  # 0.07 ulp from 1/sqrt(pi)
+_TINY = np.finfo(float).tiny  # the least normal float
 
 
 def _offsets(s):
@@ -259,37 +265,42 @@ def _offsets(s):
 def gaussian_volume(dim: int, s):
     """Volume of the gaussian body G(s) in R^dim, vectorized over s >= 0.
 
-    The meridian integral ``kappa_{m-1}/(2 pi)^(m/2) * int_0^pi sin^m t
-    (1 + s^2 sin^2 t) exp(-m s^2 cos^2 t / 2) dt`` is an Euler integral for
-    1F1 (DLMF 13.4.1).  With a = (m-1)/2 and c = m s^2/2::
+    The volume of the ball of radius 1/sqrt(2 pi), the body at s = 0, times
+    one factor, and E|det|/m! of m iid columns c + xi.  With c = m s^2/2::
 
-        vol = kappa_{m-1}/(2 pi)^(m/2) * [B(1/2, a+1) 1F1(1/2; a+3/2; -c)
-                                          + s^2 B(1/2, a+2) 1F1(1/2; a+5/2; -c)]
+        vol = kappa_m/(2 pi)^(m/2) * 1F1(-1/2; m/2; -c)
+            = kappa_m/(2 pi)^(m/2) * [1F1(1/2; m/2+1; -c)
+                                      + (m+1)/(m+2) s^2 1F1(1/2; m/2+2; -c)],
+
+    the second line the meridian integral as an Euler integral (DLMF 13.4.1).
+    m >= 3 takes that pair of a = 1/2 terms, exactly 1 at s = 0, so G(0) and
+    E(0) agree to the bit in every dimension; scipy's single ``hyp1f1(-0.5,
+    m/2, -c)`` returns inf from m = 100 on (at s = 0.87, for one).
 
     Dimensions 1 and 2 use cheaper forms of the same function (hyp1f1 costs
-    about five times as much per point as the Bessel pair):
-    ``2 axial_stretch(s)/sqrt(2 pi)``, taken at a quarter scale so that it is
-    finite up to the largest float, and with z = s^2/2 the Bessel pair
-    ``(z + 1/2) i0e(z) + z i1e(z)`` below z = 30.  From z = 30 on (s >=
-    sqrt 60) the 2-D volume is the Hankel series of the pair (DLMF 10.40.1)
-    truncated after 11 terms, first omitted term below 2e-18 relative::
+    about five times as much per point as the Bessel pair).  The 1-D body is
+    the ellipsoid's segment, ``2 axial_stretch(s)/sqrt(2 pi)``, finite up to
+    the largest float; in 2-D, with z = s^2/2, the Bessel pair ``(z + 1/2)
+    i0e(z) + z i1e(z)`` below z = 30.  From z = 30 on (s >= sqrt 60) the 2-D
+    volume is the Hankel series of the pair (DLMF 10.40.1) truncated after 11
+    terms, first omitted term below 2e-18 relative::
 
         vol = (2 z + 1/4 + sum_{k=1..11} c_k z^-k) / sqrt(2 pi z)
             = s/sqrt(pi) * (1 + (1/4 + sum_k c_k z^-k) / (2 z)),
 
     by Horner in 1/z, with every c_k > 0.  Against mpmath the relative error
-    is below 1e-15 for m = 1, 2 and below 2e-14 for m = 3 to 20 (47 ulp at
-    m = 3, scipy's ``hyp1f1``).  On 5,000 z in [30, 5e15] the series is off
+    is below 1e-15 for m = 1, 2 and below 2e-14 for m = 3 to 20 (about 50 ulp
+    at m = 3, scipy's ``hyp1f1``).  On 5,000 z in [30, 5e15] the series is off
     by at most 1.16 ulp (0.34 mean), where the Bessel pair reads 2.73 ulp
     (0.54).  For m >= 2 and s >= _LINEAR_S it is ``volume_asymptote(m) * s``,
-    within c_m/s^2 < 1e-16 relative, where the closed forms lose digits and
-    overflow.  An offset that is not finite and nonnegative raises
-    ValueError.
+    within (m-1)/(2 m s^2) < 1e-16 relative (DLMF 13.7.2), where the closed
+    forms lose digits and overflow.  An offset that is not finite and
+    nonnegative raises ValueError.
     """
     m = int(dim)
     s = _offsets(s)
     if m == 1:
-        return 8.0 * (_axial_stretch(s, 0.25) / SQRT_2PI)
+        return _stretched_volume(1, s, 2.0)
     return piecewise(s, _LINEAR_S, lambda s: volume_asymptote(m) * s, partial(_closed_volume, m))
 
 
@@ -297,11 +308,10 @@ def _closed_volume(m: int, s):
     """:func:`gaussian_volume` for m >= 2 below _LINEAR_S, unchecked."""
     if m == 2:
         return piecewise(s, _M2_SERIES_S, _m2_series, _m2_bessel)
-    a = 0.5 * (m - 1)
     c = 0.5 * m * s * s
-    return ball_volume(m - 1) / (2 * math.pi) ** (m / 2) * (
-        special.beta(0.5, a + 1.0) * special.hyp1f1(0.5, a + 1.5, -c)
-        + s * s * special.beta(0.5, a + 2.0) * special.hyp1f1(0.5, a + 2.5, -c)
+    return ball_volume(m) / (2 * math.pi) ** (m / 2) * (
+        special.hyp1f1(0.5, 0.5 * m + 1.0, -c)
+        + s * s * ((m + 1) / (m + 2)) * special.hyp1f1(0.5, 0.5 * m + 2.0, -c)
     )
 
 
@@ -342,8 +352,8 @@ class BodyKind(NamedTuple):
 
 # The entries look axial_stretch and limit_support up when called, so a
 # wrapper bound to those module names sees every call; the grid scans and
-# the ellipsoid volume, after its offset check, call the unchecked kernels,
-# which it does not see.
+# the ellipsoid and normalized volumes call the unchecked kernels, which it
+# does not see.
 BODY_KINDS = {
     # the zonoid of c + xi, with s = |c|; volume :func:`gaussian_volume`
     "gaussian": BodyKind(
@@ -353,11 +363,13 @@ BODY_KINDS = {
     ),
     # the gaussian body pulled back through the inverse stretch map and
     # rescaled by sqrt(2 pi), so it touches the unit sphere at the poles and
-    # the equator; volume (2 pi)^(m/2)/axial_stretch(s) times the gaussian's
+    # the equator; volume (2 pi)^(m/2)/axial_stretch(s) times the gaussian's,
+    # with the stretch at the ellipsoid's 1/8 scale so that it stays finite
     "normalized": BodyKind(
         normalized_support,
         _boundary_normalized,
-        lambda m, s: (2 * math.pi) ** (m / 2) / axial_stretch(s) * gaussian_volume(m, s),
+        lambda m, s: (2 * math.pi) ** (m / 2) * 0.125 / _axial_stretch(s, 0.125)
+        * gaussian_volume(m, s),
     ),
     # the limit of the normalized bodies as s -> inf; radial profile
     # exp(-erf_inv(A)^2), and A = erf(u) leaves a Gaussian integral: volume
@@ -466,9 +478,7 @@ def limit_boundary_radius(x):
         raise ValueError("x must be finite")
     if np.any(np.abs(x) > 1):
         raise ValueError("limit profile is defined for |x| <= 1")
-    interior = np.abs(x) < 1
-    safe = np.where(interior, x, 0.0)
-    out = np.where(interior, np.exp(-(erf_inv(safe) ** 2)), 0.0)
+    out = np.exp(-(special.erfinv(x) ** 2))  # erfinv(+-1) = +-inf
     return out if out.ndim else float(out)
 
 

@@ -127,8 +127,9 @@ _LINEAR_STRETCH = 8.38
 
 def _axial_stretch(s, scale=1.0):
     """``scale * axial_stretch(s)`` of a float array, unchecked.  scale is a
-    power of two, so it changes no bits; at 1/4 the stretch of every finite
-    s is finite.
+    power of two, so it changes no bits; at 1/8, the scale of the ellipsoid's
+    volume, of the 1-D gaussian volume and of the normalized volume, the
+    stretch of every finite s is finite.
 
     The linear range |s| >= _LINEAR_STRETCH is ``sqrt(pi/2)*|s|`` with no exp
     or erf; the rest takes the full formula, whose exp needs no clip there."""
@@ -149,8 +150,11 @@ def _axial_stretch(s, scale=1.0):
 def piecewise(x, edge, f_far, f_near):
     """``f_far(x)`` where |x| >= edge and ``f_near(x)`` elsewhere (NaN
     included), for elementwise f_far and f_near.  A batch on one side is
-    passed whole, found by its least and greatest x with no mask."""
+    passed whole, found by its least and greatest x with no mask; a 0-d x
+    needs no reduction."""
     x = np.asarray(x)
+    if not x.ndim:
+        return f_far(x) if abs(x) >= edge else f_near(x)
     lo, hi = x.min(initial=math.inf), x.max(initial=-math.inf)
     if -edge < lo and hi < edge:
         return f_near(x)

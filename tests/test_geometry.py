@@ -202,6 +202,20 @@ def test_limit_boundary_radius_roundtrip():
     assert limit_boundary_radius(-1.0) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_limit_body_ends_take_the_general_expressions():
+    # at a pole, and where sin t squared underflows, x/(sqrt(pi) z) is +-inf:
+    # erf gives the end +-1 and exp the radius 0, with no branch and no warning
+    for t, end in ((0.0, 1.0), (5e-324, 1.0), (1e-300, 1.0), (math.pi, -1.0)):
+        ax, rad = BODY_KINDS["limit"].boundary(None, np.asarray(t))
+        assert (ax, rad) == (end, 0.0), t
+    assert RevolutionBody("limit", 2).boundary(1e-300) == (1.0, 0.0)
+    ax, rad = BODY_KINDS["limit"].boundary(None, np.asarray(math.pi / 2))
+    assert rad == 1.0 and abs(ax) < 1e-16  # the equator
+    np.testing.assert_array_equal(limit_boundary_radius(np.array([-1.0, 1.0])), [0.0, 0.0])
+    assert limit_boundary_radius(0.0) == 1.0
+
+
 # -- the universal constant -------------------------------------------------------
 
 
@@ -293,31 +307,105 @@ def test_volume_asymptote_at_s50():
 
 
 def test_volume_matches_mpmath():
-    """Closed forms against the meridian integral at 40 digits, written in
-    u = cos t and split 4 and 16 Gaussian widths 1/sqrt(c) from the equator."""
+    """Closed forms against the meridian integral at 40 digits."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         _check_volumes_against(mp)
 
 
+# the offsets of the meridian check; for m >= 2 the volume is linear in s
+# from s = 1e8 on, which the far offsets reach
+_MERIDIAN_S = (0.0, 0.3, 1.0, 3.0, 10.0, 50.0, 436.0, 1200.0, 1e4)
+_MERIDIAN_FAR_S = (1e8, 1e20, 1e50, 1e200)
+
+
+def _meridian_volume(mp, m, s):
+    """The gaussian volume as its meridian integral, written in u = cos t and
+    split 4 and 16 Gaussian widths 1/sqrt(c) from the equator."""
+    e = mp.mpf(m - 1) / 2
+    front = 2 * mp.pi**e / mp.gamma(e + 1) / (2 * mp.pi) ** (mp.mpf(m) / 2)
+    ss = mp.mpf(s) ** 2
+    c = m * ss / 2
+
+    def f(u):
+        return (1 - u * u) ** e * (1 + ss * (1 - u * u)) * mp.exp(-c * u * u)
+
+    widths = [k / mp.sqrt(c) for k in (4, 16)] if c else []
+    pts = sorted({mp.mpf(0), mp.mpf(1), *(w for w in widths if w < 1)})
+    return front * mp.quad(f, pts)
+
+
+def _ball_times_factor(mp, m, s):
+    """kappa_m (2 pi)^(-m/2) 1F1(-1/2; m/2; -m s^2/2): the ball of radius
+    1/sqrt(2 pi), the body at s = 0, times one hypergeometric factor."""
+    half = mp.mpf(m) / 2
+    ball = mp.pi**half / mp.gamma(half + 1) / (2 * mp.pi) ** half
+    return ball * mp.hyp1f1(-mp.mpf(1) / 2, half, -m * mp.mpf(s) ** 2 / 2)
+
+
 def _check_volumes_against(mp):
     for m in range(1, 9):
-        e = mp.mpf(m - 1) / 2
-        front = 2 * mp.pi**e / mp.gamma(e + 1) / (2 * mp.pi) ** (mp.mpf(m) / 2)
-        # for m >= 2, where the volume is linear in s from s = 1e8 on
-        far = (1e8, 1e20, 1e50, 1e200) if m >= 2 else ()
-        for s in (0.0, 0.3, 1.0, 3.0, 10.0, 50.0, 436.0, 1200.0, 1e4, *far):
-            ss = mp.mpf(s) ** 2
-            c = m * ss / 2
-
-            def f(u):
-                return (1 - u * u) ** e * (1 + ss * (1 - u * u)) * mp.exp(-c * u * u)
-
-            widths = [k / mp.sqrt(c) for k in (4, 16)] if c else []
-            pts = sorted({mp.mpf(0), mp.mpf(1), *(w for w in widths if w < 1)})
-            expect = float(front * mp.quad(f, pts))
+        for s in _MERIDIAN_S + (_MERIDIAN_FAR_S if m >= 2 else ()):
+            expect = float(_meridian_volume(mp, m, s))
             got = volume(RevolutionBody("gaussian", m, s))
             assert got == pytest.approx(expect, rel=1e-13), (m, s)
+
+
+def test_volume_is_the_ball_times_one_hypergeometric_factor():
+    """The form that gaussian_volume's docstring states, against the meridian
+    integral at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for m in range(1, 9):
+            for s in _MERIDIAN_S:
+                err = abs(_ball_times_factor(mp, m, s) / _meridian_volume(mp, m, s) - 1)
+                assert err < 1e-30, (m, s, float(err))
+
+
+def test_zonoid_and_ellipsoid_volumes_agree_at_zero_offset():
+    # both bodies are the ball of radius 1/sqrt(2 pi), and both volumes are its
+    # volume times a factor that is exactly 1 at s = 0
+    for m in range(1, 61):
+        assert gaussian_volume(m, 0.0) == BODY_KINDS["ellipsoid"].volume(m, 0.0), m
+    assert volume(RevolutionBody("gaussian", 4, 0.0)) == 0.125  # pi^2/2 / (2 pi)^2
+
+
+def test_one_dimensional_volume_is_the_ellipsoid_segment_bit_for_bit():
+    s = np.concatenate([
+        [0.0, 5e-324, 8.38, math.nextafter(8.38, 0.0), np.finfo(float).max],
+        np.linspace(0.0, 20.0, 100_001),
+        np.geomspace(1e-300, 1.79e308, 200_001),
+    ])
+    got = gaussian_volume(1, s)
+    want = BODY_KINDS["ellipsoid"].volume(1, s)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.filterwarnings("error")
+def test_high_dimensional_volume_keeps_the_pair_of_hypergeometric_terms():
+    """scipy's single 1F1(-1/2; m/2; -c) returns inf from m = 100 (at s =
+    0.87, for one); the pair of a = 1/2 terms stays finite and accurate."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for m in (100, 171):
+            for s in (0.6, 0.87, 5.0):
+                got = gaussian_volume(m, s)
+                assert math.isfinite(got)
+                assert got == pytest.approx(float(_ball_times_factor(mp, m, s)), rel=1e-13), (m, s)
+
+
+def test_volume_second_term_at_large_offset():
+    # 1F1(-1/2; m/2; -c) ~ Gamma(m/2)/Gamma((m+1)/2) sqrt(c) (1 + (m-1)/(4c))
+    # (DLMF 13.7.2), so vol = A_m s + B_m/s + O(s^-3), B_m = A_m (m-1)/(2m)
+    s = 1e3
+    for m in range(2, 11):
+        slope = volume_asymptote(m)
+        second = (gaussian_volume(m, s) - slope * s) * s
+        assert second == pytest.approx(slope * (m - 1) / (2 * m), abs=1e-5), m
+    # the values measured for m = 2 to 5
+    for m, b in ((2, 1 / (4 * math.sqrt(math.pi))), (3, 1 / (6 * math.sqrt(3))),
+                 (4, 1 / (8 * SQRT_2PI)), (5, math.sqrt(5) / 100)):
+        assert volume_asymptote(m) * (m - 1) / (2 * m) == pytest.approx(b, rel=1e-15)
 
 
 def test_volume_closed_forms_are_within_their_stated_error():
@@ -450,6 +538,43 @@ def test_supports_are_homogeneous_bit_for_bit(kind):
             if not np.all(finite):
                 with pytest.raises(ValueError, match="exceeds the largest float"):
                     support(s, np.ldexp(x, k), np.ldexp(yr, k))
+
+
+@pytest.mark.filterwarnings("error")
+def test_normalized_volume_is_finite_up_to_the_largest_float():
+    # (2 pi)^(m/2)/axial_stretch(s) with the stretch at 1/8 scale: the same
+    # quotient wherever the plain one is finite, and past 1.43e308 the limit
+    # body's volume, about 2, 2.83 and 3.63 in dimensions 1 to 3
+    s = np.concatenate([np.linspace(0.0, 20.0, 2_001), np.geomspace(1e-300, 1.4e308, 2_001)])
+    for m in (1, 2, 3, 8):
+        got = BODY_KINDS["normalized"].volume(m, s)
+        want = (2 * math.pi) ** (m / 2) / axial_stretch(s) * gaussian_volume(m, s)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        limit = BODY_KINDS["limit"].volume(m, None)
+        for big in (1.5e308, np.finfo(float).max):
+            assert BODY_KINDS["normalized"].volume(m, big) == pytest.approx(limit, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_normalized_support_keeps_its_digits_where_the_stretch_is_huge():
+    # d/axial_stretch(s) is subnormal or 0 there; the support at a pole is |x|
+    assert normalized_support(1e100, 1e-300, 0.0) == 1e-300
+    assert normalized_support(1e308, 1.0, 0.0) == 1.0
+    assert normalized_support(1e308, 2.0, 0.0) == 2.0
+    assert normalized_support(1e308, -2.0, 0.0) == 2.0
+    assert check_inclusion(3, 1e308).max_ratio_upper == 1.0
+    # h(2^-k u) = 2^-k h(u), bit for bit, down to directions of size 2^-1000
+    # whose components stay normal floats
+    t = np.linspace(0.0, math.pi, 181)
+    x, yr = np.cos(t), np.sin(t)
+    x[np.abs(x) < 1e-15] = 0.0
+    yr[yr < 1e-15] = 0.0
+    x, yr = np.append(x, 0.6), np.append(yr, 0.8)
+    for s in (1.0, 1e8, 1e100, 1e308):
+        h = normalized_support(s, x, yr)
+        for k in (100, 500, 1000):
+            got = normalized_support(s, np.ldexp(x, -k), np.ldexp(yr, -k))
+            np.testing.assert_array_equal(got, np.ldexp(h, -k), err_msg=f"s={s} k={k}")
 
 
 # -- the sandwich ------------------------------------------------------------------

@@ -16,7 +16,8 @@ from gausszonoids import (
     folded_normal_mean,
     limit_support,
 )
-from gausszonoids.kernels import SQRT_HALF_PI, _axial_stretch, bisect
+from gausszonoids.geometry import _LINEAR_S, _M2_SERIES_S, gaussian_volume
+from gausszonoids.kernels import _LINEAR_STRETCH, SQRT_HALF_PI, _axial_stretch, bisect, piecewise
 
 
 def simpson_erf(t: float, tol: float = 1e-14) -> float:
@@ -153,6 +154,31 @@ def test_axial_stretch_linear_range_is_the_full_formula_bit_for_bit():
     for v in odd:
         with pytest.raises(ValueError):
             axial_stretch(v)
+
+
+def _around(edge):
+    return [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), 0.5 * edge, 2.0 * edge]
+
+
+def test_piecewise_takes_a_0d_input_as_its_one_element_batch():
+    # a 0-d x picks its branch with no reduction; the value and the type are
+    # those the batch path gives, on both sides of each edge and at NaN
+    for v in _around(_LINEAR_STRETCH) + [-_LINEAR_STRETCH, -0.0, math.inf, math.nan]:
+        _same_bits(_axial_stretch(np.asarray(v)), _axial_stretch(np.array([v]))[0])
+    for m, edges in ((1, [_LINEAR_S]), (2, [_M2_SERIES_S, _LINEAR_S]), (3, [_LINEAR_S])):
+        for v in [0.0] + [w for e in edges for w in _around(e)]:
+            _same_bits(gaussian_volume(m, np.asarray(v)), gaussian_volume(m, np.array([v]))[0])
+
+    def far(x):
+        return x + 1.0
+
+    def near(x):
+        return x - 1.0
+
+    for v in _around(2.0) + [-2.0, math.nan]:
+        got = piecewise(np.asarray(v), 2.0, far, near)
+        _same_bits(np.asarray(got)[()], piecewise(np.array([v]), 2.0, far, near)[0])
+        assert math.isnan(v) or got == (v + 1.0 if abs(v) >= 2.0 else v - 1.0)
 
 
 def test_axial_stretch_deriv_by_finite_differences():

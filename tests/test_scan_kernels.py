@@ -44,7 +44,10 @@ def _normalized_support_ref(s, x, yr):
     lam = float(_axial_stretch_ref(s))
     d = np.hypot(x, lam * yr)
     safe = np.where(d > 0, d, 1.0)
-    return np.where(d > 0, d / lam * _axial_stretch_ref(x * s / safe), 0.0)
+    # where d/lam is subnormal, the quotient is taken at d scaled by 2^k
+    k = np.where(d / lam < np.finfo(float).tiny, np.frexp(lam)[1] - np.frexp(safe)[1] - 1, 0)
+    h = np.ldexp(np.ldexp(d, k) / lam * _axial_stretch_ref(x * s / safe), -k)
+    return np.where(d > 0, h, 0.0)
 
 
 def _directions():
