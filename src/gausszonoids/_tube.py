@@ -25,18 +25,25 @@ class GridResolutionError(ValueError):
     x2 on T^2 cannot pair or converge for the field."""
 
 
+def _grad_norm(field, pts):
+    """|grad phi| on a batch of points, its squares added in order: the one
+    norm of the gradient that the section volumes and the resolution rule
+    share."""
+    g = np.asarray(field.grad(pts), dtype=float)
+    sq = g[..., 0] * g[..., 0]
+    for i in range(1, field.dim):
+        sq += g[..., i] * g[..., i]
+    return np.sqrt(sq)
+
+
 def _section_volume_vec(field, tau, pts, kinds):
     """Section volumes on a batch of points, one array per kind of
     BODY_KINDS in kinds: the body of offset |grad phi|/tau times (2 pi)^(-m/2)
     exp(-m phi^2/(2 tau^2)).  The field and its gradient are evaluated once
-    for all, and the squares of the gradient are added in order."""
+    for all."""
     m = field.dim
     phi = np.asarray(field.phi(pts), dtype=float)
-    g = np.asarray(field.grad(pts), dtype=float)
-    sq = g[..., 0] * g[..., 0]
-    for i in range(1, m):
-        sq += g[..., i] * g[..., i]
-    s = np.sqrt(sq) / tau
+    s = _grad_norm(field, pts) / tau
     scale = (2.0 * math.pi) ** (-m / 2) * np.exp(-m * phi * phi / (2.0 * tau * tau))
     return [scale * BODY_KINDS[kind].volume(m, s) for kind in kinds]
 

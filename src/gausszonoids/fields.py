@@ -26,6 +26,7 @@ import numpy as np
 from ._tube import (
     GridResolutionError,
     _fold_breaks,
+    _grad_norm,
     _row_panels,
     _section_volume_vec,
     _tube_rows,
@@ -225,7 +226,7 @@ def _grad_max(field: ScalarFieldSpec, n: int = 8192) -> float:
         coarse = t[:: max(1, n // 256)]
         a, b = np.meshgrid(coarse, coarse, indexing="ij")
         pts = np.stack([a.ravel(), b.ravel()], axis=-1)
-    return float(np.max(np.linalg.norm(field.grad(pts), axis=-1)))
+    return float(np.max(_grad_norm(field, pts)))
 
 
 # the resolution rule: a grid has at least this many cells across the tube

@@ -412,8 +412,14 @@ class RevolutionBody:
         return BODY_KINDS[self.kind].support(self.s, x, yr)
 
     def boundary(self, theta):
-        """Boundary points (axial, radial) with outer normal (cos t, sin t)."""
-        return BODY_KINDS[self.kind].boundary(self.s, np.asarray(theta, dtype=float))
+        """Boundary points (axial, radial) with outer normal (cos t, sin t), t
+        in [0, pi]; an angle outside it, or NaN, raises ValueError, and -0.0
+        is the pole at 0."""
+        theta = np.asarray(theta, dtype=float)
+        # the least t is NaN if any t is: NaN and negative angles fail the first test
+        if not (theta.min(initial=0.0) >= 0.0 and theta.max(initial=0.0) <= math.pi):
+            raise ValueError("a normal angle theta must lie in [0, pi]")
+        return BODY_KINDS[self.kind].boundary(self.s, theta + 0.0)
 
 
 def boundary_profile(body: RevolutionBody, n_points: int = 181) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Chunked, reproducible Monte Carlo driver, and the slicing of grid scans.
 
-Streams are counter-based: chunk ``i`` (of ``_CHUNK`` samples) draws from a
-Philox generator keyed by ``(seed, i)``, so estimates are bitwise
-reproducible for a fixed (samples, seed) pair and chunks are independent.
+Streams are keyed: chunk ``i`` (of ``_CHUNK`` samples) draws from numpy's
+SFC64 generator on ``SeedSequence(seed, spawn_key=(i,))``, child ``i`` of
+``SeedSequence(seed)``, so estimates are bitwise reproducible for a fixed
+(samples, seed) pair, whatever order the chunks run in.  The seed sequence
+hashes (seed, i) into the chunk's state, and SFC64's 64-bit counter gives
+every state a cycle of at least 2^64 draws.
 A sampler fills its chunk in one pass, drawing its variates in a fixed
 order from the chunk's stream.
 
@@ -65,16 +68,17 @@ class EstimateWithCI(NamedTuple):
 
 
 def _check_seed(seed: int):
-    if not 0 <= seed < 1 << 64:  # a Philox key word
+    if not 0 <= seed < 1 << 64:  # the CLI's seed range
         raise ValueError("seed must be nonnegative and below 2**64")
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
-    """Generator for chunk `index` of the run keyed by `seed`: Philox keyed by
-    (seed, index) from counter 0."""
+    """Generator for chunk `index` of the run keyed by `seed`: SFC64 seeded by
+    child `index` of ``SeedSequence(seed)``, that is by
+    ``SeedSequence(seed).spawn(index + 1)[index]``."""
     _check_seed(seed)
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence(seed, spawn_key=(index,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def mc_mean(sample: Callable[[np.random.Generator, int], np.ndarray], cfg: MCConfig) -> EstimateWithCI:

@@ -804,3 +804,24 @@ def test_sandwich_checks_its_inputs_like_the_tube_integral():
         envelope_sandwich(SIN2, 0.1, GridSpec(64), r=0.0)
     with pytest.raises(NotImplementedError):
         envelope_sandwich(sine_field(2, dim=3), 0.1, GridSpec(64))
+
+
+def _grad_max_by_norm(field, n=8192):
+    # the resolution rule's sample of |grad phi|, taken by np.linalg.norm
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    if field.dim == 1:
+        pts = t[:, None]
+    else:
+        a, b = np.meshgrid(t[:: n // 256], t[:: n // 256], indexing="ij")
+        pts = np.stack([a.ravel(), b.ravel()], axis=-1)
+    return float(np.max(np.linalg.norm(field.grad(pts), axis=-1)))
+
+
+@pytest.mark.parametrize(
+    "field", [sine_field(k, dim=d) for k in range(1, 7) for d in (1, 2)] + [_mixed_field()],
+    ids=lambda f: f.name,
+)
+def test_grad_max_takes_the_section_volumes_norm(field):
+    # |grad phi| in the resolution rule is the in-order sum of squares of the
+    # section volumes, and the same float as the norm form on these fields
+    assert gz.fields._grad_max(field) == _grad_max_by_norm(field)

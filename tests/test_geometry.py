@@ -216,6 +216,21 @@ def test_limit_body_ends_take_the_general_expressions():
     assert limit_boundary_radius(0.0) == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", KINDS)
+def test_boundary_takes_normal_angles_in_zero_to_pi_only(kind):
+    # every kind refuses an angle outside [0, pi] alike, and -0.0 is the pole (h, 0)
+    body = RevolutionBody(kind, 2, None if kind == "limit" else 1.0)
+    for t in (-0.1, math.pi + 0.1, math.nan, [0.5, math.nan], [-0.1, 0.5]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, pi\]"):
+            body.boundary(t)
+    h = body.support(1.0, 0.0)
+    for t in (-0.0, 0.0):
+        ax, rad = body.boundary(t)
+        assert ax == pytest.approx(h, rel=1e-15) and rad == 0.0, t
+    assert body.boundary(-0.0) == body.boundary(0.0)
+
+
 # -- the universal constant -------------------------------------------------------
 
 

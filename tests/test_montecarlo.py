@@ -1,8 +1,9 @@
-"""Counter-based streams and the chunked mean estimator."""
+"""Keyed SFC64 streams and the chunked mean estimator."""
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from gausszonoids import (
     EstimateWithCI,
@@ -29,6 +30,23 @@ def test_stream_substreams_differ():
     c = stream(43, 0).standard_normal(8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (42, 3), (7, 1000), ((1 << 64) - 1, 0), ((1 << 64) - 1, 17)])
+def test_stream_is_numpys_spawned_child(seed, index):
+    # chunk i draws from SFC64 on child i of SeedSequence(seed)
+    child = np.random.SeedSequence(seed).spawn(index + 1)[index]
+    want = np.random.Generator(np.random.SFC64(child)).standard_normal(64)
+    assert stream(seed, index).standard_normal(64).tobytes() == want.tobytes()
+
+
+def test_chunk_streams_start_independent():
+    # the first normal of 2,000 chunks of one run: N(0, 1), and consecutive
+    # chunks uncorrelated (|r| under 4 standard errors of 1/sqrt(2000))
+    n = 2_000
+    first = np.array([stream(11, i).standard_normal() for i in range(n)])
+    assert stats.kstest(first, "norm").pvalue > 1e-3
+    assert abs(np.corrcoef(first[:-1], first[1:])[0, 1]) < 4 / math.sqrt(n)
 
 
 def _shared_frame(m, k, s):
@@ -191,10 +209,10 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
-def test_stream_rejects_a_seed_outside_the_key_word(seed):
-    # a Philox key word holds [0, 2^64); numpy would raise OverflowError
+def test_stream_rejects_a_seed_outside_the_seed_range(seed):
+    # the CLI's seeds are [0, 2^64); SeedSequence would take a larger one
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         stream(seed, 0)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         MCConfig(samples=100, seed=seed)
-    stream((1 << 64) - 1, 0).standard_normal(2)  # the largest key word
+    stream((1 << 64) - 1, 0).standard_normal(2)  # the largest seed
