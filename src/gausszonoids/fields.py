@@ -25,6 +25,7 @@ import numpy as np
 
 from ._tube import (
     GridResolutionError,
+    _dphi,
     _fold_breaks,
     _grad_norm,
     _row_panels,
@@ -403,8 +404,13 @@ def concentration_limit(dim: int, alpha: float, vol_zero_set: float) -> float:
     return limit
 
 
-# noisy-field values per block of the zero-count scan: 256 KB
+# noisy-field values per block of the zero-count scan: 256 KB, that is
+# _SCAN_BLOCK // breakpoints samples, each with X at every breakpoint
 _SCAN_BLOCK = 1 << 15
+# a panel is steep when |dphi/dx1| at both its ends, of one sign, exceeds
+# _STEEP tau R, R the largest |xi| of the chunk: twice the largest slope of
+# the noise, so that phi' keeps a margin tau R inside the panel
+_STEEP = 2.0
 
 
 def _scan_cells(field: ScalarFieldSpec, tube: TubeSpec) -> int:
@@ -429,27 +435,48 @@ def _zero_counter(field: ScalarFieldSpec, tube: TubeSpec, n: int):
     to the tube by :func:`_row_panels`, in the tube integral's one pass over
     the cell edges.  With at most one root of X per cell, X changes sign on
     a panel exactly when it has a root inside the tube.  Consecutive panels
-    share their ends, so X is evaluated once at each distinct end: its
+    share their ends, and runs of them need not be looked inside: a chunk
+    draws its normals at once and takes R, the largest |xi| among them, and
+    a panel is steep when dphi/dx1 at its two ends (evaluated once) has one
+    sign and exceeds _STEEP tau R in size.  As with one root per cell, the
+    scan is fine enough that phi' moves by less than the margin tau R inside
+    a cell, so |phi'| > tau R >= |tau g'| on a run of steep panels (the
+    noise's slope is at most |xi| <= R): X' = phi' + tau g' keeps the sign
+    of phi', X is monotone there, and it has a root on the run exactly when
+    its signs at the run's two ends differ.  X is evaluated only at the
+    breakpoints, every end but those inside a run of steep panels: its
     deterministic parts once per run, and its noise for a block of samples
-    (whose normals are drawn in turn from the chunk's stream) from one
-    matrix product, which is compared with -phi (the sign of X).  A
-    sample counts the sign changes between adjacent ends that bound a panel,
-    not those across the gaps between the tube's components, as one product
-    with 0/1 weights: the sums are integers below 2^24, exact in float32."""
+    from one matrix product, which is compared with -phi (the sign of X).
+    A sample counts the sign changes between consecutive breakpoints that
+    bound panels, not those across the gaps between the tube's components,
+    as one product with 0/1 weights: the sums are integers below 2^24,
+    exact in float32.  With no steep panel every end is a breakpoint and
+    this is the count panel by panel."""
     tau = tube.tau
     lo, hi, _ = _row_panels(field, tube.r, n, np.zeros((1, 0)))
     ends = np.unique(np.concatenate([lo, hi]))
-    panel = np.zeros(ends[1:].shape, dtype=np.float32)  # no ends in an empty tube
-    panel[np.searchsorted(ends, lo)[lo < hi]] = 1.0  # the panel [ends[j], ends[j + 1]]
+    panel = np.zeros(ends[1:].shape, dtype=bool)  # no ends in an empty tube
+    panel[np.searchsorted(ends, lo)[lo < hi]] = True  # the panel [ends[j], ends[j + 1]]
     level = -np.asarray(field.phi(ends[:, None]), dtype=float)
     noise = tau * np.stack([np.cos(ends), np.sin(ends)])
-    rows = max(1, _SCAN_BLOCK // max(1, ends.size))
+    slope = _dphi(field, ends[:, None])
+    a, b = slope[:-1], slope[1:]
+    # the least |phi'| at the ends of each panel on which phi' keeps one sign
+    steepness = np.where(panel & ((a < 0.0) == (b < 0.0)), np.minimum(np.abs(a), np.abs(b)), 0.0)
 
     def sample(rng, n_draw):
+        xi = rng.standard_normal((n_draw, 2))
+        steep = steepness > _STEEP * tau * np.max(np.hypot(*xi.T))
+        at = np.ones(ends.size, dtype=bool)
+        at[1:-1] = ~(steep[:-1] & steep[1:])  # the ends inside a steep run drop out
+        at = np.flatnonzero(at)
+        weight = panel[at[:-1]].astype(np.float32)
+        noise_at, level_at = noise[:, at], level[at]
+        rows = max(1, _SCAN_BLOCK // max(1, at.size))
         counts = np.empty(n_draw)
         for r0 in range(0, n_draw, rows):
-            neg = rng.standard_normal((min(rows, n_draw - r0), 2)) @ noise < level
-            counts[r0 : r0 + rows] = (neg[:, 1:] != neg[:, :-1]) @ panel
+            neg = xi[r0 : r0 + rows] @ noise_at < level_at
+            counts[r0 : r0 + rows] = (neg[:, 1:] != neg[:, :-1]) @ weight
         return counts
 
     return sample
@@ -464,7 +491,9 @@ def mc_zero_count_circle(field: ScalarFieldSpec, tube: TubeSpec, cfg: MCConfig) 
     boundary twice (a tube narrower than a cell, a dip of |phi| below r) are
     split at the turn of |phi|; the cells are then clipped to the tube
     exactly as in the tube integral, and a sample counts the clipped panels
-    on which X changes sign; no root of X is bisected.
+    on which X changes sign; no root of X is bisected.  On a run of panels
+    where phi is steeper than the chunk's noise can bend (:func:`_zero_counter`)
+    X is monotone, so the run is counted from its two ends alone.
     """
     if field.dim != 1:
         raise ValueError("the root-counting model is one-dimensional")

@@ -281,6 +281,22 @@ def test_grf_mc_reruns_byte_identical(capsys, tmp_path):
     assert a.read_bytes().startswith(b"tau,r,n_integral,n_coarea,n_mc,se,limit,rel_err\n")
 
 
+@pytest.mark.parametrize("argv, rows", [
+    ("--alpha 1 --taus 0.1,0.03 --samples 60000 --seed 0",
+     [(2.7297333333333333, 0.005256292880660712), (2.7283, 0.0053354280940285485)]),
+    ("--alpha 1 --taus 0.003 --samples 30000 --seed 0", [(2.728, 0.007606299704401155)]),
+    # no panel is steep on the whole circle: the count panel by panel
+    ("--taus 0.6 --r 3 --samples 20000 --seed 3", [(3.6829, 0.0051656281017591925)]),
+])
+def test_grf_mc_keeps_its_numbers(capsys, argv, rows):
+    # frozen from a count panel by panel: counting a run of steep panels
+    # from its two ends changes no count
+    code, out = run(capsys, "grf", "mc", *argv.split())
+    assert code == 0
+    got = [tuple(float(v) for v in line.split(",")[4:6]) for line in out.strip().split("\n")[1:]]
+    assert got == rows
+
+
 def test_grf_sandwich_passes(capsys):
     code, out = run(capsys, "grf", "sandwich", "--tau", "0.05", "--resolution", "512")
     assert code == 0

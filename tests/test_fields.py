@@ -595,12 +595,12 @@ def _scan_and_bisect_counts(field, tube, n, xi):
     return np.bincount(ia, minlength=xi.shape[0])
 
 
-def _shifted_sine():
+def _shifted_sine(shift=0.3):
     return gz.ScalarFieldSpec(
         1,
-        lambda p: np.sin(2.0 * p[..., 0]) + 0.3,
+        lambda p: np.sin(2.0 * p[..., 0]) + shift,
         lambda p: 2.0 * np.cos(2.0 * p[..., :1]),
-        name="sin2+0.3",
+        name=f"sin2+{shift:g}",
     )
 
 
@@ -632,6 +632,11 @@ def _cosine_cap(top):
         # and rises above r inside a cell whose edges lie inside it
         (_cosine_cap(-2e-3), 0.5, 2e-3 + 1e-5, 0.024, 20000),
         (_cosine_cap(0.01 + 1e-5), 0.5, 0.01, 0.024, 20000),
+        # runs that are only partly steep: the tube holds the minimum of phi,
+        # and 936 of its 1,210 panels are steep (280 breakpoints) ...
+        (_shifted_sine(0.97), 0.02, 0.05, None, 20000),
+        # ... and 259 of 319 panels of a wide tube (70 breakpoints)
+        (SIN2, 0.2, 0.5, None, 20000),
     ],
 )
 def test_panel_counts_match_scan_and_bisection(field, tau, r, spacing, samples):
@@ -647,22 +652,49 @@ def test_panel_counts_match_scan_and_bisection(field, tau, r, spacing, samples):
     assert counts.sum() > 0
 
 
-def test_zero_counter_evaluates_each_panel_end_once():
-    # sin 2 x1 at r = 0.1: the tube's four components lie on five runs of
-    # panels in [0, 2 pi] (the one around 0 is cut there), with four gaps
-    # between them; X is evaluated once at each distinct end, the p + 1 ends
-    # of each run of p panels
-    counted, points = _counted(SIN2)
-    tube = TubeSpec(0.1, 0.1)
-    n = gz.fields._scan_cells(SIN2, tube)
-    counter = gz.fields._zero_counter(counted, tube, n)
-    lo, hi, _ = gz._tube._row_panels(SIN2, tube.r, n, np.zeros((1, 0)))
-    ends = np.unique(np.concatenate([lo, hi]))
-    assert points[-1] == ends.size == lo.size + 5
-    counts = counter(gz.stream(6, 0), 4000)
-    xi = gz.stream(6, 0).standard_normal((4000, 2))
-    assert np.array_equal(counts, _scan_and_bisect_counts(SIN2, tube, n, xi))
-    assert counts.max() >= 2
+class _Normals(np.ndarray):
+    """Normals that record the columns of each matrix they multiply."""
+
+    def __array_finalize__(self, obj):
+        self.columns = getattr(obj, "columns", None)
+
+    def __matmul__(self, other):
+        self.columns.append(np.shape(other)[-1])
+        return np.asarray(self) @ other
+
+
+class _RecordingStream:
+    """A stream whose normals record the noise products they enter."""
+
+    def __init__(self, rng):
+        self.rng, self.columns = rng, []
+
+    def standard_normal(self, shape):
+        xi = self.rng.standard_normal(shape).view(_Normals)
+        xi.columns = self.columns
+        return xi
+
+
+def test_zero_counter_evaluates_the_noise_at_the_ends_of_runs():
+    # the tube's components lie on five runs of steep panels in [0, 2 pi]
+    # (the one around 0 is cut there) on sin2 at tau = r = 0.003, and on
+    # thirteen on sin6 at r = 0.5: X is evaluated at the two ends of each
+    # run.  No panel is steep on the whole circle at tau = 0.6: every end
+    for field, tube, ends, columns, samples in [
+        (SIN2, TubeSpec(0.003, 0.003), 133, 10, 4000),
+        (sine_field(6), TubeSpec(0.05, 0.5), 2958, 26, 1000),
+        (SIN2, TubeSpec(0.6, math.inf), 316, 316, 4000),
+    ]:
+        counted, points = _counted(field)
+        n = gz.fields._scan_cells(field, tube)
+        counter = gz.fields._zero_counter(counted, tube, n)
+        assert points[-1] == ends  # phi is evaluated once at each distinct end
+        rng = _RecordingStream(gz.stream(6, 0))
+        counts = counter(rng, samples)
+        assert rng.columns and max(rng.columns) == columns
+        xi = gz.stream(6, 0).standard_normal((samples, 2))
+        assert np.array_equal(counts, _scan_and_bisect_counts(field, tube, n, xi))
+        assert counts.max() >= 2
     # a tube that phi never enters has no ends, and no zeros
     far = gz.ScalarFieldSpec(1, lambda p: 2.0 + np.sin(p[..., 0]), lambda p: np.cos(p[..., :1]))
     est = mc_zero_count_circle(far, TubeSpec(0.1, 0.5), MCConfig(samples=100, seed=1))
