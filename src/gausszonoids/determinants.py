@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .geometry import GaussianVector, _check_s, limit_body_inradius
-from .kernels import axial_stretch, ball_volume, factorial
+from .geometry import GaussianVector, limit_body_inradius
+from .kernels import _count, _offset, axial_stretch, ball_volume, factorial
 from .montecarlo import EstimateWithCI, MCConfig, mc_mean
 
 __all__ = [
@@ -48,13 +48,13 @@ class FrameSpec:
     columns: tuple[GaussianVector, ...]
 
     def __init__(self, dim: int, columns: Sequence[GaussianVector]):
-        cols = tuple(columns)
+        dim, cols = _count("dim", dim), tuple(columns)
         if not 1 <= len(cols) <= dim:
             raise ValueError("need 1 <= k <= dim columns")
         for col in cols:
             if col.dim != dim:
                 raise ValueError("column dimension mismatch")
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "columns", cols)
 
     @property
@@ -72,7 +72,8 @@ class FrameSpec:
 def mixed_volume_coeff(m: int, k: int) -> float:
     """Constant alpha(m, k) = m! / ((2 pi)^(k/2) (m-k)! kappa_{m-k}) linking
     E sqrt(det(Gamma^T Gamma)) to the mixed volume of the outer ellipsoids."""
-    if not 1 <= k <= m:
+    m, k = _count("m", m), _count("k", k)
+    if k > m:
         raise ValueError("need 1 <= k <= m")
     return factorial(m) / ((2 * math.pi) ** (k / 2) * factorial(m - k) * ball_volume(m - k))
 
@@ -174,9 +175,7 @@ def mixed_volume_ellipsoids_mc(
     The thin m x k frame of centered columns shape_j @ xi has E sqrt(det(Gamma^T
     Gamma)) = mixed_volume_coeff(m, k) * MV; the ball slots take no columns.
     """
-    k = len(shapes)
-    if not 1 <= k <= dim:
-        raise ValueError("need 1 <= len(shapes) <= dim")
+    k, dim = len(shapes), _count("dim", dim)
     zero = np.zeros(dim)
     cols = [GaussianVector(np.asarray(a, dtype=float), zero) for a in shapes]
     est = expected_absdet_mc(FrameSpec(dim, cols), cfg)
@@ -234,7 +233,7 @@ def determinant_bracket(frame: FrameSpec, cfg: MCConfig) -> DeterminantBracket:
     if m == 2:
         mv = EstimateWithCI(mixed_area(shapes[0], shapes[1] if k == 2 else np.eye(2)), 0.0, 0)
     elif frame.shared:
-        lam = float(axial_stretch(_check_s(frame.columns[0].mean_norm)))
+        lam = float(axial_stretch(_offset(frame.columns[0].mean_norm)))
         pfaff = special.hyp2f1(-0.5, (m - k) / 2, m / 2, 1.0 - (1.0 / lam) ** 2)
         chi = 2 ** (k / 2) * math.gamma((m + 1) / 2) / math.gamma((m - k + 1) / 2)
         mv = EstimateWithCI(chi * lam * pfaff / alpha, 0.0, 0)

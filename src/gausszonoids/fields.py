@@ -34,7 +34,7 @@ from ._tube import (
     _x2_quad,
 )
 from .geometry import GaussianVector, gaussian_volume, limit_body_inradius
-from .kernels import SQRT_2PI, ball_volume, factorial
+from .kernels import SQRT_2PI, _count, _finite, _nonnegative, ball_volume, factorial
 from .montecarlo import EstimateWithCI, MCConfig, grid_map, mc_mean
 
 __all__ = [
@@ -87,17 +87,12 @@ class ScalarFieldSpec:
     zero_set_measure: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ValueError("dim must be an integer >= 1")
+        object.__setattr__(self, "dim", _count("dim", self.dim))
 
 
 def sine_field(frequency: int = 2, dim: int = 1) -> ScalarFieldSpec:
     """phi(p) = sin(frequency * p_1) on T^dim, with closed-form level data."""
-    k = int(frequency)
-    if k < 1:
-        raise ValueError("frequency must be a positive integer")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    k, dim = _count("frequency", frequency), _count("dim", dim)
 
     def phi(p):
         p = np.asarray(p, dtype=float)
@@ -116,7 +111,7 @@ def sine_field(frequency: int = 2, dim: int = 1) -> ScalarFieldSpec:
 
     measure = 2.0 * k * (2.0 * math.pi) ** (dim - 1)
     return ScalarFieldSpec(
-        dim=int(dim),
+        dim=dim,
         phi=phi,
         grad=grad,
         name=f"sin{k}" + (f"-{dim}d" if dim > 1 else ""),
@@ -175,8 +170,8 @@ class GridSpec:
     resolution: int = 4096
 
     def __post_init__(self):
-        if not 16 <= self.resolution <= _MAX_CELLS_1D:
-            raise ValueError(f"resolution must be between 16 and {_MAX_CELLS_1D}")
+        resolution = _count("resolution", self.resolution, 16, _MAX_CELLS_1D)
+        object.__setattr__(self, "resolution", resolution)
 
 
 # -- pointwise section body --------------------------------------------------
@@ -186,9 +181,7 @@ def _points(field: ScalarFieldSpec, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (field.dim,):
         raise ValueError(f"points must have trailing dimension {field.dim}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("points must be finite")
-    return p
+    return _finite("points", p)
 
 
 def section_volume(field: ScalarFieldSpec, p, tau: float) -> float:
@@ -203,9 +196,9 @@ def section_support(field: ScalarFieldSpec, p, tau: float, u) -> float:
     """Support function of the section body at p in ambient direction u."""
     _check_tau(tau)
     p = _points(field, p)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (field.dim,) or not np.all(np.isfinite(u)):
-        raise ValueError("u must be a finite vector of the field dimension")
+    u = _finite("u", u)
+    if u.shape != (field.dim,):
+        raise ValueError("u must be a vector of the field dimension")
     g = np.asarray(field.grad(p), dtype=float).reshape(field.dim)
     scale = math.exp(-float(field.phi(p)) ** 2 / (2.0 * tau * tau)) / SQRT_2PI
     return scale * GaussianVector(np.eye(field.dim), g / tau).support(u)
@@ -390,13 +383,10 @@ def concentration_limit(dim: int, alpha: float, vol_zero_set: float) -> float:
     """Limit of the expected zero count in the shrinking tube r = alpha*tau:
     (m-1)! kappa_{m-1} / (2 pi)^(m-1) * erf(sqrt(m/2) alpha) * vol_{m-1}(Z).
     A limit past the largest float raises ValueError."""
-    m = int(dim)
-    if m < 1:
-        raise ValueError("dim must be >= 1")
+    m = _count("dim", dim)
     if not alpha > 0:
         raise ValueError("alpha must be positive (math.inf allowed)")
-    if not 0 <= vol_zero_set < math.inf:
-        raise ValueError("vol_zero_set must be finite and nonnegative")
+    vol_zero_set = float(_nonnegative("vol_zero_set", vol_zero_set))
     front = factorial(m - 1) * ball_volume(m - 1) / (2.0 * math.pi) ** (m - 1)
     limit = front * math.erf(math.sqrt(m / 2.0) * alpha) * vol_zero_set
     if not math.isfinite(limit):
@@ -544,8 +534,10 @@ def envelope_sandwich(
     """Check b^m * vol(ellipsoid section) <= vol(gaussian section) <=
     vol(ellipsoid section) pointwise on a grid, b the limit-body inradius,
     and compare the integrated zero counts the two bodies predict over the
-    tube {|phi| < r}."""
+    tube {|phi| < r}.  A slack that is not finite and nonnegative raises
+    ValueError."""
     tube = TubeSpec(tau, r)
+    slack = float(_nonnegative("slack", slack))
     _check_tensor_dim(field)
     m, n = field.dim, grid.resolution
     step = 2.0 * math.pi / n  # t = j * step is np.linspace(0, 2 pi, n, endpoint=False)

@@ -27,10 +27,15 @@ from scipy import special
 
 from .kernels import (
     SQRT_2PI,
-    SQRT_HALF_PI,
     SQRT_PI,
+    _TINY,
     _axial_stretch,
+    _count,
+    _finite,
     _limit_support,
+    _nonnegative,
+    _normal,
+    _offset,
     axial_stretch,
     ball_volume,
     bisect,
@@ -75,26 +80,10 @@ class Direction(NamedTuple):
 
 
 def _check_dir(x, yr):
-    x = np.asarray(x, dtype=float)
-    yr = np.asarray(yr, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(yr))):
-        raise ValueError("directions must be finite")
+    x, yr = _finite("x", x), _finite("yr", yr)
     if np.any(yr < 0):
         raise ValueError("radial component yr must be nonnegative")
     return np.broadcast_arrays(x, yr)
-
-
-def _check_s(s, positive=False):
-    s = float(s)
-    if not math.isfinite(s):
-        raise ValueError("mean offset s must be finite")
-    if positive and s <= 0:
-        raise ValueError("mean offset s must be positive")
-    if s < 0:
-        raise ValueError("mean offset s must be nonnegative")
-    if SQRT_HALF_PI * s == math.inf:  # axial_stretch(s), the ellipsoid's axis
-        raise ValueError(f"mean offset s = {s!r} stretches the mean axis past the largest float")
-    return s
 
 
 def _homogeneous(support):
@@ -131,7 +120,7 @@ def gaussian_support(s, x, yr):
     This is half the folded-normal mean of <u, c + xi>.  The zero direction
     returns 0.  At s = 0 the body is the ball of radius 1/sqrt(2 pi).
     """
-    s = _check_s(s)
+    s = _offset(s)
     sigma = np.hypot(x, yr)
     safe = np.where(sigma > 0, sigma, 1.0)
     w = x * s / safe
@@ -145,7 +134,7 @@ def gaussian_support(s, x, yr):
 def ellipsoid_support(s, x, yr):
     """Support of the outer ellipsoid: axis semi-length axial_stretch(s)/sqrt(2 pi),
     radial semi-length 1/sqrt(2 pi)."""
-    s = _check_s(s)
+    s = _offset(s)
     return np.hypot(float(axial_stretch(s)) * x, yr) / SQRT_2PI
 
 
@@ -158,7 +147,7 @@ def normalized_support(s, x, yr):
     directions, decreases strictly in s, and converges to
     :func:`gausszonoids.kernels.limit_support` as s -> inf.
     """
-    s = _check_s(s, positive=True)
+    s = _offset(s, positive=True)
     with np.errstate(invalid="ignore"):
         h = _normalized_support(s, float(axial_stretch(s)), x, yr)
     return np.where((x == 0.0) & (yr == 0.0), 0.0, h)
@@ -190,7 +179,7 @@ def gaussian_gradient(s, x, yr):
     so the boundary point with outer normal (x, yr) is (h_x, h_yr).  Requires
     (x, yr) != 0.
     """
-    s = _check_s(s)
+    s = _offset(s)
     x, yr = _check_dir(x, yr)
     sigma = np.hypot(x, yr)
     if np.any(sigma == 0):
@@ -249,17 +238,6 @@ _M2_SERIES = (
     11.486164502542096,
 )
 _INV_SQRT_PI = 1.0 / SQRT_PI  # 0.07 ulp from 1/sqrt(pi)
-_TINY = np.finfo(float).tiny  # the least normal float
-
-
-def _offsets(s):
-    """s as a float array; an offset that is not finite and nonnegative
-    raises ValueError."""
-    s = np.asarray(s, dtype=float)
-    # the least s is NaN if any s is: NaN and negative offsets fail the first test
-    if not (s.min(initial=0.0) >= 0.0 and s.max(initial=0.0) < math.inf):
-        raise ValueError("mean offsets s must be finite and nonnegative")
-    return s
 
 
 def gaussian_volume(dim: int, s):
@@ -295,10 +273,12 @@ def gaussian_volume(dim: int, s):
     (0.54).  For m >= 2 and s >= _LINEAR_S it is ``volume_asymptote(m) * s``,
     within (m-1)/(2 m s^2) < 1e-16 relative (DLMF 13.7.2), where the closed
     forms lose digits and overflow.  An offset that is not finite and
-    nonnegative raises ValueError.
+    nonnegative raises ValueError, and so does a volume for m >= 3 below
+    the least normal float (from m = 300 at s = 0 and 1); m <= 2 volumes are
+    at least 1/2.
     """
-    m = int(dim)
-    s = _offsets(s)
+    m = _count("dim", dim)
+    s = _nonnegative("mean offsets s", s)
     if m == 1:
         return _stretched_volume(1, s, 2.0)
     return piecewise(s, _LINEAR_S, lambda s: volume_asymptote(m) * s, partial(_closed_volume, m))
@@ -309,10 +289,10 @@ def _closed_volume(m: int, s):
     if m == 2:
         return piecewise(s, _M2_SERIES_S, _m2_series, _m2_bessel)
     c = 0.5 * m * s * s
-    return ball_volume(m) / (2 * math.pi) ** (m / 2) * (
+    return _normal("gaussian volume", ball_volume(m) / (2 * math.pi) ** (m / 2) * (
         special.hyp1f1(0.5, 0.5 * m + 1.0, -c)
         + s * s * ((m + 1) / (m + 2)) * special.hyp1f1(0.5, 0.5 * m + 2.0, -c)
-    )
+    ))
 
 
 def _m2_bessel(s):
@@ -377,14 +357,16 @@ BODY_KINDS = {
     "limit": BodyKind(
         lambda s, x, yr: limit_support(x, yr),
         lambda s, theta: _boundary_limit(theta),
-        lambda m, s: 2.0 * ball_volume(m - 1) / math.sqrt(m),
+        lambda m, s: 2.0 * ball_volume(_count("dim", m) - 1) / math.sqrt(m),
     ),
     # the outer ellipsoid: the unit ball scaled by 1/sqrt(2 pi) and stretched
     # by axial_stretch(s) along the axis; volume axial_stretch(s)*kappa_m/(2 pi)^(m/2)
     "ellipsoid": BodyKind(
         ellipsoid_support,
         _boundary_ellipsoid,
-        lambda m, s: _stretched_volume(m, _offsets(s), ball_volume(m)),
+        lambda m, s: _stretched_volume(
+            m, _nonnegative("mean offsets s", s), ball_volume(_count("dim", m))
+        ),
     ),
 }
 KINDS = tuple(BODY_KINDS)
@@ -401,12 +383,11 @@ class RevolutionBody:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ValueError("dim must be an integer >= 1")
+        object.__setattr__(self, "dim", _count("dim", self.dim))
         if (self.s is None) != (self.kind == "limit"):
             raise ValueError("the limit body takes no mean offset s; the others require one")
         if self.s is not None:
-            _check_s(self.s, positive=(self.kind == "normalized"))
+            _offset(self.s, positive=(self.kind == "normalized"))
 
     def support(self, x, yr):
         return BODY_KINDS[self.kind].support(self.s, x, yr)
@@ -429,17 +410,16 @@ def boundary_profile(body: RevolutionBody, n_points: int = 181) -> np.ndarray:
     radial column is 0 at both poles and the axial column decreases strictly,
     which is how convexity shows up in this parametrization.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    theta = np.linspace(0.0, math.pi, n_points)
+    theta = np.linspace(0.0, math.pi, _count("n_points", n_points, least=2))
     ax, rad = body.boundary(theta)
     return np.column_stack([theta, ax, rad])
 
 
 def volume(body: RevolutionBody) -> float:
     """Volume of the body, in closed form for every kind: the volume of its
-    entry in :data:`BODY_KINDS`."""
-    return float(BODY_KINDS[body.kind].volume(body.dim, body.s))
+    entry in :data:`BODY_KINDS`.  A volume below the least normal float
+    raises ValueError."""
+    return float(_normal("volume", BODY_KINDS[body.kind].volume(body.dim, body.s)))
 
 
 class VolumeBounds(NamedTuple):
@@ -454,23 +434,26 @@ def volume_bounds(dim: int, s) -> VolumeBounds:
     ``upper`` is the outer-ellipsoid volume; ``lower`` shrinks it by
     inradius^dim of the limit body; ``lower_sharp`` is the sharper bound
     axial_stretch(s) * 2*kappa_{m-1} / (sqrt(m) (2 pi)^(m/2)) coming from the
-    limit-body volume, and dominates ``lower`` for every dim.
+    limit-body volume, and dominates ``lower`` for every dim.  A bound below
+    the least normal float raises ValueError (``lower`` from m = 291 at s = 0
+    and 1).
     """
-    s, m = _check_s(s), int(dim)
+    s, m = _offset(s), _count("dim", dim)
     upper = float(BODY_KINDS["ellipsoid"].volume(m, s))
     lower = limit_body_inradius() ** m * upper
     limit = BODY_KINDS["limit"].volume(m, s)
     lower_sharp = float(_stretched_volume(m, s, limit))
+    _normal("volume bound", (lower, lower_sharp, upper))
     return VolumeBounds(lower=lower, lower_sharp=lower_sharp, upper=upper)
 
 
 def volume_asymptote(dim: int) -> float:
     """Slope of vol(gaussian body) in s as s -> inf:
-    kappa_{m-1} / (sqrt(m) (2 pi)^((m-1)/2))."""
-    m = int(dim)
-    if m < 1:
-        raise ValueError("dim must be >= 1")
-    return ball_volume(m - 1) / (math.sqrt(m) * (2 * math.pi) ** ((m - 1) / 2))
+    kappa_{m-1} / (sqrt(m) (2 pi)^((m-1)/2)); a slope below the least normal
+    float raises ValueError."""
+    m = _count("dim", dim)
+    slope = ball_volume(m - 1) / (math.sqrt(m) * (2 * math.pi) ** ((m - 1) / 2))
+    return _normal("volume slope", slope)
 
 
 def limit_boundary_radius(x):
@@ -479,9 +462,7 @@ def limit_boundary_radius(x):
     ``f(x) = exp(-erf_inv(x)^2)`` for |x| < 1, extended by f(+-1) = 0.  The
     boundary of the limit body is exactly {(x, f(x) w): |x| <= 1, |w| = 1}.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
+    x = _finite("x", x)
     if np.any(np.abs(x) > 1):
         raise ValueError("limit profile is defined for |x| <= 1")
     out = np.exp(-(special.erfinv(x) ** 2))  # erfinv(+-1) = +-inf
@@ -551,8 +532,7 @@ def limit_inradius_grid(n: int = 1_000_000) -> float:
     Each slice computes its own angles j * step, the last of n >= 2 exactly
     pi/2: ``np.linspace(0, pi/2, n)`` bit for bit, with no array of all n.
     n = 1 scans the pole alone; n < 1 raises ValueError."""
-    if n < 1:
-        raise ValueError(f"the grid needs n >= 1 points, got n = {n}")
+    n = _count("n", n)
     step = 0.5 * math.pi / max(n - 1, 1)
 
     def angles(j):
@@ -582,19 +562,17 @@ def sandwich_constant(s) -> float:
     and b falls strictly to :func:`limit_body_inradius` as s grows:
     1 - b(s) ~ 0.02 s^4 near 0, and b(s) - b-infinity ~ 0.195/s^2.
     """
-    return _meridian_minimum(_check_s(s))[1]
+    return _meridian_minimum(_offset(s))[1]
 
 
 def mean_stretch_matrix(c: np.ndarray) -> np.ndarray:
     """Symmetric map stretching the c-axis by axial_stretch(|c|), identity on
     the orthogonal complement.  Returns the identity for c = 0."""
-    c = np.asarray(c, dtype=float)
+    c = _finite("c", c)
     if c.ndim != 1:
         raise ValueError("c must be a vector")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("c must be finite")
     m = c.shape[0]
-    norm = _check_s(scaled_norm(c))
+    norm = _offset(scaled_norm(c))
     eye = np.eye(m)
     if norm == 0.0:
         return eye
@@ -621,8 +599,7 @@ class GaussianVector:
             raise ValueError("matrix must be square and at least 1 x 1")
         if mu.shape != (mat.shape[0],):
             raise ValueError("mean must be a vector matching the matrix size")
-        if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(mu))):
-            raise ValueError("matrix and mean must be finite")
+        _finite("matrix", mat), _finite("mean", mu)
         sv = np.linalg.svd(mat, compute_uv=False)
         if sv[-1] <= 1e-12 * sv[0]:
             raise ValueError("matrix is numerically singular")
@@ -639,9 +616,7 @@ class GaussianVector:
 
     def support(self, u):
         """Zonoid support function (1/2) E|<u, X>| at u (vector or batch)."""
-        u = np.asarray(u, dtype=float)
-        if not np.all(np.isfinite(u)):
-            raise ValueError("u must be finite")
+        u = _finite("u", u)
         v = u @ self.matrix
         s = self.mean_norm
         # at s = 0 every direction is radial and the body is the ball
@@ -694,11 +669,7 @@ def check_inclusion(dim: int, s, n_dirs: int = 10_000, seed: int = 0) -> Inclusi
     must lie in [inradius - 1e-12, 1 + 1e-12]; a violation does not raise, it
     is returned as a failing report with the worst direction as witness.
     """
-    s = _check_s(s)
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if n_dirs < 1:
-        raise ValueError("n_dirs must be >= 1")
+    s, dim, n_dirs = _offset(s), _count("dim", dim), _count("n_dirs", n_dirs)
     b = limit_body_inradius()
     u = stream(seed, 0).random()
     step = 0.5 * math.pi / n_dirs
@@ -713,9 +684,9 @@ def check_inclusion(dim: int, s, n_dirs: int = 10_000, seed: int = 0) -> Inclusi
     t = float(angles(np.array([k]))[0]) if 1.0 - hi < lo - b else t_lo
     x, yr = math.cos(t) / lam, math.sin(t)
     return InclusionReport(
-        dim=int(dim),
+        dim=dim,
         s=s,
-        n_dirs=int(n_dirs),
+        n_dirs=n_dirs,
         seed=int(seed),
         min_ratio_lower=lo,
         max_ratio_upper=hi,

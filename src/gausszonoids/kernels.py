@@ -10,6 +10,11 @@ Everything here is elementary, a range-checked wrapper over
 the bisection and the piecewise evaluation of an elementwise function.  The
 scalar functions accept scalars or numpy arrays and reject NaN/Inf at the API
 boundary (the documented continuous extensions excepted).
+
+The package's inputs are checked here, each by one helper that names the
+parameter in its ValueError: :func:`_count` (a dimension, count, seed or
+grid size), :func:`_finite` (arrays), :func:`_nonnegative` and
+:func:`_offset` (mean offsets), and :func:`_normal` (a printed volume).
 """
 from __future__ import annotations
 
@@ -34,6 +39,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 # a |w| beyond which exp(-w^2/2) is 0.0 (it is from 38.6 on)
 _GAUSS_CUTOFF = 64.0
+_TINY = np.finfo(float).tiny  # the least normal float
 
 
 def gauss_tail(w):
@@ -42,11 +48,54 @@ def gauss_tail(w):
     return np.exp(-0.5 * np.minimum(np.abs(w), _GAUSS_CUTOFF) ** 2)
 
 
+def _count(name: str, value, least: int = 1, most: int | None = None) -> int:
+    """value as an int: a Python or numpy integer from least to most (no
+    bound above by default).  A bool, a float (integral or not) or a value
+    out of range raises ValueError naming the parameter."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least or (most is not None and value > most):
+        span = "nonnegative" if least == 0 else f"at least {least}"
+        span += "" if most is None else f" and at most {most}"
+        raise ValueError(f"{name} must be {span}, got {name} = {value!r}")
+    return int(value)
+
+
 def _finite(name: str, value) -> np.ndarray:
+    """value as a float array; an entry that is not finite raises ValueError."""
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return arr
+
+
+def _nonnegative(name: str, value) -> np.ndarray:
+    """value as a float array; an entry that is not finite and nonnegative
+    raises ValueError."""
+    arr = np.asarray(value, dtype=float)
+    # the least entry is NaN if any is: NaN and negative entries fail the first test
+    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return arr
+
+
+def _offset(s, positive: bool = False) -> float:
+    """One mean offset s as a float: finite and nonnegative, positive if
+    asked, and with a finite axial stretch; else ValueError."""
+    s = float(_nonnegative("mean offset s", s))
+    if positive and s == 0.0:
+        raise ValueError("mean offset s must be positive")
+    if SQRT_HALF_PI * s == math.inf:  # axial_stretch(s), the ellipsoid's axis
+        raise ValueError(f"mean offset s = {s!r} stretches the mean axis past the largest float")
+    return s
+
+
+def _normal(name: str, value):
+    """value, positive floats; one below the least normal float, where a
+    float loses digits and then underflows to 0, raises ValueError."""
+    if np.min(value) < _TINY:
+        raise ValueError(f"the {name} falls below the least normal float")
+    return value
 
 
 def binary_exponent(values) -> int:
@@ -223,8 +272,7 @@ def ball_volume(m: int) -> float:
     Defined for integer m >= 0 (``ball_volume(0) == 1``), and satisfies the
     recurrence ``ball_volume(m) = ball_volume(m-2) * 2*pi/m``.
     """
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValueError(f"dimension must be a nonnegative integer, got {m!r}")
+    m = _count("m", m, least=0)
     # parity recursion keeps the low dimensions exact (2.0, pi, 4 pi/3, ...)
     val = 1.0 if m % 2 == 0 else 2.0
     for j in range(m, 1, -2):
@@ -235,6 +283,7 @@ def ball_volume(m: int) -> float:
 def factorial(n: int) -> float:
     """n! as a float, for the dimension constants; from n = 171 on it
     overflows a float, and raises ValueError."""
+    n = _count("n", n, least=0)
     if n > 170:
         raise ValueError(f"{n}! overflows a float (170! is the largest that fits)")
     return float(math.factorial(n))

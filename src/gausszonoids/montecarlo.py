@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kernels import binary_exponent
+from .kernels import _count, binary_exponent
 
 __all__ = ["MCConfig", "EstimateWithCI", "stream", "mc_mean"]
 
@@ -37,6 +37,8 @@ _CHUNK = 1 << 14
 # the one before (a 10^6-point scan takes about 50 minor page faults, where
 # slices of 2^14 points took 12-18 thousand, fresh pages for every slice)
 _SLICE = 1 << 13
+# the largest seed, that of the CLI
+_SEED_MAX = (1 << 64) - 1
 
 
 def grid_map(fn: Callable, n: int, size: int | None = None) -> list:
@@ -52,9 +54,8 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        _check_seed(self.seed)
+        object.__setattr__(self, "samples", _count("samples", self.samples))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0, _SEED_MAX))
 
 
 class EstimateWithCI(NamedTuple):
@@ -67,17 +68,13 @@ class EstimateWithCI(NamedTuple):
         return {"mean": self.mean, "std_error": self.std_error, "n": self.n_samples}
 
 
-def _check_seed(seed: int):
-    if not 0 <= seed < 1 << 64:  # the CLI's seed range
-        raise ValueError("seed must be nonnegative and below 2**64")
-
-
 def stream(seed: int, index: int) -> np.random.Generator:
     """Generator for chunk `index` of the run keyed by `seed`: SFC64 seeded by
     child `index` of ``SeedSequence(seed)``, that is by
     ``SeedSequence(seed).spawn(index + 1)[index]``."""
-    _check_seed(seed)
-    seq = np.random.SeedSequence(seed, spawn_key=(index,))
+    seq = np.random.SeedSequence(
+        _count("seed", seed, 0, _SEED_MAX), spawn_key=(_count("index", index, 0),)
+    )
     return np.random.Generator(np.random.SFC64(seq))
 
 
